@@ -13,7 +13,7 @@ import random
 import statistics
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cellmap import build_database

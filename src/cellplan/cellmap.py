@@ -18,8 +18,8 @@ Two schedules compute the same fixed point:
   `iterations` counts the sweeps that changed at least one label set.
 * "worklist": a lexicographic best-first priority worklist that settles each
   final vector exactly once; much faster. It reports the identical
-  `iterations` value, recovered afterwards as 1 + the largest hop count any
-  stored vector needs.
+  `iterations` value, 1 + the largest hop count any stored vector needs,
+  read off the hop depth its heap keys carry.
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
@@ -27,9 +27,9 @@ cost, so only simple paths contribute and both schedules terminate.
 
 from __future__ import annotations
 
+import gc
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .grid import (
@@ -43,7 +43,7 @@ from .grid import (
     overflow_risk,
     step_length,
 )
-from .pareto import CostOverflowError, LabelSet, Vector, nondominated
+from .pareto import CostOverflowError, LabelSet, Vector, nondominated, skyline
 
 DB_VERSION = 1
 
@@ -114,19 +114,7 @@ def _flat_tables(grid: GridMap):
     return terr, obst, nbrs
 
 
-def _skyline(cands: list) -> LabelSet:
-    """Non-dominated subset of 2-vectors; sorts in place."""
-    cands.sort()
-    out = []
-    best = None
-    for v in cands:
-        if best is None or v[1] < best:
-            out.append(v)
-            best = v[1]
-    return tuple(out)
-
-
-def _build_sweep(grid: GridMap, goal_ids: list[int], threads: int):
+def _build_sweep(grid: GridMap, goal_ids: list[int]):
     """Synchronous Jacobi sweeps until nothing changes.
 
     Cells are only recomputed when a neighbor changed in the previous sweep;
@@ -146,54 +134,55 @@ def _build_sweep(grid: GridMap, goal_ids: list[int], threads: int):
         for j, dz in nbrs[i]:
             for a, b in labels[j]:
                 cands.append((a + dz, b + ti))
-        return _skyline(cands)
+        return skyline(cands)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while recompute:
-            if pool is None:
-                updated = [(i, update(i)) for i in recompute]
-            else:
-                chunk = max(1, len(recompute) // threads)
-                updated = list(zip(recompute, pool.map(update, recompute, chunksize=chunk)))
-            changed = [(i, ls) for i, ls in updated if ls != labels[i]]
-            if not changed:
-                break
-            iterations += 1
-            nxt = set()
-            for i, ls in changed:
-                labels[i] = ls
-                for j, _dz in nbrs[i]:
-                    nxt.add(j)
-            recompute = sorted(nxt)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while recompute:
+        updated = [(i, update(i)) for i in recompute]
+        changed = [(i, ls) for i, ls in updated if ls != labels[i]]
+        if not changed:
+            break
+        iterations += 1
+        nxt = set()
+        for i, ls in changed:
+            labels[i] = ls
+            for j, _dz in nbrs[i]:
+                nxt.add(j)
+        recompute = sorted(nxt)
     return labels, iterations
 
 
 def _build_worklist(grid: GridMap, goal_ids: list[int]):
-    """Label-setting worklist: pop (f1, f2, cell) keys in lexicographic order.
+    """Label-setting worklist: pop (f1, f2, depth, cell) keys in lexicographic order.
 
     A popped vector is final iff its f2 beats the last one settled at its
     cell, because pops arrive in non-decreasing f1 order. Heap keys are packed
     into single ints to keep comparisons cheap.
+
+    `depth` is the hop count of the route that pushed the key. Every step is
+    at least STRAIGHT_STEP long, so all parents of a vector (f1, f2) have a
+    smaller f1 and are settled, each with its own least depth, before (f1, f2)
+    is first popped at a cell; that first pop therefore carries the fewest
+    hops the vector needs, and `iterations` is 1 + the largest settled depth.
     """
     terr, obst, nbrs = _flat_tables(grid)
     n = len(terr)
     mt = max((terr[i] for i in range(n) if not obst[i]), default=0)
     f2_cap = mt * n
     cell_bits = max(1, (n - 1).bit_length())
+    depth_bits = n.bit_length()  # depths stay <= n: routes are simple
     f2_bits = max(1, f2_cap.bit_length())
-    s2 = cell_bits
-    s1 = cell_bits + f2_bits
+    sd = cell_bits
+    s2 = sd + depth_bits
+    s1 = s2 + f2_bits
     cell_mask = (1 << cell_bits) - 1
+    depth_mask = (1 << depth_bits) - 1
     f2_mask = (1 << f2_bits) - 1
 
     inf = f2_cap + 1
     last_f2 = [inf] * n
     acc: list[list] = [[] for _ in range(n)]
-    heap = list(goal_ids)  # (0, 0, g) packs to just g
+    max_depth = 0
+    heap = list(goal_ids)  # (0, 0, 0, g) packs to just g
     heapify(heap)
     while heap:
         key = heappop(heap)
@@ -204,79 +193,34 @@ def _build_worklist(grid: GridMap, goal_ids: list[int]):
         f1 = key >> s1
         acc[c].append((f1, f2))
         last_f2[c] = f2
+        depth = (key >> sd) & depth_mask
+        if depth > max_depth:
+            max_depth = depth
+        child_depth = (depth + 1) << sd
         for i, dz in nbrs[c]:
             nf2 = f2 + terr[i]
             if nf2 >= last_f2[i]:
                 continue
-            heappush(heap, ((f1 + dz) << s1) | (nf2 << s2) | i)
-    labels = [tuple(a) for a in acc]
-    goal_set = set(goal_ids)
-    return labels, _iteration_count(labels, nbrs, terr, goal_set)
+            heappush(heap, ((f1 + dz) << s1) | (nf2 << s2) | child_depth | i)
+    return [tuple(a) for a in acc], max_depth + 1
 
 
-def _iteration_count(labels, nbrs, terr, goal_set) -> int:
-    """Sweep count the synchronous schedule would report for these labels.
-
-    That count equals 1 + max over stored vectors of the fewest hops needed
-    to realize them, computed by a DP over states in increasing-f1 order
-    (every decomposition strictly decreases f1).
-    """
-    states = []
-    for c, ls in enumerate(labels):
-        for f1, f2 in ls:
-            states.append((f1, f2, c))
-    if not states:
-        return 0
-    states.sort()
-    depths: list[dict | None] = [None] * len(labels)
-    maxd = 0
-    for f1, f2, c in states:
-        if c in goal_set:
-            d = 0
-        else:
-            tc = terr[c]
-            best = None
-            for j, dz in nbrs[c]:
-                dmap = depths[j]
-                if not dmap:
-                    continue
-                dj = dmap.get((f1 - dz, f2 - tc))
-                if dj is not None and (best is None or dj < best):
-                    best = dj
-            if best is None:
-                raise RuntimeError(f"vector ({f1}, {f2}) at flat cell {c} does not decompose")
-            d = best + 1
-        dmap = depths[c]
-        if dmap is None:
-            dmap = {}
-            depths[c] = dmap
-        dmap[(f1, f2)] = d
-        if d > maxd:
-            maxd = d
-    return maxd + 1
-
-
-def build_database(grid: GridMap, goal, *, schedule: str = "worklist",
-                   threads: int = 1) -> Database:
+def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:
     """Build the cost-to-go database for `goal` over `grid`.
 
-    One build serves any number of goal cells. `threads` applies to the sweep
-    schedule only (updates within a sweep are independent, so any thread
-    count yields the identical database); the worklist schedule is
-    sequential.
+    One build serves any number of goal cells. Both schedules yield the
+    identical database; "sweep" is the slow synchronous reference.
     """
     region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     region.validate_on(grid)
     if schedule not in ("sweep", "worklist"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
     if schedule == "sweep":
-        flat, iterations = _build_sweep(grid, goal_ids, threads)
+        flat, iterations = _build_sweep(grid, goal_ids)
     else:
         flat, iterations = _build_worklist(grid, goal_ids)
     labels = {divmod(i, cols): ls for i, ls in enumerate(flat) if ls}
@@ -329,7 +273,7 @@ def verify_database(db: Database, grid: GridMap) -> bool:
         for j, dz in nbrs[i]:
             for a, b in flat[j]:
                 cands.append((a + dz, b + ti))
-        if _skyline(cands) != flat[i]:
+        if skyline(cands) != flat[i]:
             return False
     return True
 
@@ -360,14 +304,38 @@ def _as_cell(obj) -> Cell:
     return (obj[0], obj[1])
 
 
+class _Pairs(tuple):
+    """A JSON object's (key, value) pairs in file order, duplicates kept."""
+
+
 def load_database(raw) -> Database:
-    """Parse database JSON; inverse of save_database."""
+    """Parse database JSON; inverse of save_database.
+
+    Checks the header fields, that label keys are exactly "r,c" and strictly
+    increasing in (r, c), and that every vector is a pair of non-negative
+    ints. Dominance within and across label sets is left to verify_database,
+    which needs the map.
+    """
+    # Parsing allocates about two containers per stored vector, all acyclic,
+    # so the cycle collector would only rescan them; on large databases that
+    # rescanning took as long as the parse itself.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        payload = json.loads(raw)
+        return _parse_database(raw)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_database(raw) -> Database:
+    try:
+        pairs = json.loads(raw, object_pairs_hook=_Pairs)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed database JSON: {e}") from e
-    if not isinstance(payload, dict):
+    if not isinstance(pairs, _Pairs):
         raise ValueError("database JSON must be an object")
+    payload = dict(pairs)
     version = payload.get("version")
     if version != DB_VERSION:
         raise ValueError(f"unsupported database version: {version!r}")
@@ -385,23 +353,29 @@ def load_database(raw) -> Database:
         raise ValueError("goal cell list missing")
     goal = GoalRegion(_as_cell(c) for c in goal_raw)
     labels_raw = payload.get("labels")
-    if not isinstance(labels_raw, dict):
+    if not isinstance(labels_raw, _Pairs):
         raise ValueError("labels object missing")
     labels: dict[Cell, LabelSet] = {}
-    for key, vecs in labels_raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad label key {key!r}")
+    prev = None
+    for key, vecs in labels_raw:
+        r, _, c = key.partition(",")
         try:
-            cell = (int(parts[0]), int(parts[1]))
-        except ValueError as e:
-            raise ValueError(f"bad label key {key!r}") from e
+            cell = (int(r), int(c))
+        except ValueError:
+            cell = None
+        # int() also accepts "+1", "01" and " 1"; only the exact saved form names a cell.
+        if cell is None or key != f"{cell[0]},{cell[1]}":
+            raise ValueError(f"bad label key {key!r}")
+        if prev is not None and cell <= prev:
+            raise ValueError(f"label key {key!r} repeats or breaks increasing (r, c) order")
+        prev = cell
         if not isinstance(vecs, list):
             raise ValueError(f"labels for {key!r} must be a list")
         out = []
         for v in vecs:
-            if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in v)):
+            # `type(x) is int` also shuts out bools.
+            if (type(v) is not list or len(v) != 2 or type(v[0]) is not int
+                    or type(v[1]) is not int or v[0] < 0 or v[1] < 0):
                 raise ValueError(f"bad vector {v!r} for cell {key!r}")
             out.append((v[0], v[1]))
         if out:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bench import BenchConfig, run_campaign
@@ -103,8 +102,7 @@ def cmd_genmap(args) -> int:
 def cmd_build(args) -> int:
     grid = _read_map(args.map, not args.no_corner_cut)
     region = _parse_goal_args(args.goal)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    db = build_database(grid, region, schedule=args.schedule, threads=threads)
+    db = build_database(grid, region, schedule=args.schedule)
     with open(args.output, "wb") as fh:
         fh.write(save_database(db))
     info = {"iterations": db.iterations, "free_cells": len(free_cells(grid))}
@@ -268,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cell r,c or rectangle r1,c1:r2,c2; repeatable, united")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--schedule", choices=("sweep", "worklist"), default="worklist")
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="sweep-schedule worker threads (default: all cores)")
     _add_corner_flag(p)
     p.set_defaults(func=cmd_build)
 

@@ -12,7 +12,6 @@ order monotone and closed labels permanently safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
 
 from .grid import (
@@ -26,7 +25,7 @@ from .grid import (
     overflow_risk,
     require_free,
 )
-from .pareto import CostOverflowError, LabelSet, Vector
+from .pareto import CostOverflowError, Vector, insert_front, strictly_dominated
 
 Path = tuple[Cell, ...]
 
@@ -58,31 +57,6 @@ class _Label:
         self.g = g
         self.parents: list[_Label] = []
         self.dead = False
-
-
-def _strictly_dominated(front: list[Vector], v: Vector) -> bool:
-    """True iff some member of the canonical front dominates v strictly."""
-    pos = bisect_left(front, v)
-    return pos > 0 and front[pos - 1][1] <= v[1]
-
-
-def _try_insert(front: list[Vector], v: Vector):
-    """Insert v into a canonical front list in place.
-
-    Returns ("dominated", ()) | ("present", ()) | ("inserted", removed)
-    where `removed` lists vectors v strictly dominates.
-    """
-    pos = bisect_left(front, v)
-    if pos < len(front) and front[pos] == v:
-        return "present", ()
-    if pos > 0 and front[pos - 1][1] <= v[1]:
-        return "dominated", ()
-    k = pos
-    while k < len(front) and front[k][1] >= v[1]:
-        k += 1
-    removed = front[pos:k]
-    front[pos:k] = [v]
-    return "inserted", removed
 
 
 def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
@@ -128,13 +102,13 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
         f1, f2, _r, _c, _s, lab = heappop(heap)
         if lab.dead:
             continue
-        if _strictly_dominated(sol_front, (f1, f2)):
+        if strictly_dominated(sol_front, (f1, f2)):
             continue
         cell = lab.cell
         if cell in goal_cells:
             # h is 0 here, so g == f and this vector is final. Equal-vector
             # solutions at other goal cells each keep their own label.
-            _try_insert(sol_front, lab.g)
+            insert_front(sol_front, lab.g)
             sol_labels.append(lab)
             continue
         g1, g2 = lab.g
@@ -142,13 +116,13 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
         for j, dz in nbr[cell]:
             ng = (g1 + dz, g2 + tc)
             nf = (ng[0] + h1(j), ng[1])
-            if _strictly_dominated(sol_front, nf):
+            if strictly_dominated(sol_front, nf):
                 continue
             fl = cell_fronts.get(j)
             if fl is None:
                 fl = []
                 cell_fronts[j] = fl
-            status, removed = _try_insert(fl, ng)
+            status, removed = insert_front(fl, ng)
             if status == "dominated":
                 continue
             if status == "present":

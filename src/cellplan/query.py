@@ -10,7 +10,7 @@ path is simple, and counting is a plain DP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from .cellmap import Database

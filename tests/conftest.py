@@ -11,6 +11,17 @@ TEXT_2X3 = "2 3\n0 5 0\n0 0 0\n"
 GOAL_2X3 = (0, 2)
 FRONT_2X3 = ((20, 5), (28, 0))
 
+# Label-key edits of the saved 2x3 database (keys "0,0" ... "1,2" in order)
+# that the loader must reject: aliases of "1,0", a repeated key, and a key
+# out of (r, c) order.
+KEY_EDITS_2X3 = [
+    pytest.param(b'"1,0":', b'"+1,00":', id="alias-plus-zero"),
+    pytest.param(b'"1,0":', b'"01,0":', id="alias-leading-zero"),
+    pytest.param(b'"1,0":', b'"1, 0":', id="alias-space"),
+    pytest.param(b'"1,1":', b'"1,0":', id="duplicate"),
+    pytest.param(b'"1,2":', b'"0,3":', id="out-of-order"),
+]
+
 TEXT_1X2 = "1 2\n0 0\n"
 TEXT_1X3 = "1 3\n0 0 0\n"
 

@@ -1,6 +1,7 @@
 """Database builder tests: fixed-point values on hand-checked maps, schedule
 equivalence, verification, and serialization round-trips."""
 
+import gc
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from cellplan import (
     save_database,
     verify_database,
 )
-from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3
+from conftest import FRONT_2X3, GOAL_2X3, KEY_EDITS_2X3, TEXT_1X2, TEXT_2X3
 
 
 def test_hop_cost():
@@ -87,8 +88,6 @@ def test_goal_validation():
 def test_build_argument_validation(map_1x2):
     with pytest.raises(ValueError, match="schedule"):
         build_database(map_1x2, [(0, 1)], schedule="eager")
-    with pytest.raises(ValueError, match="threads"):
-        build_database(map_1x2, [(0, 1)], schedule="sweep", threads=0)
 
 
 def test_build_overflow_guard():
@@ -116,17 +115,30 @@ def test_disjoint_goal_areas():
     assert db.front((0, 2)) == ((20, 9),)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_schedules_and_threads_agree(seed):
-    g = random_map(seed, 7, 9, 0.25, 4)
-    goal = free_cells(g)[seed % len(free_cells(g))]
-    builds = [
-        build_database(g, [goal], schedule="sweep"),
-        build_database(g, [goal], schedule="sweep", threads=4),
-        build_database(g, [goal], schedule="worklist"),
-    ]
-    blobs = {save_database(db) for db in builds}
-    assert len(blobs) == 1
+# (map, goal cell count) per seed. Zero terrain puts the worklist's f2 field
+# at its narrowest width. The corridor's far end is 16 hops out on 17 cells,
+# one more than a depth field a bit narrower could hold. Multi-cell goals are
+# spread over the map.
+_SCHEDULE_CASES = (
+    [pytest.param(0, parse_map("1 17\n" + "0 " * 16 + "0\n"), 1, id="corridor")]
+    + [pytest.param(s, random_map(s, 7, 9, 0.25, 4), 1, id=str(s)) for s in range(12)]
+    + [pytest.param(s, random_map(s, 7, 9, 0.25, 0), 1, id=f"zero-terrain-{s}")
+       for s in range(4)]
+    + [pytest.param(s, random_map(s, 7, 9, 0.25, 4, allow_corner_cut=False), 1,
+                    id=f"no-corner-cut-{s}") for s in range(4)]
+    + [pytest.param(s, random_map(s, 7, 9, 0.25, 4), 3, id=f"multi-goal-{s}")
+       for s in range(4)]
+)
+
+
+@pytest.mark.parametrize("seed, g, n_goals", _SCHEDULE_CASES)
+def test_schedules_and_threads_agree(seed, g, n_goals):
+    """Sweep and worklist builds are byte-identical, `iterations` included."""
+    fc = free_cells(g)
+    goal = [fc[(seed + k * len(fc) // n_goals) % len(fc)] for k in range(n_goals)]
+    assert len(set(goal)) == n_goals
+    assert (save_database(build_database(g, goal, schedule="sweep"))
+            == save_database(build_database(g, goal, schedule="worklist")))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -229,6 +241,28 @@ def test_load_rejects_malformed(db_2x3):
         broken.update(breakage)
         with pytest.raises(ValueError):
             load_database(json.dumps(broken).encode())
+
+
+@pytest.mark.parametrize("old, new", KEY_EDITS_2X3)
+def test_load_rejects_noncanonical_keys(db_2x3, old, new):
+    blob = save_database(db_2x3)
+    assert blob.count(old) == 1
+    with pytest.raises(ValueError, match="label key"):
+        load_database(blob.replace(old, new))
+
+
+def test_load_restores_collector_state(db_2x3):
+    blob = save_database(db_2x3)
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        load_database(blob[:-20])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_database(blob)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_load_missing_digest():

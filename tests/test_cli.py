@@ -15,7 +15,7 @@ from cellplan import (
     save_database,
     serialize_map,
 )
-from conftest import GOAL_2X3, TEXT_2X3
+from conftest import GOAL_2X3, KEY_EDITS_2X3, TEXT_2X3
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ def test_build_schedules_agree(map_file, tmp_path):
     a = tmp_path / "a.db"
     b = tmp_path / "b.db"
     assert cli.main(["build", "-m", str(map_file), "--goal", "0,2",
-                     "--schedule", "sweep", "--threads", "2", "-o", str(a)]) == 0
+                     "--schedule", "sweep", "-o", str(a)]) == 0
     assert cli.main(["build", "-m", str(map_file), "--goal", "0,2",
                      "--schedule", "worklist", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -126,6 +126,15 @@ def test_query_json_full_report(map_file, db_file, capsys):
     assert payload["coverage"] == [[0, 0], [0, 1], [0, 2], [1, 1]]
     assert payload["truncated"] is False
     assert len(payload["paths"]) == 2
+
+
+@pytest.mark.parametrize("old, new", KEY_EDITS_2X3)
+def test_query_rejects_noncanonical_keys(map_file, db_file, old, new, capsys):
+    db_file.write_bytes(db_file.read_bytes().replace(old, new))
+    rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
+                   "--start", "0,0"])
+    assert rc == 2
+    assert "label key" in capsys.readouterr().err
 
 
 def test_query_paths_limit_and_all(map_file, db_file, capsys):

@@ -82,14 +82,17 @@ def test_nondominated_canonical_order(vs):
         assert a[1] > b[1]
 
 
-@given(st.lists(vec3, max_size=10))
-def test_nondominated_three_components(vs):
-    front = nondominated(vs)
-    front_set = set(front)
-    for v in front:
-        assert not any(dominates(w, v) for w in front)
-    for v in vs:
-        assert v in front_set or any(dominates(w, v) for w in front)
+@given(st.lists(vec3, min_size=1, max_size=10), vec2)
+def test_nondominated_three_components(vs, v):
+    # The kernel is 2-D only: 3-vectors are rejected, never silently reduced.
+    with pytest.raises(ValueError):
+        nondominated(vs)
+    with pytest.raises(ValueError):
+        nondominated([v] + vs)
+    with pytest.raises(ValueError):
+        insert_nondominated((v,), vs[0])
+    with pytest.raises(ValueError):
+        insert_nondominated((), vs[0])
 
 
 def test_insert_examples():
