@@ -27,19 +27,19 @@ cost, so only simple paths contribute and both schedules terminate.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .grid import (
-    DIAGONAL_STEP,
-    STRAIGHT_STEP,
-    NEIGHBOR_OFFSETS,
     Cell,
     GoalRegion,
     GridMap,
     map_digest,
+    neighbor_table,
     overflow_risk,
     step_length,
 )
@@ -83,35 +83,13 @@ def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
     return (step_length(src, dst), int(grid.terrain[src]))
 
 
-def _flat_tables(grid: GridMap):
-    """Flat-index terrain, obstacle, and neighbor tables for the kernels."""
-    rows, cols = grid.n_rows, grid.n_cols
-    obst = grid.obstacle.ravel().tolist()
-    terr = grid.terrain.ravel().tolist()
-    corner_cut = grid.allow_corner_cut
-    nbrs: list[tuple[tuple[int, int], ...]] = [()] * (rows * cols)
-    for r in range(rows):
-        base = r * cols
-        for c in range(cols):
-            i = base + c
-            if obst[i]:
-                continue
-            acc = []
-            for dr, dc in NEIGHBOR_OFFSETS:
-                rr, cc = r + dr, c + dc
-                if not (0 <= rr < rows and 0 <= cc < cols):
-                    continue
-                j = rr * cols + cc
-                if obst[j]:
-                    continue
-                if dr and dc:
-                    if not corner_cut and (obst[base + cc] or obst[rr * cols + c]):
-                        continue
-                    acc.append((j, DIAGONAL_STEP))
-                else:
-                    acc.append((j, STRAIGHT_STEP))
-            nbrs[i] = tuple(acc)
-    return terr, obst, nbrs
+def _update(labels: list[LabelSet], moves, ti: int, is_goal: bool) -> LabelSet:
+    """One cell's fixed-point update: goal seed plus hop-shifted neighbor labels."""
+    cands = [(0, 0)] if is_goal else []
+    for j, dz in moves:
+        for a, b in labels[j]:
+            cands.append((a + dz, b + ti))
+    return skyline(cands)
 
 
 def _build_sweep(grid: GridMap, goal_ids: list[int]):
@@ -121,23 +99,18 @@ def _build_sweep(grid: GridMap, goal_ids: list[int]):
     unchanged inputs provably reproduce the old value, so the sweep sequence
     is identical to the naive full recomputation.
     """
-    terr, obst, nbrs = _flat_tables(grid)
+    terr = grid.terrain.ravel().tolist()
+    obst = grid.obstacle.ravel().tolist()
+    nbrs = neighbor_table(grid)
     n = len(terr)
     goal_set = set(goal_ids)
     labels: list[LabelSet] = [()] * n
     recompute = [i for i in range(n) if not obst[i]]
     iterations = 0
 
-    def update(i: int) -> LabelSet:
-        cands = [(0, 0)] if i in goal_set else []
-        ti = terr[i]
-        for j, dz in nbrs[i]:
-            for a, b in labels[j]:
-                cands.append((a + dz, b + ti))
-        return skyline(cands)
-
     while recompute:
-        updated = [(i, update(i)) for i in recompute]
+        updated = [(i, _update(labels, nbrs[i], terr[i], i in goal_set))
+                   for i in recompute]
         changed = [(i, ls) for i, ls in updated if ls != labels[i]]
         if not changed:
             break
@@ -164,10 +137,10 @@ def _build_worklist(grid: GridMap, goal_ids: list[int]):
     is first popped at a cell; that first pop therefore carries the fewest
     hops the vector needs, and `iterations` is 1 + the largest settled depth.
     """
-    terr, obst, nbrs = _flat_tables(grid)
+    terr = grid.terrain.ravel().tolist()
+    nbrs = neighbor_table(grid)
     n = len(terr)
-    mt = max((terr[i] for i in range(n) if not obst[i]), default=0)
-    f2_cap = mt * n
+    f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
     cell_bits = max(1, (n - 1).bit_length())
     depth_bits = n.bit_length()  # depths stay <= n: routes are simple
     f2_bits = max(1, f2_cap.bit_length())
@@ -239,7 +212,9 @@ def verify_database(db: Database, grid: GridMap) -> bool:
     if db.map_digest != map_digest(grid):
         raise DigestMismatchError("database digest does not match this map")
     rows, cols = grid.n_rows, grid.n_cols
-    terr, obst, nbrs = _flat_tables(grid)
+    terr = grid.terrain.ravel().tolist()
+    obst = grid.obstacle.ravel().tolist()
+    nbrs = neighbor_table(grid)
     n = rows * cols
     flat: list[LabelSet] = [()] * n
     for cell, ls in db.labels.items():
@@ -266,18 +241,28 @@ def verify_database(db: Database, grid: GridMap) -> bool:
             if not any((f1 - dz, f2 - ti) in sets[j] for j, dz in nbrs[i]):
                 return False
     for i in range(n):
-        if obst[i]:
-            continue
-        cands = [(0, 0)] if i in goal_ids else []
-        ti = terr[i]
-        for j, dz in nbrs[i]:
-            for a, b in flat[j]:
-                cands.append((a + dz, b + ti))
-        if skyline(cands) != flat[i]:
+        if not obst[i] and _update(flat, nbrs[i], terr[i], i in goal_ids) != flat[i]:
             return False
     return True
 
 
+def _collector_paused(fn):
+    """Decorator: run `fn` with the cycle collector paused. Saving and loading
+    allocate about two acyclic containers per stored vector, and rescanning
+    them took as long as the work itself."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def save_database(db: Database) -> bytes:
     """Canonical JSON bytes; identical databases serialize identically."""
     cells = sorted(db.labels)
@@ -308,27 +293,15 @@ class _Pairs(tuple):
     """A JSON object's (key, value) pairs in file order, duplicates kept."""
 
 
+@_collector_paused
 def load_database(raw) -> Database:
     """Parse database JSON; inverse of save_database.
 
-    Checks the header fields, that label keys are exactly "r,c" and strictly
-    increasing in (r, c), and that every vector is a pair of non-negative
-    ints. Dominance within and across label sets is left to verify_database,
-    which needs the map.
+    Checks the header fields, that label keys are exactly "r,c" (r, c >= 0) in
+    strictly increasing (r, c) order, and that each label set is a non-empty,
+    canonically ordered list of non-negative int pairs. Whether the sets fit
+    the map and each other is left to verify_database, which needs the map.
     """
-    # Parsing allocates about two containers per stored vector, all acyclic,
-    # so the cycle collector would only rescan them; on large databases that
-    # rescanning took as long as the parse itself.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_database(raw)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _parse_database(raw) -> Database:
     try:
         pairs = json.loads(raw, object_pairs_hook=_Pairs)
     except json.JSONDecodeError as e:
@@ -364,21 +337,28 @@ def _parse_database(raw) -> Database:
         except ValueError:
             cell = None
         # int() also accepts "+1", "01" and " 1"; only the exact saved form names a cell.
-        if cell is None or key != f"{cell[0]},{cell[1]}":
+        if cell is None or key != f"{cell[0]},{cell[1]}" or min(cell) < 0:
             raise ValueError(f"bad label key {key!r}")
         if prev is not None and cell <= prev:
             raise ValueError(f"label key {key!r} repeats or breaks increasing (r, c) order")
         prev = cell
         if not isinstance(vecs, list):
             raise ValueError(f"labels for {key!r} must be a list")
+        if not vecs:
+            raise ValueError(f"label key {key!r} has an empty label list")
         out = []
+        prev_f1, prev_f2 = -1, math.inf
         for v in vecs:
             # `type(x) is int` also shuts out bools.
-            if (type(v) is not list or len(v) != 2 or type(v[0]) is not int
-                    or type(v[1]) is not int or v[0] < 0 or v[1] < 0):
+            if type(v) is not list or len(v) != 2:
                 raise ValueError(f"bad vector {v!r} for cell {key!r}")
-            out.append((v[0], v[1]))
-        if out:
-            labels[cell] = tuple(out)
+            f1, f2 = v
+            if type(f1) is not int or type(f2) is not int or f1 < 0 or f2 < 0:
+                raise ValueError(f"bad vector {v!r} for cell {key!r}")
+            if f1 <= prev_f1 or f2 >= prev_f2:
+                raise ValueError(f"labels for {key!r} are not in canonical order")
+            out.append((f1, f2))
+            prev_f1, prev_f2 = f1, f2
+        labels[cell] = tuple(out)
     return Database(labels=labels, goal=goal, map_digest=digest,
                     iterations=iterations, convention_tag=tag)

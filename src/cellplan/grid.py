@@ -149,20 +149,38 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
     squeeze between two diagonally touching obstacles.
     """
     require_free(grid, cell)
-    r, c = cell
+    cols = grid.n_cols
+    moves = _moves(grid.obstacle.ravel(), grid.n_rows, cols, grid.allow_corner_cut, *cell)
+    return [(divmod(j, cols), step) for j, step in moves]
+
+
+def neighbor_table(grid: GridMap) -> list[tuple[tuple[int, int], ...]]:
+    """neighbors() of every cell by flat id i = r * n_cols + c, as (j, step)
+    pairs with flat ids j; obstacles hold (). Not cached on the map."""
     rows, cols = grid.n_rows, grid.n_cols
-    obst = grid.obstacle
+    obst = grid.obstacle.ravel().tolist()
+    cut = grid.allow_corner_cut
+    return [() if obst[i] else tuple(_moves(obst, rows, cols, cut, *divmod(i, cols)))
+            for i in range(rows * cols)]
+
+
+def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
+    """The move rule behind neighbors(), for the free cell (r, c) on the
+    row-major flattened obstacle mask `obst`: (j, step) with j = rr * n_cols + cc."""
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         rr, cc = r + dr, c + dc
-        if not (0 <= rr < rows and 0 <= cc < cols) or obst[rr, cc]:
+        if not (0 <= rr < n_rows and 0 <= cc < n_cols):
+            continue
+        j = rr * n_cols + cc
+        if obst[j]:
             continue
         if dr and dc:
-            if not grid.allow_corner_cut and (obst[r, cc] or obst[rr, c]):
+            if not corner_cut and (obst[r * n_cols + cc] or obst[rr * n_cols + c]):
                 continue
-            out.append(((rr, cc), DIAGONAL_STEP))
+            out.append((j, DIAGONAL_STEP))
         else:
-            out.append(((rr, cc), STRAIGHT_STEP))
+            out.append((j, STRAIGHT_STEP))
     return out
 
 

@@ -20,8 +20,7 @@ from .grid import (
     Cell,
     GoalRegion,
     GridMap,
-    free_cells,
-    neighbors,
+    neighbor_table,
     overflow_risk,
     require_free,
 )
@@ -52,7 +51,7 @@ def heuristic(grid: GridMap, cell: Cell, goal) -> Vector:
 class _Label:
     __slots__ = ("cell", "g", "parents", "dead")
 
-    def __init__(self, cell: Cell, g: Vector):
+    def __init__(self, cell: int, g: Vector):
         self.cell = cell
         self.g = g
         self.parents: list[_Label] = []
@@ -73,39 +72,36 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     region.validate_on(grid)
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
-    goal_cells = region.cells
+    cols = grid.n_cols
+    goal_ids = {r * cols + c for r, c in region.cells}
     goal_sorted = region.sorted_cells()
+    nbr = neighbor_table(grid)
+    terr = grid.terrain.ravel().tolist()
 
-    nbr: dict[Cell, list] = {}
-    terr: dict[Cell, int] = {}
-    for cell in free_cells(grid):
-        nbr[cell] = neighbors(grid, cell)
-        terr[cell] = int(grid.terrain[cell])
+    h_cache: dict[int, int] = {}
 
-    h_cache: dict[Cell, int] = {}
-
-    def h1(cell: Cell) -> int:
-        v = h_cache.get(cell)
+    def h1(i: int) -> int:
+        v = h_cache.get(i)
         if v is None:
-            v = min(_octile(cell, g) for g in goal_sorted)
-            h_cache[cell] = v
+            v = h_cache[i] = min(_octile(divmod(i, cols), g) for g in goal_sorted)
         return v
 
-    start_label = _Label(start, (0, 0))
-    cell_fronts: dict[Cell, list[Vector]] = {start: [(0, 0)]}
-    labels: dict[tuple[Cell, Vector], _Label] = {(start, (0, 0)): start_label}
+    start_id = start[0] * cols + start[1]
+    start_label = _Label(start_id, (0, 0))
+    cell_fronts: dict[int, list[Vector]] = {start_id: [(0, 0)]}
+    labels: dict[tuple[int, Vector], _Label] = {(start_id, (0, 0)): start_label}
     sol_front: list[Vector] = []
     sol_labels: list[_Label] = []
     seq = 0
-    heap = [(h1(start), 0, start[0], start[1], seq, start_label)]
+    heap = [(h1(start_id), 0, start_id, seq, start_label)]
     while heap:
-        f1, f2, _r, _c, _s, lab = heappop(heap)
+        f1, f2, _i, _s, lab = heappop(heap)
         if lab.dead:
             continue
         if strictly_dominated(sol_front, (f1, f2)):
             continue
         cell = lab.cell
-        if cell in goal_cells:
+        if cell in goal_ids:
             # h is 0 here, so g == f and this vector is final. Equal-vector
             # solutions at other goal cells each keep their own label.
             insert_front(sol_front, lab.g)
@@ -135,19 +131,19 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
             child.parents.append(lab)
             labels[(j, ng)] = child
             seq += 1
-            heappush(heap, (nf[0], nf[1], j[0], j[1], seq, child))
+            heappush(heap, (nf[0], nf[1], j, seq, child))
 
     front = tuple(sol_front)
     paths: list[tuple[Path, Vector]] = []
     if collect_paths:
         for lab in sorted(sol_labels, key=lambda l: (l.g, l.cell)):
             for path in _expand_paths(lab):
-                paths.append((path, lab.g))
+                paths.append((tuple(divmod(i, cols) for i in path), lab.g))
     return front, paths
 
 
 def _expand_paths(lab: _Label):
-    """All paths recorded by a solution label, via back-pointer DFS."""
+    """All paths recorded by a solution label as flat ids, via back-pointer DFS."""
     if not lab.parents:
         yield (lab.cell,)
         return

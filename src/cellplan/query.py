@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .cellmap import Database
-from .grid import Cell, GridMap, neighbors, require_free
+from .grid import Cell, GridMap, _moves, neighbors, require_free
 from .pareto import LabelSet, Vector
 
 Path = tuple[Cell, ...]
@@ -69,6 +69,8 @@ def _successor_graph(db: Database, grid: GridMap, start: Cell):
     """Successor lists for every state reachable from (start, F), F in front."""
     goal_cells = db.goal.cells
     terr = grid.terrain
+    cols = grid.n_cols
+    obst = grid.obstacle.ravel().tolist()
     nbr_cache: dict[Cell, list] = {}
     set_cache: dict[Cell, set] = {}
     succ: dict[tuple[Cell, Vector], tuple] = {}
@@ -83,7 +85,8 @@ def _successor_graph(db: Database, grid: GridMap, start: Cell):
             continue
         nb = nbr_cache.get(cell)
         if nb is None:
-            nb = neighbors(grid, cell)
+            moves = _moves(obst, grid.n_rows, cols, grid.allow_corner_cut, *cell)
+            nb = [(divmod(j, cols), dz) for j, dz in moves]
             nbr_cache[cell] = nb
         t = int(terr[cell])
         acc = []

@@ -12,14 +12,24 @@ GOAL_2X3 = (0, 2)
 FRONT_2X3 = ((20, 5), (28, 0))
 
 # Label-key edits of the saved 2x3 database (keys "0,0" ... "1,2" in order)
-# that the loader must reject: aliases of "1,0", a repeated key, and a key
-# out of (r, c) order.
+# that the loader must reject: aliases of "1,0", a repeated key, a key out
+# of (r, c) order, a negative cell, and a key with an empty label list.
 KEY_EDITS_2X3 = [
     pytest.param(b'"1,0":', b'"+1,00":', id="alias-plus-zero"),
     pytest.param(b'"1,0":', b'"01,0":', id="alias-leading-zero"),
     pytest.param(b'"1,0":', b'"1, 0":', id="alias-space"),
     pytest.param(b'"1,1":', b'"1,0":', id="duplicate"),
     pytest.param(b'"1,2":', b'"0,3":', id="out-of-order"),
+    pytest.param(b'"0,0":', b'"-5,0":', id="negative"),
+    pytest.param(b'"1,2":[[10,0]]', b'"1,2":[]', id="empty-labels"),
+]
+
+# Edits of cell (0,0)'s saved label set [[20,5],[28,0]] that break canonical
+# order (f1 strictly increasing, f2 strictly decreasing).
+ORDER_EDITS_2X3 = [
+    pytest.param(b'[[28,0],[20,5]]', id="swapped"),
+    pytest.param(b'[[20,5],[20,5],[28,0]]', id="repeated"),
+    pytest.param(b'[[20,5],[28,5]]', id="dominated"),
 ]
 
 TEXT_1X2 = "1 2\n0 0\n"

@@ -187,7 +187,7 @@ def test_criterion_3_fixed_point_holds_everywhere(criterion, c1_corpus, c2_corpu
 
 # --- criterion 4: the build schedule never changes the output ---
 
-def test_criterion_4_schedules_and_threads_agree(criterion):
+def test_criterion_4_schedules_agree(criterion):
     with criterion(4, "sweep/worklist schedules produce byte-identical "
                       "databases on 50 30x30 maps"):
         for seed in range(50):

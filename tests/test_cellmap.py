@@ -24,7 +24,14 @@ from cellplan import (
     save_database,
     verify_database,
 )
-from conftest import FRONT_2X3, GOAL_2X3, KEY_EDITS_2X3, TEXT_1X2, TEXT_2X3
+from conftest import (
+    FRONT_2X3,
+    GOAL_2X3,
+    KEY_EDITS_2X3,
+    ORDER_EDITS_2X3,
+    TEXT_1X2,
+    TEXT_2X3,
+)
 
 
 def test_hop_cost():
@@ -251,8 +258,31 @@ def test_load_rejects_noncanonical_keys(db_2x3, old, new):
         load_database(blob.replace(old, new))
 
 
-def test_load_restores_collector_state(db_2x3):
+@pytest.mark.parametrize("new", ORDER_EDITS_2X3)
+def test_load_rejects_noncanonical_label_order(db_2x3, new):
     blob = save_database(db_2x3)
+    old = b'"0,0":[[20,5],[28,0]]'
+    assert blob.count(old) == 1
+    with pytest.raises(ValueError, match="canonical order"):
+        load_database(blob.replace(old, b'"0,0":' + new))
+
+
+def test_load_restores_collector_state(db_2x3, monkeypatch):
+    # Save and load run their JSON work with the cycle collector paused, then
+    # restore the state they found.
+    paused = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            paused.append(not gc.isenabled())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(json, "dumps", spy(json.dumps))
+    monkeypatch.setattr(json, "loads", spy(json.loads))
+    blob = save_database(db_2x3)
+    load_database(blob)
+    assert paused == [True, True]
     assert gc.isenabled()
     with pytest.raises(ValueError):
         load_database(blob[:-20])
@@ -260,6 +290,7 @@ def test_load_restores_collector_state(db_2x3):
     gc.disable()
     try:
         load_database(blob)
+        save_database(db_2x3)
         assert not gc.isenabled()
     finally:
         gc.enable()

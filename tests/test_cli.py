@@ -137,6 +137,16 @@ def test_query_rejects_noncanonical_keys(map_file, db_file, old, new, capsys):
     assert "label key" in capsys.readouterr().err
 
 
+def test_query_rejects_noncanonical_label_order(map_file, db_file, capsys):
+    blob = db_file.read_bytes()
+    assert blob.count(b"[[20,5],[28,0]]") == 1
+    db_file.write_bytes(blob.replace(b"[[20,5],[28,0]]", b"[[28,0],[20,5]]"))
+    rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
+                   "--start", "0,0"])
+    assert rc == 2
+    assert "canonical order" in capsys.readouterr().err
+
+
 def test_query_paths_limit_and_all(map_file, db_file, capsys):
     rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
                    "--start", "0,0", "--paths", "1"])

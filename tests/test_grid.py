@@ -15,6 +15,7 @@ from cellplan.grid import (
     MapFormatError,
     free_cells,
     map_digest,
+    neighbor_table,
     neighbors,
     parse_map,
     random_map,
@@ -122,6 +123,60 @@ def test_neighbors_corner_cut_superset(seed):
         assert set(closed) <= set(opened)
         for (r, c), _ in opened:
             assert g_open.is_free((r, c))
+
+
+def _rule_moves(obstacle, corner_cut, r, c):
+    """The move rule, restated from its definition: the eight surrounding
+    cells in row-major order that are in bounds and free, 10 straight and 14
+    diagonal, where without corner cutting a diagonal is blocked by an
+    obstacle on either of the two cells it passes between."""
+    rows, cols = len(obstacle), len(obstacle[0])
+    out = []
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            rr, cc = r + dr, c + dc
+            if (dr, dc) == (0, 0) or not (0 <= rr < rows and 0 <= cc < cols):
+                continue
+            if obstacle[rr][cc]:
+                continue
+            diagonal = dr != 0 and dc != 0
+            if diagonal and not corner_cut and (obstacle[r][cc] or obstacle[rr][c]):
+                continue
+            out.append(((rr, cc), 14 if diagonal else 10))
+    return out
+
+
+_SHAPES = {
+    "one-row": (st.just(1), st.integers(1, 8)),
+    "one-column": (st.integers(1, 8), st.just(1)),
+    "any": (st.integers(1, 6), st.integers(1, 6)),
+}
+
+
+@pytest.mark.parametrize("corner_cut", [True, False], ids=["corner-cut", "no-corner-cut"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@given(data=st.data())
+def test_move_rule(shape, corner_cut, data):
+    """neighbor_table and neighbors both follow the move rule on random maps."""
+    row_st, col_st = _SHAPES[shape]
+    rows, cols = data.draw(row_st), data.draw(col_st)
+    obstacle = data.draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+    g = GridMap(np.zeros((rows, cols), dtype=np.int64), obstacle,
+                allow_corner_cut=corner_cut)
+    table = neighbor_table(g)
+    assert len(table) == rows * cols
+    for r in range(rows):
+        for c in range(cols):
+            if obstacle[r][c]:
+                assert table[r * cols + c] == ()
+                with pytest.raises(ValueError):
+                    neighbors(g, (r, c))
+                continue
+            want = _rule_moves(obstacle, corner_cut, r, c)
+            assert neighbors(g, (r, c)) == want
+            assert table[r * cols + c] == tuple((rr * cols + cc, step)
+                                                for (rr, cc), step in want)
 
 
 def test_neighbors_rejects_bad_cells():
