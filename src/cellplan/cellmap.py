@@ -271,15 +271,24 @@ def save_database(db: Database) -> bytes:
         for (r, c) in cells
         if db.labels[(r, c)]
     }
-    payload = {
+    return (_header_bytes(db) + json.dumps(labels_obj, separators=(",", ":")).encode("utf-8")
+            + b"}\n")
+
+
+_HEADER_KEYS = ("version", "map_digest", "convention_tag", "goal", "iterations", "labels")
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _header_bytes(db: Database) -> bytes:
+    """The saved bytes before the label object: every other field, in file order."""
+    header = {
         "version": DB_VERSION,
         "map_digest": db.map_digest,
         "convention_tag": db.convention_tag,
         "goal": [list(cell) for cell in sorted(db.goal.cells)],
         "iterations": db.iterations,
-        "labels": labels_obj,
     }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _COMPACT.encode(header).encode("utf-8")[:-1] + b',"labels":'
 
 
 def _as_cell(obj) -> Cell:
@@ -298,9 +307,12 @@ def load_database(raw) -> Database:
     """Parse database JSON; inverse of save_database.
 
     Checks the header fields, that label keys are exactly "r,c" (r, c >= 0) in
-    strictly increasing (r, c) order, and that each label set is a non-empty,
-    canonically ordered list of non-negative int pairs. Whether the sets fit
-    the map and each other is left to verify_database, which needs the map.
+    strictly increasing (r, c) order, that each label set is a non-empty,
+    canonically ordered list of non-negative int pairs, and that every goal
+    cell holds exactly ((0, 0),). Only the bytes save_database writes are
+    accepted, so save_database(load_database(raw)) == raw whenever this
+    returns. Whether the sets fit the map and each other is left to
+    verify_database, which needs the map.
     """
     try:
         pairs = json.loads(raw, object_pairs_hook=_Pairs)
@@ -360,5 +372,33 @@ def load_database(raw) -> Database:
             out.append((f1, f2))
             prev_f1, prev_f2 = f1, f2
         labels[cell] = tuple(out)
-    return Database(labels=labels, goal=goal, map_digest=digest,
-                    iterations=iterations, convention_tag=tag)
+    for r, c in sorted(goal.cells):
+        if labels.get((r, c)) != ((0, 0),):
+            raise ValueError(f"goal cell {r},{c} must hold exactly [[0,0]]")
+    db = Database(labels=labels, goal=goal, map_digest=digest,
+                  iterations=iterations, convention_tag=tag)
+    _require_saved_form(raw, [key for key, _ in pairs], db)
+    return db
+
+
+def _require_saved_form(raw, keys: list[str], db: Database) -> None:
+    """Raise ValueError unless `raw` is byte for byte what save_database
+    writes for `db`, whose labels already parsed as exact keys and int pairs.
+
+    The header is compared whole; the label section, where JSON could still
+    differ from the saved form only by whitespace, escapes or "-0", is
+    scanned for those bytes.
+    """
+    if keys != list(_HEADER_KEYS):
+        raise ValueError(f"header fields must be exactly {', '.join(_HEADER_KEYS)}, in that order")
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8")
+    head = _header_bytes(db)
+    if not raw.startswith(head):
+        raise ValueError("database header is not in its saved form")
+    if not raw.endswith(b"}\n"):
+        raise ValueError("database must end with a newline after its closing brace")
+    end = len(raw) - 1
+    for byte in (b" ", b"\t", b"\n", b"\r", b"\\", b"-"):
+        if raw.find(byte, len(head), end) >= 0:
+            raise ValueError(f"label section holds {byte!r}, which saved labels never do")

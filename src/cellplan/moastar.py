@@ -1,22 +1,32 @@
 """Multi-objective A* over the same grid and cost convention as the database.
 
-Forward best-first search keeping, per cell, the non-dominated set of
-cost-to-come vectors. Labels carry multiple back-pointers: a path that
-reaches a cell with a vector already present merges into the existing label
-instead of creating a new one, so every distinct optimal path survives while
-only strictly dominated work is pruned. The open list pops lexicographically
-smallest f = g + h first (ties: row-major cell, then insertion order), and
-the heuristic (octile length lower bound, 0) is consistent, which makes pop
-order monotone and closed labels permanently safe.
+A bi-objective best-first search in the style of BOA* (Hernández et al.,
+"Simple and efficient bi-objective search algorithms via fast dominance
+checks", Artificial Intelligence 2023), with NAMOA*'s equal-vector merging
+(Mandow & Pérez de la Cruz, JACM 2010) so every distinct optimal path
+survives.
+
+The heuristic is exact per objective: two backward Dijkstras from the goal
+cells give the shortest path length and the least terrain cost to go. Both
+are consistent, so the open list pops labels in lexicographically
+non-decreasing f = g + h order (ties: row-major cell, then insertion order).
+At a cell, a later pop then has a g1 no smaller than every earlier one, so a
+single `g2_min` per cell decides dominance: a popped label whose g2 is not
+below it is dominated. A label whose (cell, g) already exists is never
+pruned: its parent is merged into the existing label, expanded or not, and
+only strictly worse vectors are cut. Solutions are pruned against the
+latest, lowest-g2 solution, keeping equal vectors at other goal cells.
+
+The heuristics never read the database, so MOA* stays an independent
+cross-check of it.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 
 from .grid import (
-    DIAGONAL_STEP,
-    STRAIGHT_STEP,
     Cell,
     GoalRegion,
     GridMap,
@@ -24,38 +34,71 @@ from .grid import (
     overflow_risk,
     require_free,
 )
-from .pareto import CostOverflowError, Vector, insert_front, strictly_dominated
+from .pareto import CostOverflowError, Vector
 
 Path = tuple[Cell, ...]
 
 
-def _octile(a: Cell, b: Cell) -> int:
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    lo = min(dr, dc)
-    return DIAGONAL_STEP * lo + STRAIGHT_STEP * (max(dr, dc) - lo)
+def _cost_to_go(nbr, goal_ids: list[int], terr=None) -> list:
+    """Backward Dijkstra from the goal cells: the least path length to go
+    from every cell, or with `terr` the least terrain cost (a hop i -> j
+    costs terr[i]); math.inf where no goal is reachable. Moves are
+    symmetric, so nbr[j] lists the cells that can step into j. Heap keys
+    pack (cost, cell) into one int."""
+    shift = max(1, (len(nbr) - 1).bit_length())
+    mask = (1 << shift) - 1
+    dist = [math.inf] * len(nbr)
+    for g in goal_ids:
+        dist[g] = 0
+    heap = sorted(goal_ids)  # cost 0 packs to the bare cell id
+    while heap:
+        key = heappop(heap)
+        j = key & mask
+        d = key >> shift
+        if d > dist[j]:
+            continue
+        for i, step in nbr[j]:
+            nd = d + (step if terr is None else terr[i])
+            if nd < dist[i]:
+                dist[i] = nd
+                heappush(heap, (nd << shift) | i)
+    return dist
 
 
-def heuristic(grid: GridMap, cell: Cell, goal) -> Vector:
-    """(octile length lower bound to the nearest goal cell, 0).
+def _heuristics(grid: GridMap, region: GoalRegion):
+    """Move table, flat terrain, goal ids and both cost-to-go lists, h1 and h2."""
+    cols = grid.n_cols
+    goal_ids = sorted(r * cols + c for r, c in region.cells)
+    nbr = neighbor_table(grid)
+    terr = grid.terrain.ravel().tolist()
+    return nbr, terr, goal_ids, _cost_to_go(nbr, goal_ids), _cost_to_go(nbr, goal_ids, terr)
 
-    Obstacle-blind, hence admissible for path length; the terrain component
-    is left at zero.
+
+def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
+    """The exact (path length, terrain cost) lower bounds from `cell` to the
+    goal, each minimised on its own over all routes into the goal region.
+
+    This is the heuristic moa_star uses. Returns None when `cell` cannot
+    reach the goal.
     """
     region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     cell = tuple(cell)
     require_free(grid, cell)
-    return (min(_octile(cell, g) for g in region.cells), 0)
+    region.validate_on(grid)
+    _nbr, _terr, _goal_ids, h1, h2 = _heuristics(grid, region)
+    i = cell[0] * grid.n_cols + cell[1]
+    if h1[i] == math.inf:
+        return None
+    return (h1[i], h2[i])
 
 
 class _Label:
-    __slots__ = ("cell", "g", "parents", "dead")
+    __slots__ = ("cell", "g", "parents")
 
     def __init__(self, cell: int, g: Vector):
         self.cell = cell
         self.g = g
         self.parents: list[_Label] = []
-        self.dead = False
 
 
 def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
@@ -73,67 +116,51 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols
-    goal_ids = {r * cols + c for r, c in region.cells}
-    goal_sorted = region.sorted_cells()
-    nbr = neighbor_table(grid)
-    terr = grid.terrain.ravel().tolist()
-
-    h_cache: dict[int, int] = {}
-
-    def h1(i: int) -> int:
-        v = h_cache.get(i)
-        if v is None:
-            v = h_cache[i] = min(_octile(divmod(i, cols), g) for g in goal_sorted)
-        return v
-
+    nbr, terr, goal_ids, h1, h2 = _heuristics(grid, region)
+    goal_set = set(goal_ids)
     start_id = start[0] * cols + start[1]
+    if h1[start_id] == math.inf:
+        return (), []
+
+    g2_min = [math.inf] * len(nbr)
     start_label = _Label(start_id, (0, 0))
-    cell_fronts: dict[int, list[Vector]] = {start_id: [(0, 0)]}
     labels: dict[tuple[int, Vector], _Label] = {(start_id, (0, 0)): start_label}
-    sol_front: list[Vector] = []
     sol_labels: list[_Label] = []
+    # The latest solution has the lowest g2 found so far; pops are lex-ordered.
+    sol_f1, sol_g2 = math.inf, math.inf
     seq = 0
-    heap = [(h1(start_id), 0, start_id, seq, start_label)]
+    heap = [(h1[start_id], h2[start_id], start_id, seq, start_label)]
     while heap:
-        f1, f2, _i, _s, lab = heappop(heap)
-        if lab.dead:
+        f1, f2, cell, _s, lab = heappop(heap)
+        g1, g2 = lab.g
+        if g2 >= g2_min[cell] or f2 > sol_g2 or (f2 == sol_g2 and f1 != sol_f1):
             continue
-        if strictly_dominated(sol_front, (f1, f2)):
-            continue
-        cell = lab.cell
-        if cell in goal_ids:
+        g2_min[cell] = g2
+        if cell in goal_set:
             # h is 0 here, so g == f and this vector is final. Equal-vector
             # solutions at other goal cells each keep their own label.
-            insert_front(sol_front, lab.g)
             sol_labels.append(lab)
+            sol_f1, sol_g2 = g1, g2
             continue
-        g1, g2 = lab.g
-        tc = terr[cell]
+        ng2 = g2 + terr[cell]
         for j, dz in nbr[cell]:
-            ng = (g1 + dz, g2 + tc)
-            nf = (ng[0] + h1(j), ng[1])
-            if strictly_dominated(sol_front, nf):
+            ng = (g1 + dz, ng2)
+            child = labels.get((j, ng))
+            if child is not None:
+                child.parents.append(lab)
                 continue
-            fl = cell_fronts.get(j)
-            if fl is None:
-                fl = []
-                cell_fronts[j] = fl
-            status, removed = insert_front(fl, ng)
-            if status == "dominated":
+            nf1 = ng[0] + h1[j]
+            nf2 = ng2 + h2[j]
+            if ng2 >= g2_min[j] or nf2 > sol_g2 or (nf2 == sol_g2 and nf1 != sol_f1):
                 continue
-            if status == "present":
-                labels[(j, ng)].parents.append(lab)
-                continue
-            for w in removed:
-                dead = labels.pop((j, w))
-                dead.dead = True
             child = _Label(j, ng)
             child.parents.append(lab)
             labels[(j, ng)] = child
             seq += 1
-            heappush(heap, (nf[0], nf[1], j, seq, child))
+            heappush(heap, (nf1, nf2, j, seq, child))
 
-    front = tuple(sol_front)
+    # Pop order makes the solution vectors canonical once equal ones merge.
+    front = tuple(dict.fromkeys(lab.g for lab in sol_labels))
     paths: list[tuple[Path, Vector]] = []
     if collect_paths:
         for lab in sorted(sol_labels, key=lambda l: (l.g, l.cell)):

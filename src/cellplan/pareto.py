@@ -7,9 +7,10 @@ A "label set" (or front) is a deduplicated, mutually non-dominated collection
 kept in lexicographic order: first components strictly increasing, second
 components strictly decreasing.
 
-This module is the only Pareto code the build, the verifier and MOA* share:
-`skyline` reduces a batch, `insert_front` updates a front in place, and
-`strictly_dominated` probes one.
+This module is the only 2-D Pareto code: `skyline` reduces a batch (the
+build's sweep and the verifier use it) and `insert_nondominated` adds one
+vector to a set. MOA* needs neither: its pop order lets one best g2 per cell
+stand in for a front.
 """
 
 from __future__ import annotations
@@ -75,45 +76,23 @@ def nondominated(vectors: Iterable[Vector]) -> LabelSet:
     return skyline(vs)
 
 
-def strictly_dominated(front: list[Vector], v: Vector) -> bool:
-    """True iff some member of the canonical front dominates `v`.
-
-    A member equal to `v` does not count.
-    """
-    pos = bisect_left(front, v)
-    return pos > 0 and front[pos - 1][1] <= v[1]
-
-
-def insert_front(front: list[Vector], v: Vector):
-    """Insert `v` into a canonical front list in place, in time linear in its length.
-
-    Returns ("dominated", ()) | ("present", ()) | ("inserted", removed)
-    where `removed` lists the members `v` strictly dominates.
-    """
-    pos = bisect_left(front, v)
-    if pos < len(front) and front[pos] == v:
-        return "present", ()
-    if pos > 0 and front[pos - 1][1] <= v[1]:
-        # The lex predecessor dominates v.
-        return "dominated", ()
-    k = pos
-    while k < len(front) and front[k][1] >= v[1]:
-        k += 1
-    removed = front[pos:k]
-    front[pos:k] = [v]
-    return "inserted", removed
-
-
 def insert_nondominated(labels: LabelSet, v: Vector) -> tuple[LabelSet, bool]:
     """Insert `v` into a canonical label set; returns (new set, changed).
 
-    Behaves exactly like nondominated(labels + (v,)).
+    Behaves exactly like nondominated(labels + (v,)), in time linear in the
+    set's length.
     """
     v = tuple(v)
     if len(v) != 2:
         raise ValueError("vectors must have two components")
-    front = list(labels)
-    status, _removed = insert_front(front, v)
-    if status != "inserted":
+    ls = tuple(labels)
+    pos = bisect_left(ls, v)
+    if pos < len(ls) and ls[pos] == v:
         return labels, False
-    return tuple(front), True
+    if pos > 0 and ls[pos - 1][1] <= v[1]:
+        # The lex predecessor dominates v.
+        return labels, False
+    k = pos
+    while k < len(ls) and ls[k][1] >= v[1]:
+        k += 1
+    return ls[:pos] + (v,) + ls[k:], True

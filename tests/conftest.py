@@ -32,6 +32,24 @@ ORDER_EDITS_2X3 = [
     pytest.param(b'[[20,5],[28,5]]', id="dominated"),
 ]
 
+# Edits of the saved 2x3 database that still parse as JSON but that the
+# loader must reject, with the error text each raises: a goal cell that does
+# not hold exactly [[0,0]], and bytes save_database never writes.
+LOADER_EDITS_2X3 = [
+    pytest.param(b'"0,2":[[0,0]]', b'"0,2":[[1,0]]', "goal cell", id="goal-front"),
+    pytest.param(b'"iterations":3', b'"iterations":4,"iterations":3', "header fields",
+                 id="repeated-header-key"),
+    pytest.param(b'"iterations":3', b'"iterations":3,"x":1', "header fields",
+                 id="unknown-header-field"),
+    pytest.param(b'"version":1', b'"version":1.0', "saved form", id="float-version"),
+    pytest.param(b'"goal":', b'"goal": ', "saved form", id="header-whitespace"),
+    pytest.param(b'[[10,5]]', b'[ [10,5]]', "label section", id="label-whitespace"),
+    pytest.param(b'"goal":[[0,2]]', b'"goal":[[0,2],[0,2]]', "saved form",
+                 id="repeated-goal-cell"),
+    pytest.param(b'"1,2":[[10,0]]', b'"1,2":[[10,-0]]', "label section", id="minus-zero"),
+    pytest.param(b'"0,1":', b'"\\u0030,1":', "label section", id="escaped-key"),
+]
+
 TEXT_1X2 = "1 2\n0 0\n"
 TEXT_1X3 = "1 3\n0 0 0\n"
 

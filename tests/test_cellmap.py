@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellplan import (
     CONVENTION_TAG,
@@ -28,6 +30,7 @@ from conftest import (
     FRONT_2X3,
     GOAL_2X3,
     KEY_EDITS_2X3,
+    LOADER_EDITS_2X3,
     ORDER_EDITS_2X3,
     TEXT_1X2,
     TEXT_2X3,
@@ -265,6 +268,34 @@ def test_load_rejects_noncanonical_label_order(db_2x3, new):
     assert blob.count(old) == 1
     with pytest.raises(ValueError, match="canonical order"):
         load_database(blob.replace(old, b'"0,0":' + new))
+
+
+@pytest.mark.parametrize("old, new, message", LOADER_EDITS_2X3)
+def test_load_rejects_edits(db_2x3, old, new, message):
+    blob = save_database(db_2x3)
+    assert blob.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        load_database(blob.replace(old, new))
+
+
+# Byte strings that JSON, or the saved form, gives a meaning to.
+_FRAGMENTS = [b" ", b"\n", b"-", b"0", b"1", b".0", b"e0", b",", b":", b"[", b"]",
+              b"{", b"}", b'"', b"\\u0030", b'"x":1,', b'"goal":[[0,2]],', b"[0,0]"]
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 3),
+                          st.sampled_from(_FRAGMENTS)), min_size=1, max_size=3))
+def test_loaded_bytes_save_back(edits):
+    """For mutated saved databases: if load(b) succeeds, save(load(b)) == b."""
+    blob = save_database(build_database(parse_map(TEXT_2X3), [GOAL_2X3]))
+    for pos, cut, insert in edits:
+        pos %= len(blob) + 1
+        blob = blob[:pos] + insert + blob[pos + cut:]
+    try:
+        db = load_database(blob)
+    except ValueError:
+        return
+    assert save_database(db) == blob
 
 
 def test_load_restores_collector_state(db_2x3, monkeypatch):

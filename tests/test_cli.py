@@ -15,7 +15,7 @@ from cellplan import (
     save_database,
     serialize_map,
 )
-from conftest import GOAL_2X3, KEY_EDITS_2X3, TEXT_2X3
+from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3
 
 
 @pytest.fixture
@@ -135,6 +135,15 @@ def test_query_rejects_noncanonical_keys(map_file, db_file, old, new, capsys):
                    "--start", "0,0"])
     assert rc == 2
     assert "label key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", LOADER_EDITS_2X3)
+def test_query_rejects_edits(map_file, db_file, old, new, message, capsys):
+    db_file.write_bytes(db_file.read_bytes().replace(old, new))
+    rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
+                   "--start", "0,0"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_query_rejects_noncanonical_label_order(map_file, db_file, capsys):

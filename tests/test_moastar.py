@@ -1,4 +1,4 @@
-"""MOA* baseline tests: heuristic bounds, hand examples, and equivalence with
+"""MOA* baseline tests: exact heuristics, hand examples, and equivalence with
 the database on random maps."""
 
 import heapq
@@ -90,14 +90,27 @@ def test_front_matches_database(seed):
         assert front == db.front(start)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_path_multiset_matches_enumeration(seed):
-    g = random_map(seed, 4, 5, 0.3, 2)
+# (map, goal cell count). Zero terrain, two goal cells and closed corners
+# are where equal vectors meet: merging and g2_min pruning must keep them all.
+_PATH_CASES = (
+    [pytest.param(random_map(s, 4, 5, 0.3, 2), 1, id=str(s)) for s in range(8)]
+    + [pytest.param(random_map(s, 4, 5, 0.3, 0), 1, id=f"zero-terrain-{s}") for s in range(3)]
+    + [pytest.param(random_map(s, 4, 5, 0.3, 2), 2, id=f"two-goal-{s}") for s in range(3)]
+    + [pytest.param(random_map(s, 4, 5, 0.3, 0), 2, id=f"zero-terrain-two-goal-{s}")
+       for s in range(3)]
+    + [pytest.param(random_map(s, 4, 5, 0.3, 2, allow_corner_cut=False), 1,
+                    id=f"no-corner-cut-{s}") for s in range(3)]
+)
+
+
+@pytest.mark.parametrize("g, n_goals", _PATH_CASES)
+def test_path_multiset_matches_enumeration(g, n_goals):
     cells = free_cells(g)
-    goal = cells[-1]
-    db = build_database(g, [goal])
+    goal = [cells[-1 - k * len(cells) // n_goals] for k in range(n_goals)]
+    assert len(set(goal)) == n_goals
+    db = build_database(g, goal)
     for start in cells:
-        front, paths = moa_star(g, start, [goal])
+        front, paths = moa_star(g, start, goal)
         enumerated, truncated = enumerate_paths(db, g, start)
         assert not truncated
         assert sorted(paths) == sorted(enumerated)
@@ -111,6 +124,34 @@ def test_heuristic_admissible_everywhere(seed):
     db = build_database(g, goal)
     for cell, ls in db.labels.items():
         assert heuristic(g, cell, goal)[0] <= ls[0][0]
+
+
+# (map, goal cell count): open and closed corners, one and three goal cells.
+_HEURISTIC_CASES = (
+    [pytest.param(random_map(s, 6, 7, 0.25, 3), 1, id=str(s)) for s in range(4)]
+    + [pytest.param(random_map(s, 6, 7, 0.25, 3, allow_corner_cut=False), 1,
+                    id=f"no-corner-cut-{s}") for s in range(4)]
+    + [pytest.param(random_map(s, 6, 7, 0.25, 3), 3, id=f"multi-goal-{s}") for s in range(4)]
+    + [pytest.param(random_map(s, 6, 7, 0.3, 3, allow_corner_cut=False), 3,
+                    id=f"no-corner-cut-multi-goal-{s}") for s in range(4)]
+)
+
+
+@pytest.mark.parametrize("g, n_goals", _HEURISTIC_CASES)
+def test_heuristic_is_exact(g, n_goals):
+    """Each component is the best that component reaches anywhere on the front."""
+    cells = free_cells(g)
+    goal = GoalRegion(cells[k * len(cells) // n_goals] for k in range(n_goals))
+    db = build_database(g, goal)
+    for cell in cells:
+        ls = db.front(cell)
+        assert heuristic(g, cell, goal) == ((ls[0][0], ls[-1][1]) if ls else None)
+
+
+def test_heuristic_none_when_walled_off():
+    g = parse_map("3 3\n0 # 0\n# # 0\n0 0 0\n")
+    assert heuristic(g, (0, 0), [(2, 2)]) is None
+    assert heuristic(g, (0, 2), [(2, 2)]) == (20, 0)
 
 
 def octile_dijkstra(grid, goal):
