@@ -11,9 +11,7 @@ from .pareto import (
     CostOverflowError,
     LabelSet,
     Vector,
-    add,
     dominates,
-    insert_nondominated,
     nondominated,
 )
 from .grid import (
@@ -60,7 +58,7 @@ from .bench import BenchConfig, BenchReport, amortization_table, run_campaign
 
 __all__ = [
     "MAX_COMPONENT", "CostOverflowError", "LabelSet", "Vector",
-    "add", "dominates", "insert_nondominated", "nondominated",
+    "dominates", "nondominated",
     "DIAGONAL_STEP", "STRAIGHT_STEP", "Cell", "GoalRegion", "GridMap",
     "MapFormatError", "free_cells", "map_digest", "neighbors", "parse_map",
     "random_map", "serialize_map", "step_length",

@@ -3,7 +3,7 @@ MOA* on seeded random maps, plus a build-cost amortization table.
 
 Everything except wall-clock readings is a pure function of the config, so
 two runs of the same campaign agree byte for byte once timing fields are set
-aside. Maps run sequentially (reported as workers=1).
+aside. Builds use the default worklist schedule.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ class BenchReport:
     maps_passed: int
     total: int
     time_ratio_stats: dict[str, float]
-    workers: int = 1
 
     @property
     def all_passed(self) -> bool:
@@ -142,7 +141,6 @@ class BenchReport:
             "aggregate": {
                 "maps_passed": self.maps_passed,
                 "total": self.total,
-                "workers": self.workers,
                 "time_ratio_stats": dict(self.time_ratio_stats),
             },
         }
@@ -168,8 +166,7 @@ def _pick_starts_and_goal(cfg: BenchConfig, map_id: int, cells: list):
     return rng.sample(candidates, k), goal
 
 
-def run_campaign(cfg: BenchConfig, *, schedule: str = "worklist",
-                 reproducer_dir=None) -> BenchReport:
+def run_campaign(cfg: BenchConfig, *, reproducer_dir=None) -> BenchReport:
     """Run the full campaign: build once per map, MOA* once per start.
 
     Each map gets a derived sub-seed; maps with fewer than two free cells are
@@ -192,7 +189,7 @@ def run_campaign(cfg: BenchConfig, *, schedule: str = "worklist",
         region = GoalRegion([goal])
 
         t0 = time.perf_counter()
-        db = build_database(grid, region, schedule=schedule)
+        db = build_database(grid, region)
         build_time = time.perf_counter() - t0
 
         equal = True
@@ -238,8 +235,7 @@ def _dump_reproducer(directory, map_id: int, grid: GridMap, start, goal, seed: i
         json.dumps(sidecar, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
-def amortization_table(grid: GridMap, goal, sample_starts: int, *,
-                       schedule: str = "worklist") -> dict:
+def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     """Measured break-even comparison: one database build vs repeated MOA*.
 
     MOA* and front-lookup times are measured on `sample_starts` starts taken
@@ -267,7 +263,7 @@ def amortization_table(grid: GridMap, goal, sample_starts: int, *,
             picked.append(cells[idx])
 
     t0 = time.perf_counter()
-    db = build_database(grid, region, schedule=schedule)
+    db = build_database(grid, region)
     build_time = time.perf_counter() - t0
 
     moa_times = []

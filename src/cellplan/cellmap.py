@@ -266,8 +266,9 @@ def _collector_paused(fn):
 def save_database(db: Database) -> bytes:
     """Canonical JSON bytes; identical databases serialize identically."""
     cells = sorted(db.labels)
+    # json writes the stored tuples as arrays, so the label sets go in as they are.
     labels_obj = {
-        f"{r},{c}": [list(v) for v in db.labels[(r, c)]]
+        f"{r},{c}": db.labels[(r, c)]
         for (r, c) in cells
         if db.labels[(r, c)]
     }

@@ -55,8 +55,11 @@ def _parse_cell(text: str):
         raise ValueError(f"expected r,c but got {text!r}") from e
 
 
-def _parse_goal_args(args) -> GoalRegion:
-    """Each argument is a cell r,c or an inclusive rectangle r1,c1:r2,c2; union all."""
+def _parse_goal_args(args, grid: GridMap) -> GoalRegion:
+    """Each argument is a cell r,c or an inclusive rectangle r1,c1:r2,c2; union all.
+
+    A rectangle must lie inside `grid`; it is checked before it is expanded.
+    """
     cells = set()
     for arg in args:
         if ":" in arg:
@@ -65,6 +68,8 @@ def _parse_goal_args(args) -> GoalRegion:
             r2, c2 = _parse_cell(hi)
             if r2 < r1 or c2 < c1:
                 raise ValueError(f"bad rectangle {arg!r}: corners out of order")
+            if not (grid.in_bounds((r1, c1)) and grid.in_bounds((r2, c2))):
+                raise ValueError(f"bad rectangle {arg!r}: a corner is outside the map")
             for r in range(r1, r2 + 1):
                 for c in range(c1, c2 + 1):
                     cells.add((r, c))
@@ -101,8 +106,8 @@ def cmd_genmap(args) -> int:
 
 def cmd_build(args) -> int:
     grid = _read_map(args.map, not args.no_corner_cut)
-    region = _parse_goal_args(args.goal)
-    db = build_database(grid, region, schedule=args.schedule)
+    region = _parse_goal_args(args.goal, grid)
+    db = build_database(grid, region)
     with open(args.output, "wb") as fh:
         fh.write(save_database(db))
     info = {"iterations": db.iterations, "free_cells": len(free_cells(grid))}
@@ -149,7 +154,7 @@ def cmd_query(args) -> int:
 
 def cmd_compare(args) -> int:
     grid = _read_map(args.map, not args.no_corner_cut)
-    region = _parse_goal_args(args.goal)
+    region = _parse_goal_args(args.goal, grid)
     start = _parse_cell(args.start)
     if not grid.is_free(start):
         raise ValueError(f"start cell {start} is not a free cell")
@@ -160,7 +165,7 @@ def cmd_compare(args) -> int:
         if db.goal != region:
             raise ValueError("database goal region does not match --goal")
     else:
-        db = build_database(grid, region, schedule=args.schedule)
+        db = build_database(grid, region)
     db_front = db.front(start)
     moa_front, moa_paths = moa_star(grid, start, region, collect_paths=args.paths)
     diff = {
@@ -187,7 +192,7 @@ def cmd_oracle(args) -> int:
     from .oracle import brute_force
 
     grid = _read_map(args.map, not args.no_corner_cut)
-    region = _parse_goal_args(args.goal)
+    region = _parse_goal_args(args.goal, grid)
     start = _parse_cell(args.start)
     res = brute_force(grid, start, region, cell_budget=args.budget,
                       include_paths=args.paths)
@@ -203,8 +208,7 @@ def cmd_oracle(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = BenchConfig.from_dict(json.load(fh))
-    report = run_campaign(cfg, schedule=args.schedule,
-                          reproducer_dir=args.reproducer_dir)
+    report = run_campaign(cfg, reproducer_dir=args.reproducer_dir)
     if args.format == "json":
         data = report.to_json_bytes()
     else:
@@ -265,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", action="append", required=True,
                    help="cell r,c or rectangle r1,c1:r2,c2; repeatable, united")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--schedule", choices=("sweep", "worklist"), default="worklist")
     _add_corner_flag(p)
     p.set_defaults(func=cmd_build)
 
@@ -290,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use this database instead of building one")
     p.add_argument("--paths", action="store_true",
                    help="also compare full optimal path sets")
-    p.add_argument("--schedule", choices=("sweep", "worklist"), default="worklist")
     _add_corner_flag(p)
     p.set_defaults(func=cmd_compare)
 
@@ -308,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--schedule", choices=("sweep", "worklist"), default="worklist")
     p.add_argument("--reproducer-dir", default=None)
     p.add_argument("--regression-gate", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -2,20 +2,18 @@
 
 Vectors are pairs of non-negative ints: (path length, terrain cost). The
 kernel is 2-D only, like the database format and the build's packed heap key;
-`nondominated` and `insert_nondominated` reject vectors of any other length.
-A "label set" (or front) is a deduplicated, mutually non-dominated collection
-kept in lexicographic order: first components strictly increasing, second
-components strictly decreasing.
+`nondominated` rejects vectors of any other length. A "label set" (or front)
+is a deduplicated, mutually non-dominated collection kept in lexicographic
+order: first components strictly increasing, second components strictly
+decreasing.
 
 This module is the only 2-D Pareto code: `skyline` reduces a batch (the
-build's sweep and the verifier use it) and `insert_nondominated` adds one
-vector to a set. MOA* needs neither: its pop order lets one best g2 per cell
-stand in for a front.
+build's sweep and the verifier use it). MOA* needs no front per cell: its pop
+order lets one best g2 per cell stand in for one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 
 Vector = tuple[int, int]
@@ -36,14 +34,6 @@ def dominates(a: Vector, b: Vector) -> bool:
     if len(a) != len(b):
         raise ValueError("vectors must have the same number of components")
     return a != b and all(x <= y for x, y in zip(a, b))
-
-
-def add(a: Vector, b: Vector) -> Vector:
-    """Componentwise sum, guarded against exceeding MAX_COMPONENT."""
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(c > MAX_COMPONENT for c in out):
-        raise CostOverflowError(f"cost component exceeds {MAX_COMPONENT}")
-    return out
 
 
 def skyline(cands: list[Vector]) -> LabelSet:
@@ -74,25 +64,3 @@ def nondominated(vectors: Iterable[Vector]) -> LabelSet:
     if any(len(v) != 2 for v in vs):
         raise ValueError("vectors must have two components")
     return skyline(vs)
-
-
-def insert_nondominated(labels: LabelSet, v: Vector) -> tuple[LabelSet, bool]:
-    """Insert `v` into a canonical label set; returns (new set, changed).
-
-    Behaves exactly like nondominated(labels + (v,)), in time linear in the
-    set's length.
-    """
-    v = tuple(v)
-    if len(v) != 2:
-        raise ValueError("vectors must have two components")
-    ls = tuple(labels)
-    pos = bisect_left(ls, v)
-    if pos < len(ls) and ls[pos] == v:
-        return labels, False
-    if pos > 0 and ls[pos - 1][1] <= v[1]:
-        # The lex predecessor dominates v.
-        return labels, False
-    k = pos
-    while k < len(ls) and ls[k][1] >= v[1]:
-        k += 1
-    return ls[:pos] + (v,) + ls[k:], True

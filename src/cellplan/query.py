@@ -4,7 +4,8 @@ and bounded path enumeration, plus the report renderers (JSON/CSV/ASCII/PGM).
 All queries walk the (cell, vector) successor graph implied by the database:
 a state (c, F) steps to (j, F') when F = F' + hop_cost(c, j). Path length
 strictly decreases along every edge, so the graph is acyclic, every walked
-path is simple, and counting is a plain DP.
+path is simple, and counting is a plain DP. One private step expands a state,
+for the graph and for `successors` alike, with the moves of `grid._moves`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .cellmap import Database
-from .grid import Cell, GridMap, _moves, neighbors, require_free
+from .grid import Cell, GridMap, _moves, require_free
 from .pareto import LabelSet, Vector
 
 Path = tuple[Cell, ...]
@@ -56,23 +57,52 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
         return []
-    t = int(grid.terrain[cell])
-    out = []
-    for j, dz in neighbors(grid, cell):
-        w = (vector[0] - dz, vector[1] - t)
-        if w[0] >= 0 and w[1] >= 0 and w in db.labels.get(j, ()):
-            out.append((j, w))
-    return out
+    require_free(grid, cell)
+    return _decomposer(db, grid, grid.obstacle.ravel())(cell, vector)
+
+
+def _decomposer(db: Database, grid: GridMap, obst):
+    """The one expansion step behind successors() and the successor graph.
+
+    Returns step(cell, vec): the row-major list of (j, F') with
+    vec == F' + hop_cost(cell, j) and F' in the label set of j, for a free
+    non-goal `cell`. Moves and label sets are cached per step function, so
+    one graph computes each only once. `obst` is the row-major obstacle mask:
+    a list for a whole graph (faster to index), the numpy view for one call
+    (no list of every cell is built).
+    """
+    terr = grid.terrain
+    rows, cols, cut = grid.n_rows, grid.n_cols, grid.allow_corner_cut
+    labels = db.labels
+    move_cache: dict[Cell, list] = {}
+    set_cache: dict[Cell, set] = {}
+
+    def step(cell: Cell, vec: Vector) -> list:
+        moves = move_cache.get(cell)
+        if moves is None:
+            moves = [(divmod(j, cols), dz) for j, dz in _moves(obst, rows, cols, cut, *cell)]
+            move_cache[cell] = moves
+        t = int(terr[cell])
+        out = []
+        for j, dz in moves:
+            w = (vec[0] - dz, vec[1] - t)
+            if w[0] < 0 or w[1] < 0:
+                continue
+            sj = set_cache.get(j)
+            if sj is None:
+                sj = set(labels.get(j, ()))
+                set_cache[j] = sj
+            if w in sj:
+                out.append((j, w))
+        return out
+
+    return step
 
 
 def _successor_graph(db: Database, grid: GridMap, start: Cell):
     """Successor lists for every state reachable from (start, F), F in front."""
     goal_cells = db.goal.cells
-    terr = grid.terrain
-    cols = grid.n_cols
-    obst = grid.obstacle.ravel().tolist()
-    nbr_cache: dict[Cell, list] = {}
-    set_cache: dict[Cell, set] = {}
+    step = _decomposer(db, grid, grid.obstacle.ravel().tolist())
     succ: dict[tuple[Cell, Vector], tuple] = {}
     stack = [(start, v) for v in db.front(start)]
     while stack:
@@ -83,23 +113,7 @@ def _successor_graph(db: Database, grid: GridMap, start: Cell):
         if cell in goal_cells:
             succ[state] = ()
             continue
-        nb = nbr_cache.get(cell)
-        if nb is None:
-            moves = _moves(obst, grid.n_rows, cols, grid.allow_corner_cut, *cell)
-            nb = [(divmod(j, cols), dz) for j, dz in moves]
-            nbr_cache[cell] = nb
-        t = int(terr[cell])
-        acc = []
-        for j, dz in nb:
-            w = (vec[0] - dz, vec[1] - t)
-            if w[0] < 0 or w[1] < 0:
-                continue
-            sj = set_cache.get(j)
-            if sj is None:
-                sj = set(db.labels.get(j, ()))
-                set_cache[j] = sj
-            if w in sj:
-                acc.append((j, w))
+        acc = step(cell, vec)
         if not acc:
             raise ValueError(
                 f"label {vec} at {cell} has no decomposition; database does not match this map")

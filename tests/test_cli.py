@@ -97,13 +97,21 @@ def test_build_rejects_bad_goals(map_file, tmp_path):
 
 
 def test_build_schedules_agree(map_file, tmp_path):
-    a = tmp_path / "a.db"
-    b = tmp_path / "b.db"
-    assert cli.main(["build", "-m", str(map_file), "--goal", "0,2",
-                     "--schedule", "sweep", "-o", str(a)]) == 0
-    assert cli.main(["build", "-m", str(map_file), "--goal", "0,2",
-                     "--schedule", "worklist", "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # The CLI has no schedule option; its output equals the library's sweep reference.
+    out = tmp_path / "m.db"
+    assert cli.main(["build", "-m", str(map_file), "--goal", "0,2", "-o", str(out)]) == 0
+    ref = build_database(parse_map(map_file.read_bytes()), [GOAL_2X3], schedule="sweep")
+    assert out.read_bytes() == save_database(ref)
+
+
+@pytest.mark.parametrize("sub", ["build", "compare", "oracle"])
+def test_goal_rectangle_outside_map(sub, map_file, tmp_path, capsys):
+    # About 10^12 cells: rejected from its corners, never expanded.
+    argv = [sub, "-m", str(map_file), "--goal", "0,0:999999,999999"]
+    argv += ["-o", str(tmp_path / "x.db")] if sub == "build" else ["--start", "0,0"]
+    assert cli.main(argv) == 2
+    assert "outside the map" in capsys.readouterr().err
+    assert not (tmp_path / "x.db").exists()
 
 
 def test_build_overflow_exit_code(map_file, tmp_path, monkeypatch):
@@ -336,5 +344,8 @@ def test_parse_cell_and_goal_args():
     assert cli._parse_cell("3,4") == (3, 4)
     with pytest.raises(ValueError):
         cli._parse_cell("3;4")
-    region = cli._parse_goal_args(["0,0:1,1", "3,3"])
+    grid = random_map(0, 4, 4, 0.0, 0)
+    region = cli._parse_goal_args(["0,0:1,1", "3,3"], grid)
     assert sorted(region.cells) == [(0, 0), (0, 1), (1, 0), (1, 1), (3, 3)]
+    with pytest.raises(ValueError, match="outside the map"):
+        cli._parse_goal_args(["0,0:4,3"], grid)

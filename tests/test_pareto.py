@@ -1,17 +1,10 @@
 """Dominance kernel tests: examples plus property checks over random vectors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from cellplan.pareto import (
-    MAX_COMPONENT,
-    CostOverflowError,
-    add,
-    dominates,
-    insert_nondominated,
-    nondominated,
-)
+from cellplan.pareto import dominates, nondominated
 
 vec2 = st.tuples(st.integers(0, 60), st.integers(0, 60))
 vec3 = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
@@ -89,32 +82,4 @@ def test_nondominated_three_components(vs, v):
         nondominated(vs)
     with pytest.raises(ValueError):
         nondominated([v] + vs)
-    with pytest.raises(ValueError):
-        insert_nondominated((v,), vs[0])
-    with pytest.raises(ValueError):
-        insert_nondominated((), vs[0])
 
-
-def test_insert_examples():
-    assert insert_nondominated(((10, 5),), (14, 3)) == (((10, 5), (14, 3)), True)
-    assert insert_nondominated(((10, 5),), (12, 6)) == (((10, 5),), False)
-    assert insert_nondominated(((10, 5), (14, 3)), (9, 9)) == (
-        ((9, 9), (10, 5), (14, 3)), True)
-    assert insert_nondominated((), (3, 3)) == (((3, 3),), True)
-    assert insert_nondominated(((10, 5),), (10, 5)) == (((10, 5),), False)
-
-
-@settings(max_examples=300)
-@given(st.lists(vec2, max_size=10), vec2)
-def test_insert_matches_batch_kernel(vs, v):
-    ls = nondominated(vs)
-    merged, changed = insert_nondominated(ls, v)
-    assert merged == nondominated(list(ls) + [v])
-    assert changed == (merged != ls)
-
-
-def test_add_and_overflow():
-    assert add((10, 5), (14, 3)) == (24, 8)
-    with pytest.raises(CostOverflowError):
-        add((MAX_COMPONENT, 0), (1, 0))
-    assert add((MAX_COMPONENT, 0), (0, 0)) == (MAX_COMPONENT, 0)

@@ -4,6 +4,8 @@ coverage, enumeration, and the report renderers."""
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellplan import (
     GoalRegion,
@@ -13,6 +15,7 @@ from cellplan import (
     enumerate_paths,
     free_cells,
     hop_cost,
+    neighbors,
     parse_map,
     pareto_front_at,
     random_map,
@@ -71,6 +74,38 @@ def test_successors_consistency(map_2x3, db_2x3):
                 dz, dt = hop_cost(map_2x3, cell, j)
                 assert (w[0] + dz, w[1] + dt) == vec
                 assert w in db_2x3.front(j)
+
+
+# (corner cutting, maximum terrain cost, goal cells) per case.
+_SUCCESSOR_CASES = [
+    pytest.param(True, 4, 1, id="default"),
+    pytest.param(False, 4, 1, id="no-corner-cut"),
+    pytest.param(True, 0, 1, id="zero-terrain"),
+    pytest.param(True, 4, 3, id="three-goals"),
+    pytest.param(False, 0, 3, id="no-corner-cut-zero-terrain-three-goals"),
+]
+
+
+@pytest.mark.parametrize("corner_cut, max_cost, n_goals", _SUCCESSOR_CASES)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
+def test_successors_match_definition(corner_cut, max_cost, n_goals, seed, rows, cols):
+    """At every state, successors() lists exactly the (j, F - hop_cost(cell, j))
+    with j from neighbors() and F - hop_cost in the label set of j, row-major."""
+    g = random_map(seed, rows, cols, 0.25, max_cost, allow_corner_cut=corner_cut)
+    fc = free_cells(g)
+    goal = {fc[(seed + k * len(fc) // n_goals) % len(fc)] for k in range(n_goals)}
+    db = build_database(g, goal)
+    for cell, front in db.labels.items():
+        for vec in front:
+            want = []
+            if cell not in goal:
+                for j, _step in neighbors(g, cell):
+                    dz, dt = hop_cost(g, cell, j)
+                    w = (vec[0] - dz, vec[1] - dt)
+                    if w in db.front(j):
+                        want.append((j, w))
+                assert want
+            assert successors(db, g, cell, vec) == want
 
 
 def test_count_corridor(map_1x3):
