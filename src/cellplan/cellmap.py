@@ -16,10 +16,13 @@ Two schedules compute the same fixed point:
 
 * "sweep": synchronous full sweeps from empty sets until one changes nothing.
   `iterations` counts the sweeps that changed at least one label set.
-* "worklist": a lexicographic best-first priority worklist that settles each
-  final vector exactly once; much faster. It reports the identical
-  `iterations` value, 1 + the largest hop count any stored vector needs,
-  read off the hop depth its heap keys carry.
+* "worklist": label-setting over Dial's bucket queue, one bucket per path
+  length f1, with whole-array numpy steps over the move table of
+  grid.move_csr; much faster. Every step is at least 10 long, so a bucket
+  holds all of its entries by the time it is opened, and each final vector
+  is settled exactly once. It reports the identical `iterations` value,
+  1 + the largest hop count any stored vector needs, read off the hop depth
+  each entry carries.
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
@@ -32,13 +35,17 @@ import gc
 import json
 import math
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from .grid import (
+    DIAGONAL_STEP,
+    STRAIGHT_STEP,
     Cell,
     GoalRegion,
     GridMap,
     map_digest,
+    move_csr,
     neighbor_table,
     overflow_risk,
     step_length,
@@ -121,63 +128,142 @@ def _build_sweep(grid: GridMap, goal_ids: list[int]):
             for j, _dz in nbrs[i]:
                 nxt.add(j)
         recompute = sorted(nxt)
-    return labels, iterations
+    return ((i, ls) for i, ls in enumerate(labels) if ls), iterations
 
 
-def _build_worklist(grid: GridMap, goal_ids: list[int]):
-    """Label-setting worklist: pop (f1, f2, depth, cell) keys in lexicographic order.
+def _build_buckets(grid: GridMap, goal_ids: list[int]):
+    """Label-setting in Dial's bucket queue: one bucket of entries
+    (depth, f2, cell) per path length f1, opened in increasing f1 order.
 
-    A popped vector is final iff its f2 beats the last one settled at its
-    cell, because pops arrive in non-decreasing f1 order. Heap keys are packed
-    into single ints to keep comparisons cheap.
+    Every step is at least STRAIGHT_STEP long, so every entry of bucket f1
+    comes from a label settled in a smaller bucket: a bucket is complete when
+    it is opened. Inside it, an entry whose f2 does not beat the last one
+    settled at its cell is dominated and dropped; of the rest, each cell's
+    least (f2, depth) is settled, and the settled labels expand through the
+    move table into buckets f1 + 10 and f1 + 14.
 
-    `depth` is the hop count of the route that pushed the key. Every step is
-    at least STRAIGHT_STEP long, so all parents of a vector (f1, f2) have a
-    smaller f1 and are settled, each with its own least depth, before (f1, f2)
-    is first popped at a cell; that first pop therefore carries the fewest
-    hops the vector needs, and `iterations` is 1 + the largest settled depth.
+    `depth` is the hop count of the route that made the entry. All parents of
+    a vector (f1, f2) are settled, each with its own least depth, before
+    bucket f1 opens, so the settled depth is the fewest hops the vector needs,
+    and `iterations` is 1 + the largest settled depth.
+
+    Cells, f2 and depths are int32 when the map's bounds fit (cell ids below
+    n, f2 at most max terrain * n, depths at most n), else int64. The
+    sentinel that marks a cell with no label is the dtype's maximum: only a
+    route that revisits a cell can reach it, and such a route is dominated.
     """
-    terr = grid.terrain.ravel().tolist()
-    nbrs = neighbor_table(grid)
-    n = len(terr)
+    n = grid.terrain.size
     f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
-    cell_bits = max(1, (n - 1).bit_length())
-    depth_bits = n.bit_length()  # depths stay <= n: routes are simple
-    f2_bits = max(1, f2_cap.bit_length())
-    sd = cell_bits
-    s2 = sd + depth_bits
-    s1 = s2 + f2_bits
-    cell_mask = (1 << cell_bits) - 1
-    depth_mask = (1 << depth_bits) - 1
-    f2_mask = (1 << f2_bits) - 1
+    dtype = np.int32 if max(n, f2_cap) < np.iinfo(np.int32).max else np.int64
+    terr = grid.terrain.ravel().astype(dtype)
+    offsets, ids, steps = move_csr(grid)
+    ids = ids.astype(dtype)
+    counts = np.diff(offsets)
+    unset = np.iinfo(dtype).max
+    last_f2 = np.full(n, unset, dtype=dtype)
+    least_depth = np.full(n, unset, dtype=dtype)  # scratch, reset after each bucket
+    owner = np.empty(n, dtype=np.intp)  # scratch
+    # Every mask is written into this one buffer. A bucket holds the children
+    # of at most two buckets, each settling at most one label per cell. numpy
+    # keeps freed buffers under 1 KiB for reuse by exact size, and a new mask
+    # of every bucket's size kept about 3 MB resident for the process's life.
+    flags = np.empty(2 * len(ids) + len(goal_ids), dtype=bool)
 
-    inf = f2_cap + 1
-    last_f2 = [inf] * n
-    acc: list[list] = [[] for _ in range(n)]
+    def mask(ufunc, a, b):
+        return ufunc(a, b, out=flags[:len(a)])
+
+    buckets = {}  # f1 -> chunks of entries, each entry a column (depth, f2, cell)
+
+    def push(key, entries):
+        if entries.shape[1]:
+            buckets.setdefault(key, []).append(entries)
+
+    seed = np.zeros((3, len(goal_ids)), dtype=dtype)
+    seed[2] = goal_ids
+    push(0, seed)
+    settled = []  # (f1, cells, f2s) per bucket, in increasing f1
     max_depth = 0
-    heap = list(goal_ids)  # (0, 0, 0, g) packs to just g
-    heapify(heap)
-    while heap:
-        key = heappop(heap)
-        c = key & cell_mask
-        f2 = (key >> s2) & f2_mask
-        if f2 >= last_f2[c]:
+    while buckets:
+        f1 = min(buckets)
+        chunks = buckets.pop(f1)
+        entries = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
+        del chunks
+        entries = entries.compress(mask(np.less, entries[1], last_f2[entries[2]]), axis=1)
+        if not entries.shape[1]:
             continue
-        f1 = key >> s1
-        acc[c].append((f1, f2))
-        last_f2[c] = f2
-        depth = (key >> sd) & depth_mask
-        if depth > max_depth:
-            max_depth = depth
-        child_depth = (depth + 1) << sd
-        for i, dz in nbrs[c]:
-            nf2 = f2 + terr[i]
-            if nf2 >= last_f2[i]:
-                continue
-            heappush(heap, ((f1 + dz) << s1) | (nf2 << s2) | child_depth | i)
-    return [tuple(a) for a in acc], max_depth + 1
+        # Each cell's least f2, then the least depth among those, then one
+        # entry per cell: whichever wins the `owner` write, as ties are equal.
+        np.minimum.at(last_f2, entries[2], entries[1])
+        entries = entries.compress(mask(np.equal, entries[1], last_f2[entries[2]]), axis=1)
+        np.minimum.at(least_depth, entries[2], entries[0])
+        entries = entries.compress(mask(np.equal, entries[0], least_depth[entries[2]]), axis=1)
+        least_depth[entries[2]] = unset
+        rank = np.arange(entries.shape[1])
+        owner[entries[2]] = rank
+        labels = entries.compress(mask(np.equal, owner[entries[2]], rank), axis=1)
+        del entries
+        depth, f2, cell = labels
+        settled.append((f1, cell, f2))
+        max_depth = max(max_depth, int(depth.max()))
+
+        count = counts[cell]
+        total = int(count.sum())
+        if not total:
+            continue
+        # Move-table slots of every settled label's moves, row after row.
+        slot = np.arange(total) + np.repeat(offsets[cell] - (np.cumsum(count) - count), count)
+        child = np.repeat(labels, count, axis=1)
+        child[0] += 1
+        child[2] = ids[slot]
+        child[1] += terr[child[2]]
+        live = mask(np.less, child[1], last_f2[child[2]])
+        child, slot = child.compress(live, axis=1), slot.compress(live)
+        straight = mask(np.equal, steps[slot], STRAIGHT_STEP)
+        push(f1 + STRAIGHT_STEP, child.compress(straight, axis=1))
+        push(f1 + DIAGONAL_STEP, child.compress(np.logical_not(straight, out=straight), axis=1))
+
+    cells = np.concatenate([c for _, c, _ in settled])
+    f1s = np.repeat([f1 for f1, _, _ in settled], [c.size for _, c, _ in settled])
+    f2s = np.concatenate([f2 for _, _, f2 in settled])
+    del settled
+    # Buckets settle in increasing f1, so a stable sort by cell gives (cell, f1) order.
+    order = np.argsort(cells, kind="stable")
+    cells, f1s, f2s = cells[order], f1s[order], f2s[order]
+    del order
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    return zip(cells[starts].tolist(), _label_sets(f1s, f2s, starts)), max_depth + 1
 
 
+def _label_sets(f1s, f2s, starts, cells_per_chunk: int = 1024):
+    """The label sets (f1s, f2s)[starts[k]:starts[k + 1]] as tuples of int
+    pairs, made a chunk of cells at a time: lists of every label at once
+    added about 9 MB to the peak memory of a 117x117 build."""
+    bounds = starts.tolist() + [len(f1s)]
+    for a in range(0, len(starts), cells_per_chunk):
+        seg = bounds[a:a + cells_per_chunk + 1]
+        lo = seg[0]
+        vecs = list(zip(f1s[lo:seg[-1]].tolist(), f2s[lo:seg[-1]].tolist()))
+        for x, y in zip(seg, seg[1:]):
+            yield tuple(vecs[x - lo:y - lo])
+
+
+def _collector_paused(fn):
+    """Decorator: run `fn` with the cycle collector paused. Building, saving
+    and loading allocate about two acyclic containers per stored vector, and
+    rescanning them cost up to as much as the work itself."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:
     """Build the cost-to-go database for `goal` over `grid`.
 
@@ -192,11 +278,9 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
-    if schedule == "sweep":
-        flat, iterations = _build_sweep(grid, goal_ids)
-    else:
-        flat, iterations = _build_worklist(grid, goal_ids)
-    labels = {divmod(i, cols): ls for i, ls in enumerate(flat) if ls}
+    build = _build_sweep if schedule == "sweep" else _build_buckets
+    nonempty, iterations = build(grid, goal_ids)
+    labels = {divmod(i, cols): ls for i, ls in nonempty}
     return Database(labels=labels, goal=region, map_digest=map_digest(grid),
                     iterations=iterations)
 
@@ -244,22 +328,6 @@ def verify_database(db: Database, grid: GridMap) -> bool:
         if not obst[i] and _update(flat, nbrs[i], terr[i], i in goal_ids) != flat[i]:
             return False
     return True
-
-
-def _collector_paused(fn):
-    """Decorator: run `fn` with the cycle collector paused. Saving and loading
-    allocate about two acyclic containers per stored vector, and rescanning
-    them took as long as the work itself."""
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if collecting:
-                gc.enable()
-    return paused
 
 
 @_collector_paused

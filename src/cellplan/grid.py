@@ -157,16 +157,52 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
 def neighbor_table(grid: GridMap) -> list[tuple[tuple[int, int], ...]]:
     """neighbors() of every cell by flat id i = r * n_cols + c, as (j, step)
     pairs with flat ids j; obstacles hold (). Not cached on the map."""
+    offsets, ids, steps = move_csr(grid)
+    moves = list(zip(ids.tolist(), steps.tolist()))
+    bounds = offsets.tolist()
+    return [tuple(moves[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The move rule of every cell at once, as CSR arrays (offsets, ids, steps).
+
+    The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
+    lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
+    rows of obstacles are empty. Each direction is one shifted copy of the
+    free mask, framed by obstacles so that shifts never wrap. Not cached on
+    the map.
+    """
     rows, cols = grid.n_rows, grid.n_cols
-    obst = grid.obstacle.ravel().tolist()
-    cut = grid.allow_corner_cut
-    return [() if obst[i] else tuple(_moves(obst, rows, cols, cut, *divmod(i, cols)))
-            for i in range(rows * cols)]
+    free = np.zeros((rows + 2, cols + 2), dtype=bool)
+    here = free[1:-1, 1:-1]
+    np.logical_not(grid.obstacle, out=here)
+
+    def shifted(dr, dc):
+        return free[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
+
+    allowed = []
+    for dr, dc in NEIGHBOR_OFFSETS:
+        ok = here & shifted(dr, dc)
+        if dr and dc and not grid.allow_corner_cut:
+            ok &= shifted(0, dc) & shifted(dr, 0)
+        allowed.append(ok.ravel())
+    allowed = np.stack(allowed, axis=1)
+    shift = np.array([dr * cols + dc for dr, dc in NEIGHBOR_OFFSETS])
+    step = np.array([DIAGONAL_STEP if dr and dc else STRAIGHT_STEP
+                     for dr, dc in NEIGHBOR_OFFSETS])
+    ids = (np.arange(rows * cols)[:, None] + shift)[allowed]
+    steps = np.broadcast_to(step, allowed.shape)[allowed]
+    offsets = np.zeros(rows * cols + 1, dtype=np.int64)
+    np.cumsum(allowed.sum(axis=1), out=offsets[1:])
+    return offsets, ids, steps
 
 
 def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
     """The move rule behind neighbors(), for the free cell (r, c) on the
-    row-major flattened obstacle mask `obst`: (j, step) with j = rr * n_cols + cc."""
+    row-major flattened obstacle mask `obst`: (j, step) with j = rr * n_cols + cc.
+
+    move_csr() is the same rule for every cell at once; a whole-map table
+    would cost more than this loop for one cell."""
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         rr, cc = r + dr, c + dc

@@ -1,7 +1,7 @@
 """Exact Pareto dominance over 2-D integer objective vectors.
 
 Vectors are pairs of non-negative ints: (path length, terrain cost). The
-kernel is 2-D only, like the database format and the build's packed heap key;
+kernel is 2-D only, like the database format and the build's bucket kernel;
 `nondominated` rejects vectors of any other length. A "label set" (or front)
 is a deduplicated, mutually non-dominated collection kept in lexicographic
 order: first components strictly increasing, second components strictly

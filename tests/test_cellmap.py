@@ -26,6 +26,9 @@ from cellplan import (
     save_database,
     verify_database,
 )
+from cellplan import cellmap
+from cellplan.grid import overflow_risk
+from cellplan.pareto import MAX_COMPONENT
 from conftest import (
     FRONT_2X3,
     GOAL_2X3,
@@ -125,10 +128,10 @@ def test_disjoint_goal_areas():
     assert db.front((0, 2)) == ((20, 9),)
 
 
-# (map, goal cell count) per seed. Zero terrain puts the worklist's f2 field
-# at its narrowest width. The corridor's far end is 16 hops out on 17 cells,
-# one more than a depth field a bit narrower could hold. Multi-cell goals are
-# spread over the map.
+# (map, goal cell count) per seed. Zero terrain makes every f2 zero, so only
+# the depth tie-break decides which entry settles. The corridor's far end is
+# 16 hops out on 17 cells, the deepest label a map of that size allows.
+# Multi-cell goals are spread over the map.
 _SCHEDULE_CASES = (
     [pytest.param(0, parse_map("1 17\n" + "0 " * 16 + "0\n"), 1, id="corridor")]
     + [pytest.param(s, random_map(s, 7, 9, 0.25, 4), 1, id=str(s)) for s in range(12)]
@@ -149,6 +152,40 @@ def test_schedules_and_threads_agree(seed, g, n_goals):
     assert len(set(goal)) == n_goals
     assert (save_database(build_database(g, goal, schedule="sweep"))
             == save_database(build_database(g, goal, schedule="worklist")))
+
+
+def _near_overflow_map(seed, rows, cols, allow_corner_cut):
+    """Terrain at or just under the largest max terrain that overflow_risk
+    accepts (max terrain * n <= MAX_COMPONENT), so path sums need 64 bits."""
+    n = rows * cols
+    top = MAX_COMPONENT // n
+    g = random_map(seed, rows, cols, 0.2, 3)
+    terrain = np.where(g.terrain == 0, top, top - g.terrain)
+    return GridMap(terrain, g.obstacle, allow_corner_cut=allow_corner_cut)
+
+
+# 7 and 49 divide MAX_COMPONENT, so the 1x7 and 7x7 maps of constant terrain
+# put max terrain * n exactly on the limit.
+_OVERFLOW_EDGE_MAPS = {
+    "corridor-1x7": lambda cut: GridMap(np.full((1, 7), MAX_COMPONENT // 7),
+                                        np.zeros((1, 7), dtype=bool), allow_corner_cut=cut),
+    "open-7x7": lambda cut: GridMap(np.full((7, 7), MAX_COMPONENT // 49),
+                                    np.zeros((7, 7), dtype=bool), allow_corner_cut=cut),
+    **{f"random-{s}": (lambda cut, s=s: _near_overflow_map(s, 5, 6, cut)) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("corner_cut", [True, False], ids=["corner-cut", "no-corner-cut"])
+@pytest.mark.parametrize("name", sorted(_OVERFLOW_EDGE_MAPS))
+def test_schedules_agree_near_overflow_bound(name, corner_cut):
+    """The kernel's fixed-width integers stay exact up to the overflow limit."""
+    g = _OVERFLOW_EDGE_MAPS[name](corner_cut)
+    assert not overflow_risk(g)
+    assert int(g.terrain[~g.obstacle].max()) * g.terrain.size > 2**62
+    goal = [free_cells(g)[-1]]
+    sweep = build_database(g, goal, schedule="sweep")
+    assert max(f2 for ls in sweep.labels.values() for _, f2 in ls) > 2**32
+    assert save_database(sweep) == save_database(build_database(g, goal, schedule="worklist"))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -298,9 +335,9 @@ def test_loaded_bytes_save_back(edits):
     assert save_database(db) == blob
 
 
-def test_load_restores_collector_state(db_2x3, monkeypatch):
-    # Save and load run their JSON work with the cycle collector paused, then
-    # restore the state they found.
+def test_load_restores_collector_state(map_2x3, db_2x3, monkeypatch):
+    # Build, save and load run with the cycle collector paused, then restore
+    # the state they found.
     paused = []
 
     def spy(fn):
@@ -311,17 +348,22 @@ def test_load_restores_collector_state(db_2x3, monkeypatch):
 
     monkeypatch.setattr(json, "dumps", spy(json.dumps))
     monkeypatch.setattr(json, "loads", spy(json.loads))
+    monkeypatch.setattr(cellmap, "map_digest", spy(cellmap.map_digest))
     blob = save_database(db_2x3)
     load_database(blob)
-    assert paused == [True, True]
+    build_database(map_2x3, [GOAL_2X3])
+    assert paused == [True, True, True]
     assert gc.isenabled()
     with pytest.raises(ValueError):
         load_database(blob[:-20])
+    with pytest.raises(ValueError):
+        build_database(map_2x3, [GOAL_2X3], schedule="eager")
     assert gc.isenabled()
     gc.disable()
     try:
         load_database(blob)
         save_database(db_2x3)
+        build_database(map_2x3, [GOAL_2X3])
         assert not gc.isenabled()
     finally:
         gc.enable()

@@ -15,6 +15,7 @@ from cellplan.grid import (
     MapFormatError,
     free_cells,
     map_digest,
+    move_csr,
     neighbor_table,
     neighbors,
     parse_map,
@@ -157,7 +158,7 @@ _SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 @given(data=st.data())
 def test_move_rule(shape, corner_cut, data):
-    """neighbor_table and neighbors both follow the move rule on random maps."""
+    """move_csr, neighbor_table and neighbors all follow the move rule on random maps."""
     row_st, col_st = _SHAPES[shape]
     rows, cols = data.draw(row_st), data.draw(col_st)
     obstacle = data.draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
@@ -166,17 +167,26 @@ def test_move_rule(shape, corner_cut, data):
                 allow_corner_cut=corner_cut)
     table = neighbor_table(g)
     assert len(table) == rows * cols
+    offsets, ids, steps = move_csr(g)
+    assert len(offsets) == rows * cols + 1 and offsets[0] == 0
+    assert (np.diff(offsets) >= 0).all()
+    assert offsets[-1] == len(ids) == len(steps)
     for r in range(rows):
         for c in range(cols):
+            i = r * cols + c
+            row = list(zip(ids[offsets[i]:offsets[i + 1]].tolist(),
+                           steps[offsets[i]:offsets[i + 1]].tolist()))
             if obstacle[r][c]:
-                assert table[r * cols + c] == ()
+                assert row == []
+                assert table[i] == ()
                 with pytest.raises(ValueError):
                     neighbors(g, (r, c))
                 continue
             want = _rule_moves(obstacle, corner_cut, r, c)
             assert neighbors(g, (r, c)) == want
-            assert table[r * cols + c] == tuple((rr * cols + cc, step)
-                                                for (rr, cc), step in want)
+            flat = [(rr * cols + cc, step) for (rr, cc), step in want]
+            assert row == flat
+            assert table[i] == tuple(flat)
 
 
 def test_neighbors_rejects_bad_cells():

@@ -1,9 +1,12 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
-so keep those names alive; and the pytest settings must survive a failing test."""
+so keep those names alive; the package imports only what it declares; and the
+pytest settings must survive a failing test."""
 
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMON = ROOT / "perfbench" / "common.py"
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "cellplan"
 
 
 def test_trace_points_resolve(monkeypatch):
@@ -25,6 +29,29 @@ def test_trace_points_resolve(monkeypatch):
             f"{mod_name}.{attr} is gone"
         assert hasattr(importlib.import_module(f"cellplan.{layer}"), attr), \
             f"{attr} is not defined in layer {layer}"
+
+
+def _declared_dependencies() -> set[str]:
+    """Import names of `[project].dependencies` in pyproject.toml."""
+    text = PYPROJECT.read_text()
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
+            for dep in re.findall(r'"([^"]+)"', block)}
+
+
+def test_runtime_imports_are_declared():
+    # Installed but undeclared packages (scipy, networkx) must not creep in.
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cellplan"}
+    declared = _declared_dependencies()
+    assert "numpy" in declared
+    assert third_party <= declared, f"undeclared imports: {sorted(third_party - declared)}"
 
 
 FAILING_PAIR = '''
