@@ -26,15 +26,21 @@ Two schedules compute the same fixed point:
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
+
+One layout holds a database, in memory and on disk: a label count for every
+cell of the map in row-major order (0 for obstacles and unreachable cells)
+and flat f1 and f2 arrays in (cell, f1) order, so each cell's set is one
+slice. A saved database is one canonical JSON header line followed by the
+three arrays as raw little-endian unsigned integers, each in the narrowest
+of 1, 2, 4 or 8 bytes that holds its largest value.
 """
 
 from __future__ import annotations
 
-import functools
-import gc
+import hashlib
 import json
-import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +56,16 @@ from .grid import (
     overflow_risk,
     step_length,
 )
-from .pareto import CostOverflowError, LabelSet, Vector, nondominated, skyline
+from .pareto import (
+    MAX_COMPONENT,
+    CostOverflowError,
+    LabelSet,
+    Vector,
+    nondominated,
+    skyline,
+)
 
-DB_VERSION = 1
+DB_VERSION = 2
 
 # Identifies the cost accounting the database was built under, so readers can
 # reject a file whose vectors mean something else.
@@ -63,22 +76,119 @@ class DigestMismatchError(ValueError):
     """Database was built from a different map than the one supplied."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Database:
-    """Fixed-point label sets plus build metadata.
+    """Fixed-point label sets plus build metadata, as read-only int64 arrays.
 
-    `labels` holds only non-empty sets; obstacles and unreachable free cells
-    are simply absent.
+    `counts[i]` is the size of the label set of the row-major cell i, over
+    all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
+    `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
+    set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
+    sets as given; load_database is what checks that they are canonical.
     """
 
-    labels: dict[Cell, LabelSet]
+    counts: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    n_rows: int
+    n_cols: int
     goal: GoalRegion
     map_digest: str
     iterations: int
     convention_tag: str = CONVENTION_TAG
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Copies, so no caller keeps a writeable reference to the stored arrays.
+        counts, f1, f2 = (np.array(a, dtype=np.int64) for a in (self.counts, self.f1, self.f2))
+        if counts.shape != (self.n_rows * self.n_cols,):
+            raise ValueError("counts must hold one entry per cell of the map")
+        if f1.ndim != 1 or f1.shape != f2.shape or int(counts.sum()) != f1.size:
+            raise ValueError("f1 and f2 must hold exactly the counted labels")
+        if any(a.size and a.min() < 0 for a in (counts, f1, f2)):
+            raise ValueError("counts and cost components must be non-negative")
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        for name, a in (("counts", counts), ("f1", f1), ("f2", f2), ("offsets", offsets)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_labels(cls, labels, n_rows: int, n_cols: int, **meta) -> Database:
+        """Pack a {cell: label set} mapping over an n_rows x n_cols map; the
+        keyword arguments are the other fields."""
+        sets: list[LabelSet] = [()] * (n_rows * n_cols)
+        for (r, c), ls in labels.items():
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"cell {(r, c)} lies outside the map")
+            sets[r * n_cols + c] = ls
+        return cls(*_pack(sets), n_rows=n_rows, n_cols=n_cols, **meta)
+
+    def __eq__(self, other):
+        if not isinstance(other, Database):
+            return NotImplemented
+        return ((self.n_rows, self.n_cols, self.goal, self.map_digest, self.iterations,
+                 self.convention_tag)
+                == (other.n_rows, other.n_cols, other.goal, other.map_digest,
+                    other.iterations, other.convention_tag)
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("counts", "f1", "f2")))
+
+    @property
+    def labels(self) -> Mapping[Cell, LabelSet]:
+        """The non-empty label sets by cell, decoded on access, in row-major order."""
+        return _LabelView(self)
+
+    def index(self, cell) -> int | None:
+        """Row-major index of `cell`, or None when it lies outside the map."""
+        r, c = cell
+        if 0 <= r < self.n_rows and 0 <= c < self.n_cols:
+            return r * self.n_cols + c
+        return None
+
+    def segment(self, i: int):
+        """The (f1, f2) slices of the row-major cell i's label set."""
+        lo, hi = self.offsets[i:i + 2].tolist()
+        return self.f1[lo:hi], self.f2[lo:hi]
 
     def front(self, cell: Cell) -> LabelSet:
-        return self.labels.get(tuple(cell), ())
+        i = self.index(cell)
+        if i is None:
+            return ()
+        f1, f2 = self.segment(i)
+        return tuple(zip(f1.tolist(), f2.tolist()))
+
+
+class _LabelView(Mapping):
+    """Read-only {cell: label set} view of a Database, holding only non-empty sets."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: Database):
+        self._db = db
+
+    def __getitem__(self, cell) -> LabelSet:
+        try:
+            i = self._db.index(cell)
+        except (TypeError, ValueError):
+            i = None
+        if i is None or not self._db.counts[i]:
+            raise KeyError(cell)
+        return self._db.front(cell)
+
+    def __iter__(self):
+        cols = self._db.n_cols
+        return (divmod(i, cols) for i in np.flatnonzero(self._db.counts).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._db.counts))
+
+
+def _pack(sets) -> tuple:
+    """(counts, f1, f2) arrays of a row-major list of label sets."""
+    counts = [len(ls) for ls in sets]
+    vecs = np.array([v for ls in sets for v in ls], dtype=np.int64).reshape(-1, 2)
+    return counts, vecs[:, 0], vecs[:, 1]
 
 
 def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
@@ -128,7 +238,7 @@ def _build_sweep(grid: GridMap, goal_ids: list[int]):
             for j, _dz in nbrs[i]:
                 nxt.add(j)
         recompute = sorted(nxt)
-    return ((i, ls) for i, ls in enumerate(labels) if ls), iterations
+    return _pack(labels), iterations
 
 
 def _build_buckets(grid: GridMap, goal_ids: list[int]):
@@ -228,42 +338,9 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     del settled
     # Buckets settle in increasing f1, so a stable sort by cell gives (cell, f1) order.
     order = np.argsort(cells, kind="stable")
-    cells, f1s, f2s = cells[order], f1s[order], f2s[order]
-    del order
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    return zip(cells[starts].tolist(), _label_sets(f1s, f2s, starts)), max_depth + 1
+    return (np.bincount(cells, minlength=n), f1s[order], f2s[order]), max_depth + 1
 
 
-def _label_sets(f1s, f2s, starts, cells_per_chunk: int = 1024):
-    """The label sets (f1s, f2s)[starts[k]:starts[k + 1]] as tuples of int
-    pairs, made a chunk of cells at a time: lists of every label at once
-    added about 9 MB to the peak memory of a 117x117 build."""
-    bounds = starts.tolist() + [len(f1s)]
-    for a in range(0, len(starts), cells_per_chunk):
-        seg = bounds[a:a + cells_per_chunk + 1]
-        lo = seg[0]
-        vecs = list(zip(f1s[lo:seg[-1]].tolist(), f2s[lo:seg[-1]].tolist()))
-        for x, y in zip(seg, seg[1:]):
-            yield tuple(vecs[x - lo:y - lo])
-
-
-def _collector_paused(fn):
-    """Decorator: run `fn` with the cycle collector paused. Building, saving
-    and loading allocate about two acyclic containers per stored vector, and
-    rescanning them cost up to as much as the work itself."""
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if collecting:
-                gc.enable()
-    return paused
-
-
-@_collector_paused
 def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:
     """Build the cost-to-go database for `goal` over `grid`.
 
@@ -276,13 +353,12 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
         raise ValueError(f"unknown schedule {schedule!r}")
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
-    cols = grid.n_cols
+    rows, cols = grid.n_rows, grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
     build = _build_sweep if schedule == "sweep" else _build_buckets
-    nonempty, iterations = build(grid, goal_ids)
-    labels = {divmod(i, cols): ls for i, ls in nonempty}
-    return Database(labels=labels, goal=region, map_digest=map_digest(grid),
-                    iterations=iterations)
+    arrays, iterations = build(grid, goal_ids)
+    return Database(*arrays, n_rows=rows, n_cols=cols, goal=region,
+                    map_digest=map_digest(grid), iterations=iterations)
 
 
 def verify_database(db: Database, grid: GridMap) -> bool:
@@ -330,144 +406,144 @@ def verify_database(db: Database, grid: GridMap) -> bool:
     return True
 
 
-@_collector_paused
 def save_database(db: Database) -> bytes:
-    """Canonical JSON bytes; identical databases serialize identically."""
-    cells = sorted(db.labels)
-    # json writes the stored tuples as arrays, so the label sets go in as they are.
-    labels_obj = {
-        f"{r},{c}": db.labels[(r, c)]
-        for (r, c) in cells
-        if db.labels[(r, c)]
-    }
-    return (_header_bytes(db) + json.dumps(labels_obj, separators=(",", ":")).encode("utf-8")
-            + b"}\n")
+    """The database's one byte form: identical databases serialize identically.
 
-
-_HEADER_KEYS = ("version", "map_digest", "convention_tag", "goal", "iterations", "labels")
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
-def _header_bytes(db: Database) -> bytes:
-    """The saved bytes before the label object: every other field, in file order."""
-    header = {
+    A canonical JSON header line (see _HEADER_KEYS), then the counts, f1 and
+    f2 arrays as raw little-endian unsigned integers, each in the narrowest
+    width of _WIDTHS that holds its largest value.
+    """
+    arrays = [a.astype(f"<u{_width(a)}") for a in (db.counts, db.f1, db.f2)]
+    payload = b"".join(a.tobytes() for a in arrays)
+    return _header_bytes({
         "version": DB_VERSION,
         "map_digest": db.map_digest,
         "convention_tag": db.convention_tag,
-        "goal": [list(cell) for cell in sorted(db.goal.cells)],
+        "goal": db.goal.cells,
         "iterations": db.iterations,
-    }
-    return _COMPACT.encode(header).encode("utf-8")[:-1] + b',"labels":'
+        "n_rows": db.n_rows,
+        "n_cols": db.n_cols,
+        "widths": [a.itemsize for a in arrays],
+        "labels": int(db.f1.size),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }) + payload
 
 
-def _as_cell(obj) -> Cell:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in obj)):
-        raise ValueError(f"bad cell {obj!r}")
-    return (obj[0], obj[1])
+# Header fields in file order. "widths" lists the byte widths of the counts,
+# f1 and f2 arrays; "labels" is the length of f1 and f2; "sha256" is the
+# digest of every byte after the header line.
+_HEADER_KEYS = ("version", "map_digest", "convention_tag", "goal", "iterations",
+                "n_rows", "n_cols", "widths", "labels", "sha256")
+_WIDTHS = (1, 2, 4, 8)
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
-class _Pairs(tuple):
-    """A JSON object's (key, value) pairs in file order, duplicates kept."""
+def _header_bytes(fields) -> bytes:
+    """The header line of `fields`: compact JSON in _HEADER_KEYS order, with
+    the goal cells sorted and each listed once."""
+    header = {key: fields[key] for key in _HEADER_KEYS}
+    header["goal"] = [list(cell) for cell in sorted(set(map(tuple, fields["goal"])))]
+    return _COMPACT.encode(header).encode("utf-8") + b"\n"
 
 
-@_collector_paused
-def load_database(raw) -> Database:
-    """Parse database JSON; inverse of save_database.
+def _width(a: np.ndarray) -> int:
+    """The narrowest byte width in _WIDTHS that holds every value of `a`."""
+    top = int(a.max()) if a.size else 0
+    return next(w for w in _WIDTHS if top < 1 << (8 * w))
 
-    Checks the header fields, that label keys are exactly "r,c" (r, c >= 0) in
-    strictly increasing (r, c) order, that each label set is a non-empty,
-    canonically ordered list of non-negative int pairs, and that every goal
-    cell holds exactly ((0, 0),). Only the bytes save_database writes are
-    accepted, so save_database(load_database(raw)) == raw whenever this
+
+def _is_int(x) -> bool:
+    return type(x) is int  # shuts out bools and floats
+
+
+def load_database(raw: bytes) -> Database:
+    """Read the bytes save_database writes; the inverse of save_database.
+
+    Rejects with ValueError a version-1 (JSON) file, a header that is not
+    in its saved form, widths that are not the narrowest, a payload of the
+    wrong length or checksum, counts that do not sum to the label count,
+    a label set that is not in canonical order (f1 strictly rising, f2
+    strictly falling), a component above MAX_COMPONENT, and a goal cell
+    outside the map or not holding exactly (0, 0). Every field is then
+    determined, so save_database(load_database(raw)) == raw whenever this
     returns. Whether the sets fit the map and each other is left to
     verify_database, which needs the map.
     """
+    end = raw.find(b"\n")
+    if end < 0:
+        raise ValueError("database header line missing")
     try:
-        pairs = json.loads(raw, object_pairs_hook=_Pairs)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"malformed database JSON: {e}") from e
-    if not isinstance(pairs, _Pairs):
-        raise ValueError("database JSON must be an object")
-    payload = dict(pairs)
-    version = payload.get("version")
+        header = json.loads(raw[:end])
+    except ValueError as e:  # also a header that is not UTF-8
+        raise ValueError(f"malformed database header: {e}") from e
+    if not isinstance(header, dict):
+        raise ValueError("database header must be a JSON object")
+    version = header.get("version")
+    if version == 1:
+        raise ValueError("database version 1 (JSON) is no longer read; "
+                         "rebuild the database with `cellplan build`")
     if version != DB_VERSION:
         raise ValueError(f"unsupported database version: {version!r}")
-    digest = payload.get("map_digest")
-    if not isinstance(digest, str) or not digest:
-        raise ValueError("map digest missing")
-    tag = payload.get("convention_tag")
-    if not isinstance(tag, str) or not tag:
-        raise ValueError("convention tag missing")
-    iterations = payload.get("iterations")
-    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
-        raise ValueError("iterations must be a non-negative integer")
-    goal_raw = payload.get("goal")
+    for key in ("map_digest", "convention_tag", "sha256"):
+        if not isinstance(header.get(key), str) or not header[key]:
+            raise ValueError(f"header field {key} missing")
+    if tuple(header) != _HEADER_KEYS:
+        raise ValueError(f"header fields must be exactly {', '.join(_HEADER_KEYS)}, in that order")
+    rows, cols, n_labels = header["n_rows"], header["n_cols"], header["labels"]
+    if not all(_is_int(x) and x > 0 for x in (rows, cols)):
+        raise ValueError("n_rows and n_cols must be positive integers")
+    if not all(_is_int(x) and x >= 0 for x in (header["iterations"], n_labels)):
+        raise ValueError("iterations and labels must be non-negative integers")
+    widths = header["widths"]
+    if (not isinstance(widths, list) or len(widths) != 3
+            or not all(_is_int(w) and w in _WIDTHS for w in widths)):
+        raise ValueError(f"widths must be three of {_WIDTHS}")
+    goal_raw = header["goal"]
     if not isinstance(goal_raw, list) or not goal_raw:
         raise ValueError("goal cell list missing")
-    goal = GoalRegion(_as_cell(c) for c in goal_raw)
-    labels_raw = payload.get("labels")
-    if not isinstance(labels_raw, _Pairs):
-        raise ValueError("labels object missing")
-    labels: dict[Cell, LabelSet] = {}
-    prev = None
-    for key, vecs in labels_raw:
-        r, _, c = key.partition(",")
-        try:
-            cell = (int(r), int(c))
-        except ValueError:
-            cell = None
-        # int() also accepts "+1", "01" and " 1"; only the exact saved form names a cell.
-        if cell is None or key != f"{cell[0]},{cell[1]}" or min(cell) < 0:
-            raise ValueError(f"bad label key {key!r}")
-        if prev is not None and cell <= prev:
-            raise ValueError(f"label key {key!r} repeats or breaks increasing (r, c) order")
-        prev = cell
-        if not isinstance(vecs, list):
-            raise ValueError(f"labels for {key!r} must be a list")
-        if not vecs:
-            raise ValueError(f"label key {key!r} has an empty label list")
-        out = []
-        prev_f1, prev_f2 = -1, math.inf
-        for v in vecs:
-            # `type(x) is int` also shuts out bools.
-            if type(v) is not list or len(v) != 2:
-                raise ValueError(f"bad vector {v!r} for cell {key!r}")
-            f1, f2 = v
-            if type(f1) is not int or type(f2) is not int or f1 < 0 or f2 < 0:
-                raise ValueError(f"bad vector {v!r} for cell {key!r}")
-            if f1 <= prev_f1 or f2 >= prev_f2:
-                raise ValueError(f"labels for {key!r} are not in canonical order")
-            out.append((f1, f2))
-            prev_f1, prev_f2 = f1, f2
-        labels[cell] = tuple(out)
-    for r, c in sorted(goal.cells):
-        if labels.get((r, c)) != ((0, 0),):
-            raise ValueError(f"goal cell {r},{c} must hold exactly [[0,0]]")
-    db = Database(labels=labels, goal=goal, map_digest=digest,
-                  iterations=iterations, convention_tag=tag)
-    _require_saved_form(raw, [key for key, _ in pairs], db)
-    return db
-
-
-def _require_saved_form(raw, keys: list[str], db: Database) -> None:
-    """Raise ValueError unless `raw` is byte for byte what save_database
-    writes for `db`, whose labels already parsed as exact keys and int pairs.
-
-    The header is compared whole; the label section, where JSON could still
-    differ from the saved form only by whitespace, escapes or "-0", is
-    scanned for those bytes.
-    """
-    if keys != list(_HEADER_KEYS):
-        raise ValueError(f"header fields must be exactly {', '.join(_HEADER_KEYS)}, in that order")
-    if isinstance(raw, str):
-        raw = raw.encode("utf-8")
-    head = _header_bytes(db)
-    if not raw.startswith(head):
+    for cell in goal_raw:
+        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
+            raise ValueError(f"bad goal cell {cell!r}")
+        if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
+            raise ValueError(f"goal cell {cell[0]},{cell[1]} lies outside the map")
+    # The version is compared as a number above, so 2.0 would pass: write the int.
+    if _header_bytes({**header, "version": DB_VERSION}) != raw[:end + 1]:
         raise ValueError("database header is not in its saved form")
-    if not raw.endswith(b"}\n"):
-        raise ValueError("database must end with a newline after its closing brace")
-    end = len(raw) - 1
-    for byte in (b" ", b"\t", b"\n", b"\r", b"\\", b"-"):
-        if raw.find(byte, len(head), end) >= 0:
-            raise ValueError(f"label section holds {byte!r}, which saved labels never do")
+
+    payload = memoryview(raw)[end + 1:]
+    n = rows * cols
+    w_counts, w_f1, w_f2 = widths
+    size = n * w_counts + n_labels * (w_f1 + w_f2)
+    if len(payload) != size:
+        raise ValueError(f"database payload holds {len(payload)} bytes where the header "
+                         f"implies {size}")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise ValueError("database payload does not match its sha256 checksum")
+    counts = np.frombuffer(payload, f"<u{w_counts}", n)
+    f1 = np.frombuffer(payload, f"<u{w_f1}", n_labels, n * w_counts)
+    f2 = np.frombuffer(payload, f"<u{w_f2}", n_labels, n * w_counts + n_labels * w_f1)
+    if [_width(a) for a in (counts, f1, f2)] != widths:
+        raise ValueError("array widths must be the narrowest that hold their values")
+    # A count above the label count is caught before the sum, which it could wrap.
+    if int(counts.max()) > n_labels or int(counts.sum(dtype=np.uint64)) != n_labels:
+        raise ValueError(f"label counts do not sum to the {n_labels} labels")
+    if n_labels and max(int(f1.max()), int(f2.max())) > MAX_COMPONENT:
+        raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Neighbouring labels of one cell: every pair except across a cell's start.
+    inner = np.ones(max(n_labels - 1, 0), dtype=bool)
+    starts = offsets[:-1]
+    inner[starts[(starts > 0) & (starts < n_labels)] - 1] = False
+    bad = inner & ((f1[1:] <= f1[:-1]) | (f2[1:] >= f2[:-1]))
+    if bad.any():
+        i = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        raise ValueError(f"labels of cell {i // cols},{i % cols} are not in canonical order")
+    goal = GoalRegion(map(tuple, goal_raw))
+    for r, c in sorted(goal.cells):
+        i = r * cols + c
+        if counts[i] != 1 or f1[offsets[i]] or f2[offsets[i]]:
+            raise ValueError(f"goal cell {r},{c} must hold exactly (0, 0)")
+    return Database(counts, f1, f2, n_rows=rows, n_cols=cols, goal=goal,
+                    map_digest=header["map_digest"], iterations=header["iterations"],
+                    convention_tag=header["convention_tag"])

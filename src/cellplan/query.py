@@ -6,6 +6,9 @@ a state (c, F) steps to (j, F') when F = F' + hop_cost(c, j). Path length
 strictly decreases along every edge, so the graph is acyclic, every walked
 path is simple, and counting is a plain DP. One private step expands a state,
 for the graph and for `successors` alike, with the moves of `grid._moves`.
+It reads each neighbour's label set as its slice of the database's f1 and f2
+arrays: a graph turns each slice it meets into a dict once, and successors()
+bisects the f1 slice.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class QueryResult:
 
 
 def pareto_front_at(db: Database, start: Cell) -> LabelSet:
-    """The non-dominated cost vectors from `start`; empty if unreachable."""
+    """The non-dominated cost vectors from `start`; empty if unreachable.
+    Decodes one slice of the database's arrays."""
     return db.front(start)
 
 
@@ -48,52 +52,78 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
 
     Each entry (j, F') satisfies vector == F' + hop_cost(cell, j) with F' in
     the label set of j. Non-empty for every non-goal vector of a consistent
-    database; goal cells have no successors.
+    database; goal cells have no successors. Each membership test bisects
+    one cell's f1 slice; no label set is decoded.
     """
     cell = tuple(cell)
     vector = tuple(vector)
-    front = db.front(cell)
-    if vector not in front:
+    i = db.index(cell)
+    if i is None or _SortedSlice(*db.segment(i)).get(vector[0]) != vector[1]:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
         return []
     require_free(grid, cell)
-    return _decomposer(db, grid, grid.obstacle.ravel())(cell, vector)
+    return _decomposer(db, grid, grid.obstacle.ravel(), _SortedSlice)(cell, vector)
 
 
-def _decomposer(db: Database, grid: GridMap, obst):
+class _SortedSlice:
+    """One cell's label set as a lookup f1 -> f2 that bisects its f1 slice."""
+
+    __slots__ = ("f1", "f2")
+
+    def __init__(self, f1, f2):
+        self.f1, self.f2 = f1, f2
+
+    def get(self, w1: int):
+        k = int(self.f1.searchsorted(w1))
+        if k < self.f1.size and self.f1[k] == w1:
+            return int(self.f2[k])
+        return None
+
+
+def _slice_dict(f1, f2) -> dict:
+    """One cell's label set as a dict f1 -> f2 (f1 is unique within a set)."""
+    return dict(zip(f1.tolist(), f2.tolist()))
+
+
+def _decomposer(db: Database, grid: GridMap, obst, lookup):
     """The one expansion step behind successors() and the successor graph.
 
     Returns step(cell, vec): the row-major list of (j, F') with
     vec == F' + hop_cost(cell, j) and F' in the label set of j, for a free
-    non-goal `cell`. Moves and label sets are cached per step function, so
-    one graph computes each only once. `obst` is the row-major obstacle mask:
-    a list for a whole graph (faster to index), the numpy view for one call
-    (no list of every cell is built).
+    non-goal `cell`. `lookup(f1, f2)` turns a cell's slices into an object
+    whose get(w1) is the f2 paired with w1, or None: a dict for a whole
+    graph, which tests many vectors against each cell, a bisection for one
+    call. Moves and lookups are cached per step function, so one graph
+    computes each only once. `obst` is the row-major obstacle mask: a list
+    for a whole graph (faster to index), the numpy view for one call (no
+    list of every cell is built).
     """
     terr = grid.terrain
     rows, cols, cut = grid.n_rows, grid.n_cols, grid.allow_corner_cut
-    labels = db.labels
     move_cache: dict[Cell, list] = {}
-    set_cache: dict[Cell, set] = {}
+    slice_cache: dict[int, object] = {}
 
     def step(cell: Cell, vec: Vector) -> list:
         moves = move_cache.get(cell)
         if moves is None:
-            moves = [(divmod(j, cols), dz) for j, dz in _moves(obst, rows, cols, cut, *cell)]
+            moves = [(j, divmod(j, cols), dz)
+                     for j, dz in _moves(obst, rows, cols, cut, *cell)]
             move_cache[cell] = moves
         t = int(terr[cell])
+        w2 = vec[1] - t
         out = []
-        for j, dz in moves:
-            w = (vec[0] - dz, vec[1] - t)
-            if w[0] < 0 or w[1] < 0:
+        if w2 < 0:
+            return out
+        for j, nb, dz in moves:
+            w1 = vec[0] - dz
+            if w1 < 0:
                 continue
-            sj = set_cache.get(j)
+            sj = slice_cache.get(j)
             if sj is None:
-                sj = set(labels.get(j, ()))
-                set_cache[j] = sj
-            if w in sj:
-                out.append((j, w))
+                sj = slice_cache[j] = lookup(*db.segment(j))
+            if sj.get(w1) == w2:
+                out.append((nb, (w1, w2)))
         return out
 
     return step
@@ -102,7 +132,7 @@ def _decomposer(db: Database, grid: GridMap, obst):
 def _successor_graph(db: Database, grid: GridMap, start: Cell):
     """Successor lists for every state reachable from (start, F), F in front."""
     goal_cells = db.goal.cells
-    step = _decomposer(db, grid, grid.obstacle.ravel().tolist())
+    step = _decomposer(db, grid, grid.obstacle.ravel().tolist(), _slice_dict)
     succ: dict[tuple[Cell, Vector], tuple] = {}
     stack = [(start, v) for v in db.front(start)]
     while stack:

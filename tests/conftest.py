@@ -1,5 +1,8 @@
 """Shared fixtures: small hand-checkable maps and build helpers."""
 
+import hashlib
+import json
+
 import pytest
 
 from cellplan import GoalRegion, build_database, parse_map
@@ -11,43 +14,165 @@ TEXT_2X3 = "2 3\n0 5 0\n0 0 0\n"
 GOAL_2X3 = (0, 2)
 FRONT_2X3 = ((20, 5), (28, 0))
 
-# Label-key edits of the saved 2x3 database (keys "0,0" ... "1,2" in order)
-# that the loader must reject: aliases of "1,0", a repeated key, a key out
-# of (r, c) order, a negative cell, and a key with an empty label list.
+# The saved 2x3 database holds, per row-major cell, counts [2, 1, 1, 1, 1, 1],
+# f1 [20, 28, 10, 0, 24, 14, 10] and f2 [5, 0, 5, 0, 0, 0, 0], each array one
+# byte wide. The helpers below read and write that layout independently of
+# the loader: a header line, then counts, f1 and f2 as little-endian ints.
+
+
+def split_db(blob: bytes):
+    """(header, counts, f1, f2) of saved database bytes, the arrays as int lists."""
+    end = blob.index(b"\n")
+    header = json.loads(blob[:end])
+    widths = header["widths"]
+    sizes = [header["n_rows"] * header["n_cols"], header["labels"], header["labels"]]
+    arrays, pos = [], end + 1
+    for width, size in zip(widths, sizes):
+        arrays.append([int.from_bytes(blob[k:k + width], "little")
+                       for k in range(pos, pos + width * size, width)])
+        pos += width * size
+    return (header, *arrays)
+
+
+def pack_db(header, counts, f1, f2, widths=None) -> bytes:
+    """Database bytes of these arrays under `header`, whose widths (the
+    narrowest that fit unless given), label count and checksum are made to fit."""
+    arrays = (counts, f1, f2)
+    if widths is None:
+        widths = [next(w for w in (1, 2, 4, 8) if max(a, default=0) < 1 << (8 * w))
+                  for a in arrays]
+    payload = b"".join(x.to_bytes(w, "little") for a, w in zip(arrays, widths) for x in a)
+    header = {**header, "widths": widths, "labels": len(f1),
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+
+
+def with_labels(blob: bytes, i: int, vectors) -> bytes:
+    """The database bytes with the row-major cell i holding `vectors`."""
+    header, counts, f1, f2 = split_db(blob)
+    lo = sum(counts[:i])
+    hi = lo + counts[i]
+    counts[i] = len(vectors)
+    f1[lo:hi] = [v[0] for v in vectors]
+    f2[lo:hi] = [v[1] for v in vectors]
+    return pack_db(header, counts, f1, f2)
+
+
+def replace(old: bytes, new: bytes):
+    """An edit replacing the one occurrence of `old` by `new`."""
+    def edit(blob):
+        assert blob.count(old) == 1
+        return blob.replace(old, new)
+    return edit
+
+
+def repack(change=None, widths=None):
+    """An edit that applies `change(counts, f1, f2)` to the array lists, then
+    writes them back with a fitting header."""
+    def edit(blob):
+        header, *arrays = split_db(blob)
+        if change:
+            change(*arrays)
+        return pack_db(header, *arrays, widths=widths)
+    return edit
+
+
+def insert_before_f2(blob: bytes) -> bytes:
+    header = split_db(blob)[0]
+    at = len(blob) - header["labels"] * header["widths"][2]
+    return blob[:at] + b" " + blob[at:]
+
+
+def version_1(blob: bytes) -> bytes:
+    """The same database written in version 1, the JSON format."""
+    header = split_db(blob)[0]
+    return (b'{"version":1,"map_digest":"' + header["map_digest"].encode() + b'",'
+            b'"convention_tag":"' + header["convention_tag"].encode() + b'","goal":[[0,2]],'
+            b'"iterations":3,"labels":{"0,0":[[20,5],[28,0]],"0,1":[[10,5]],"0,2":[[0,0]],'
+            b'"1,0":[[24,0]],"1,1":[[14,0]],"1,2":[[10,0]]}}\n')
+
+
+# Edits of the cells a saved 2x3 database names, with the error text each
+# raises. Version 1 keyed every label set by its cell; the dense counts of
+# version 2 have no key to alias, repeat, reorder, make negative or leave
+# empty, so the same defects are written in the one cell list left, the
+# header's goal cells: aliases of 0,2, a repeated key, a list out of order,
+# a negative cell and an empty list.
 KEY_EDITS_2X3 = [
-    pytest.param(b'"1,0":', b'"+1,00":', id="alias-plus-zero"),
-    pytest.param(b'"1,0":', b'"01,0":', id="alias-leading-zero"),
-    pytest.param(b'"1,0":', b'"1, 0":', id="alias-space"),
-    pytest.param(b'"1,1":', b'"1,0":', id="duplicate"),
-    pytest.param(b'"1,2":', b'"0,3":', id="out-of-order"),
-    pytest.param(b'"0,0":', b'"-5,0":', id="negative"),
-    pytest.param(b'"1,2":[[10,0]]', b'"1,2":[]', id="empty-labels"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[+0,2]]'), "malformed",
+                 id="alias-plus-zero"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0,02]]'), "malformed",
+                 id="alias-leading-zero"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0, 2]]'), "saved form",
+                 id="alias-space"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[1,2]],"goal":[[0,2]]'), "saved form",
+                 id="duplicate"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[1,2],[0,2]]'), "saved form",
+                 id="out-of-order"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[-5,0]]'), "outside the map",
+                 id="negative"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[]'), "goal cell list", id="empty-labels"),
 ]
 
-# Edits of cell (0,0)'s saved label set [[20,5],[28,0]] that break canonical
-# order (f1 strictly increasing, f2 strictly decreasing).
+# Label sets for cell (0,0), saved as [(20, 5), (28, 0)], that break
+# canonical order (f1 strictly increasing, f2 strictly decreasing).
 ORDER_EDITS_2X3 = [
-    pytest.param(b'[[28,0],[20,5]]', id="swapped"),
-    pytest.param(b'[[20,5],[20,5],[28,0]]', id="repeated"),
-    pytest.param(b'[[20,5],[28,5]]', id="dominated"),
+    pytest.param([(28, 0), (20, 5)], id="swapped"),
+    pytest.param([(20, 5), (20, 5), (28, 0)], id="repeated"),
+    pytest.param([(20, 5), (28, 5)], id="dominated"),
 ]
 
-# Edits of the saved 2x3 database that still parse as JSON but that the
-# loader must reject, with the error text each raises: a goal cell that does
-# not hold exactly [[0,0]], and bytes save_database never writes.
+
+def _goal_front(counts, f1, f2):
+    f1[3] = 1  # cell (0,2), the goal
+
+
+def _count_too_many(counts, f1, f2):
+    counts[0] += 1
+
+
+def _extra_count(counts, f1, f2):
+    counts.append(0)
+
+
+def _component_overflow(counts, f1, f2):
+    f1[1] = 2**63  # cell (0,0)'s second label; order still holds
+
+
+def _flip_last_byte(blob):
+    return blob[:-1] + bytes([blob[-1] ^ 1])
+
+
+# Edits of the saved 2x3 database that the loader must reject, with the
+# error text each raises: a goal cell that does not hold exactly (0, 0),
+# bytes save_database never writes, and a payload that does not fit its
+# header. "label-whitespace" puts a byte inside the arrays and "minus-zero"
+# spells a value another way (a wider width), the version-2 forms of those
+# JSON defects; "escaped-key" escapes a character of a header string.
 LOADER_EDITS_2X3 = [
-    pytest.param(b'"0,2":[[0,0]]', b'"0,2":[[1,0]]', "goal cell", id="goal-front"),
-    pytest.param(b'"iterations":3', b'"iterations":4,"iterations":3', "header fields",
+    pytest.param(repack(_goal_front), "goal cell", id="goal-front"),
+    pytest.param(replace(b'"iterations":3', b'"iterations":4,"iterations":3'), "saved form",
                  id="repeated-header-key"),
-    pytest.param(b'"iterations":3', b'"iterations":3,"x":1', "header fields",
+    pytest.param(replace(b'"iterations":3', b'"iterations":3,"x":1'), "header fields",
                  id="unknown-header-field"),
-    pytest.param(b'"version":1', b'"version":1.0', "saved form", id="float-version"),
-    pytest.param(b'"goal":', b'"goal": ', "saved form", id="header-whitespace"),
-    pytest.param(b'[[10,5]]', b'[ [10,5]]', "label section", id="label-whitespace"),
-    pytest.param(b'"goal":[[0,2]]', b'"goal":[[0,2],[0,2]]', "saved form",
+    pytest.param(replace(b'"version":2', b'"version":2.0'), "saved form", id="float-version"),
+    pytest.param(replace(b'"goal":', b'"goal": '), "saved form", id="header-whitespace"),
+    pytest.param(insert_before_f2, "payload holds", id="label-whitespace"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0,2],[0,2]]'), "saved form",
                  id="repeated-goal-cell"),
-    pytest.param(b'"1,2":[[10,0]]', b'"1,2":[[10,-0]]', "label section", id="minus-zero"),
-    pytest.param(b'"0,1":', b'"\\u0030,1":', "label section", id="escaped-key"),
+    pytest.param(repack(widths=[1, 1, 2]), "narrowest", id="minus-zero"),
+    pytest.param(replace(b'"convention_tag":"len', b'"convention_tag":"\\u006cen'),
+                 "saved form", id="escaped-key"),
+    pytest.param(lambda blob: blob[:-1], "payload holds", id="truncated-payload"),
+    pytest.param(lambda blob: blob + b"\0", "payload holds", id="trailing-byte"),
+    pytest.param(repack(widths=[2, 1, 1]), "narrowest", id="wide-counts"),
+    pytest.param(_flip_last_byte, "sha256", id="checksum"),
+    pytest.param(repack(_extra_count), "payload holds", id="counts-length"),
+    pytest.param(repack(_count_too_many), "do not sum", id="counts-sum"),
+    pytest.param(repack(_component_overflow), "exceeds", id="component-overflow"),
+    pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0,3]]'), "outside the map",
+                 id="goal-outside-map"),
+    pytest.param(version_1, "rebuild", id="version-1"),
 ]
 
 TEXT_1X2 = "1 2\n0 0\n"

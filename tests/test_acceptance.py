@@ -374,7 +374,7 @@ def test_criterion_8_cli_runs_are_deterministic(criterion, tmp_path, capsys):
 # --- criterion 9: file formats round-trip ---
 
 def test_criterion_9_formats_round_trip(criterion):
-    with criterion(9, "map text and database JSON survive save-load-save "
+    with criterion(9, "map text and database bytes survive save-load-save "
                       "byte-identically on 50 random instances"):
         for seed in range(50):
             rows = 3 + seed % 6

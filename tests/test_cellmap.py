@@ -1,8 +1,9 @@
 """Database builder tests: fixed-point values on hand-checked maps, schedule
 equivalence, verification, and serialization round-trips."""
 
-import gc
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from cellplan import (
     save_database,
     verify_database,
 )
-from cellplan import cellmap
 from cellplan.grid import overflow_risk
 from cellplan.pareto import MAX_COMPONENT
 from conftest import (
@@ -37,6 +37,8 @@ from conftest import (
     ORDER_EDITS_2X3,
     TEXT_1X2,
     TEXT_2X3,
+    split_db,
+    with_labels,
 )
 
 
@@ -204,32 +206,32 @@ def test_verify_rejects_perturbed_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     (f1, f2), rest = labels[(0, 0)][0], labels[(0, 0)][1:]
     labels[(0, 0)] = ((f1 + 1, f2),) + rest
-    bad = Database(labels=labels, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                   iterations=db_2x3.iterations)
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                               iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_injected_dominated_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[(0, 0)] = labels[(0, 0)] + ((99, 99),)
-    bad = Database(labels=labels, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                   iterations=db_2x3.iterations)
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                               iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_missing_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[(0, 0)] = labels[(0, 0)][:1]
-    bad = Database(labels=labels, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                   iterations=db_2x3.iterations)
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                               iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_bad_goal_seed(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[GOAL_2X3] = ((0, 0), (7, 0))
-    bad = Database(labels=labels, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                   iterations=db_2x3.iterations)
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                               iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
@@ -254,14 +256,30 @@ def test_save_is_deterministic(map_2x3):
 
 
 def test_save_schema(db_2x3):
-    payload = json.loads(save_database(db_2x3))
-    assert payload["version"] == 1
-    assert payload["map_digest"] == db_2x3.map_digest
-    assert payload["convention_tag"] == CONVENTION_TAG
-    assert payload["goal"] == [[0, 2]]
-    assert payload["iterations"] == 3
-    assert payload["labels"]["0,0"] == [[20, 5], [28, 0]]
-    assert list(payload["labels"]) == sorted(payload["labels"], key=lambda k: tuple(map(int, k.split(","))))
+    blob = save_database(db_2x3)
+    header, counts, f1, f2 = split_db(blob)
+    assert header == {
+        "version": 2,
+        "map_digest": db_2x3.map_digest,
+        "convention_tag": CONVENTION_TAG,
+        "goal": [[0, 2]],
+        "iterations": 3,
+        "n_rows": 2,
+        "n_cols": 3,
+        "widths": [1, 1, 1],
+        "labels": 7,
+        "sha256": hashlib.sha256(blob[blob.index(b"\n") + 1:]).hexdigest(),
+    }
+    assert counts == [2, 1, 1, 1, 1, 1]
+    assert list(zip(f1, f2)) == [(20, 5), (28, 0), (10, 5), (0, 0), (24, 0), (14, 0), (10, 0)]
+
+
+def _with_header(blob: bytes, **fields) -> bytes:
+    """The database bytes with header fields replaced (None deletes one)."""
+    end = blob.index(b"\n")
+    header = {**json.loads(blob[:end]), **fields}
+    header = {k: v for k, v in header.items() if v is not None}
+    return json.dumps(header).encode() + blob[end:]
 
 
 def test_load_rejects_malformed(db_2x3):
@@ -270,64 +288,70 @@ def test_load_rejects_malformed(db_2x3):
         load_database(blob[:-20])
     with pytest.raises(ValueError):
         load_database(b"[]\n")
-    payload = json.loads(blob)
     for breakage in [
         {"version": 99},
         {"map_digest": ""},
-        {"convention_tag": None},
+        {"convention_tag": False},
         {"iterations": -1},
         {"iterations": True},
         {"goal": []},
         {"goal": [[0, 2, 9]]},
         {"labels": [["0,0"]]},
-        {"labels": {"0": [[1, 2]]}},
-        {"labels": {"0,0": [[1]]}},
-        {"labels": {"0,0": [[1, -2]]}},
+        {"labels": -1},
+        {"labels": 8},
+        {"n_rows": 0},
+        {"widths": [1, 1, 3]},
+        {"sha256": ""},
     ]:
-        broken = dict(payload)
-        broken.update(breakage)
         with pytest.raises(ValueError):
-            load_database(json.dumps(broken).encode())
+            load_database(_with_header(blob, **breakage))
 
 
-@pytest.mark.parametrize("old, new", KEY_EDITS_2X3)
-def test_load_rejects_noncanonical_keys(db_2x3, old, new):
-    blob = save_database(db_2x3)
-    assert blob.count(old) == 1
-    with pytest.raises(ValueError, match="label key"):
-        load_database(blob.replace(old, new))
+@pytest.mark.parametrize("edit, message", KEY_EDITS_2X3)
+def test_load_rejects_noncanonical_keys(db_2x3, edit, message):
+    with pytest.raises(ValueError, match=message):
+        load_database(edit(save_database(db_2x3)))
 
 
 @pytest.mark.parametrize("new", ORDER_EDITS_2X3)
 def test_load_rejects_noncanonical_label_order(db_2x3, new):
-    blob = save_database(db_2x3)
-    old = b'"0,0":[[20,5],[28,0]]'
-    assert blob.count(old) == 1
     with pytest.raises(ValueError, match="canonical order"):
-        load_database(blob.replace(old, b'"0,0":' + new))
+        load_database(with_labels(save_database(db_2x3), 0, new))
 
 
-@pytest.mark.parametrize("old, new, message", LOADER_EDITS_2X3)
-def test_load_rejects_edits(db_2x3, old, new, message):
-    blob = save_database(db_2x3)
-    assert blob.count(old) == 1
+@pytest.mark.parametrize("edit, message", LOADER_EDITS_2X3)
+def test_load_rejects_edits(db_2x3, edit, message):
     with pytest.raises(ValueError, match=message):
-        load_database(blob.replace(old, new))
+        load_database(edit(save_database(db_2x3)))
 
 
-# Byte strings that JSON, or the saved form, gives a meaning to.
-_FRAGMENTS = [b" ", b"\n", b"-", b"0", b"1", b".0", b"e0", b",", b":", b"[", b"]",
-              b"{", b"}", b'"', b"\\u0030", b'"x":1,', b'"goal":[[0,2]],', b"[0,0]"]
+# Byte strings that JSON, the saved header or the payload give a meaning to.
+_FRAGMENTS = [b" ", b"\n", b"-", b"0", b"1", b"2", b".0", b"e0", b",", b":", b"[", b"]",
+              b"{", b"}", b'"', b"\\u0030", b'"x":1,', b'"goal":[[0,2]],', b"[0,0]",
+              b"\x00", b"\x01", b"\x05", b"\x14", b"\xff"]
 
 
-@given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 3),
+def _fix_checksum(blob: bytes) -> bytes:
+    """The bytes with the header's sha256 replaced by the payload's, so that
+    edits reach the checks behind the checksum."""
+    end = blob.find(b"\n")
+    if end < 0:
+        return blob
+    digest = hashlib.sha256(blob[end + 1:]).hexdigest().encode()
+    return re.sub(rb'("sha256":")[0-9a-f]{64}"', lambda m: m.group(1) + digest + b'"',
+                  blob[:end], count=1) + blob[end:]
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.booleans(), st.integers(0, 3),
                           st.sampled_from(_FRAGMENTS)), min_size=1, max_size=3))
 def test_loaded_bytes_save_back(edits):
     """For mutated saved databases: if load(b) succeeds, save(load(b)) == b."""
     blob = save_database(build_database(parse_map(TEXT_2X3), [GOAL_2X3]))
-    for pos, cut, insert in edits:
+    for pos, from_end, cut, insert in edits:
         pos %= len(blob) + 1
-        blob = blob[:pos] + insert + blob[pos + cut:]
+        if from_end:  # the payload is the last 20 bytes
+            pos = len(blob) - pos % 24
+        blob = _fix_checksum(blob[:pos] + insert + blob[pos + cut:])
     try:
         db = load_database(blob)
     except ValueError:
@@ -335,46 +359,23 @@ def test_loaded_bytes_save_back(edits):
     assert save_database(db) == blob
 
 
-def test_load_restores_collector_state(map_2x3, db_2x3, monkeypatch):
-    # Build, save and load run with the cycle collector paused, then restore
-    # the state they found.
-    paused = []
-
-    def spy(fn):
-        def wrapped(*args, **kwargs):
-            paused.append(not gc.isenabled())
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(json, "dumps", spy(json.dumps))
-    monkeypatch.setattr(json, "loads", spy(json.loads))
-    monkeypatch.setattr(cellmap, "map_digest", spy(cellmap.map_digest))
-    blob = save_database(db_2x3)
-    load_database(blob)
-    build_database(map_2x3, [GOAL_2X3])
-    assert paused == [True, True, True]
-    assert gc.isenabled()
-    with pytest.raises(ValueError):
-        load_database(blob[:-20])
-    with pytest.raises(ValueError):
-        build_database(map_2x3, [GOAL_2X3], schedule="eager")
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        load_database(blob)
-        save_database(db_2x3)
-        build_database(map_2x3, [GOAL_2X3])
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
 def test_load_missing_digest():
-    payload = json.loads(save_database(
-        build_database(parse_map(TEXT_1X2), [(0, 1)])))
-    del payload["map_digest"]
+    blob = save_database(build_database(parse_map(TEXT_1X2), [(0, 1)]))
     with pytest.raises(ValueError, match="digest"):
-        load_database(json.dumps(payload).encode())
+        load_database(_with_header(blob, map_digest=None))
+
+
+def test_database_is_read_only(db_2x3):
+    for name in ("counts", "offsets", "f1", "f2"):
+        array = getattr(db_2x3, name)
+        assert array.flags.writeable is False
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert not hasattr(db_2x3.labels, "__setitem__")
+    assert not hasattr(db_2x3.labels, "__delitem__")
+    loaded = load_database(save_database(db_2x3))
+    assert all(not getattr(loaded, name).flags.writeable
+               for name in ("counts", "offsets", "f1", "f2"))
 
 
 def test_front_on_unknown_cell(db_2x3):

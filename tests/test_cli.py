@@ -15,7 +15,7 @@ from cellplan import (
     save_database,
     serialize_map,
 )
-from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3
+from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3, with_labels
 
 
 @pytest.fixture
@@ -136,18 +136,18 @@ def test_query_json_full_report(map_file, db_file, capsys):
     assert len(payload["paths"]) == 2
 
 
-@pytest.mark.parametrize("old, new", KEY_EDITS_2X3)
-def test_query_rejects_noncanonical_keys(map_file, db_file, old, new, capsys):
-    db_file.write_bytes(db_file.read_bytes().replace(old, new))
+@pytest.mark.parametrize("edit, message", KEY_EDITS_2X3)
+def test_query_rejects_noncanonical_keys(map_file, db_file, edit, message, capsys):
+    db_file.write_bytes(edit(db_file.read_bytes()))
     rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
                    "--start", "0,0"])
     assert rc == 2
-    assert "label key" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new, message", LOADER_EDITS_2X3)
-def test_query_rejects_edits(map_file, db_file, old, new, message, capsys):
-    db_file.write_bytes(db_file.read_bytes().replace(old, new))
+@pytest.mark.parametrize("edit, message", LOADER_EDITS_2X3)
+def test_query_rejects_edits(map_file, db_file, edit, message, capsys):
+    db_file.write_bytes(edit(db_file.read_bytes()))
     rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
                    "--start", "0,0"])
     assert rc == 2
@@ -155,9 +155,7 @@ def test_query_rejects_edits(map_file, db_file, old, new, message, capsys):
 
 
 def test_query_rejects_noncanonical_label_order(map_file, db_file, capsys):
-    blob = db_file.read_bytes()
-    assert blob.count(b"[[20,5],[28,0]]") == 1
-    db_file.write_bytes(blob.replace(b"[[20,5],[28,0]]", b"[[28,0],[20,5]]"))
+    db_file.write_bytes(with_labels(db_file.read_bytes(), 0, [(28, 0), (20, 5)]))
     rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
                    "--start", "0,0"])
     assert rc == 2
@@ -250,8 +248,8 @@ def test_compare_tampered_database(map_file, tmp_path, capsys):
     labels[(0, 0)] = labels[(0, 0)][:1]  # drop one optimal vector
     tampered = tmp_path / "bad.db"
     tampered.write_bytes(save_database(
-        Database(labels=labels, goal=db.goal, map_digest=db.map_digest,
-                 iterations=db.iterations)))
+        Database.from_labels(labels, 2, 3, goal=db.goal, map_digest=db.map_digest,
+                             iterations=db.iterations)))
     rc = cli.main(["compare", "-m", str(map_file), "--goal", "0,2",
                    "--start", "0,0", "--db", str(tampered)])
     assert rc == 1
