@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,34 @@ class Database:
         f1, f2 = self.segment(i)
         return tuple(zip(f1.tolist(), f2.tolist()))
 
+    @cached_property
+    def label_key(self) -> tuple[np.ndarray, int]:
+        """(key, stride): key[k] = cell * stride + f1[k] for every label k, a
+        strictly rising array, with stride = max f1 + 1 + DIAGONAL_STEP.
+
+        A one-hop candidate (j, f1[k] - step) of a stored label k then has the
+        key key[k] + (j - cell) * stride - step, and the headroom above the
+        largest f1 keeps a negative f1[k] - step off every stored key. Derived
+        once from the read-only counts and f1, so it cannot go stale; int32
+        when every value fits. Raises ValueError when the sets are not in
+        (cell, f1) order or a path length exceeds the longest route a map of
+        this size has.
+        """
+        n = self.counts.size
+        top = int(self.f1.max()) if self.f1.size else 0
+        if top > DIAGONAL_STEP * (n - 1):
+            raise ValueError(f"path length {top} exceeds the longest route on a "
+                             f"{self.n_rows}x{self.n_cols} map")
+        stride = top + 1 + DIAGONAL_STEP
+        dtype = np.int32 if n * stride <= np.iinfo(np.int32).max else np.int64
+        key = np.repeat(np.arange(n, dtype=dtype), self.counts)
+        key *= stride
+        key += self.f1.astype(dtype)
+        if (key[1:] <= key[:-1]).any():
+            raise ValueError("label sets are not in canonical order")
+        key.flags.writeable = False
+        return key, stride
+
 
 class _LabelView(Mapping):
     """Read-only {cell: label set} view of a Database, holding only non-empty sets."""
@@ -182,6 +211,49 @@ class _LabelView(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._db.counts))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def _walk(self):
+        """(cell, label set) pairs in row-major order, decoded with one
+        tolist() of f1 and of f2 per block of _WALK_BLOCK cells."""
+        db = self._db
+        cells = np.flatnonzero(db.counts)
+        for lo in range(0, cells.size, _WALK_BLOCK):
+            block = cells[lo:lo + _WALK_BLOCK]
+            bounds = db.offsets[np.append(block, block[-1] + 1)]
+            f1 = db.f1[bounds[0]:bounds[-1]].tolist()
+            f2 = db.f2[bounds[0]:bounds[-1]].tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            for i, x, y in zip(block.tolist(), bounds, bounds[1:]):
+                yield divmod(i, db.n_cols), tuple(zip(f1[x:y], f2[x:y]))
+
+
+# Cells per decoded block of a label walk. Decoding the whole database at once
+# holds every vector as a Python tuple, about 50 MB on a 117x117 map.
+_WALK_BLOCK = 256
+
+
+class _Items(ItemsView):
+    """items() of a _LabelView, walked a block of cells at a time."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._walk()
+
+
+class _Values(ValuesView):
+    """values() of a _LabelView, walked a block of cells at a time."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return (ls for _cell, ls in self._mapping._walk())
 
 
 def _pack(sets) -> tuple:

@@ -163,14 +163,14 @@ def neighbor_table(grid: GridMap) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(moves[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The move rule of every cell at once, as CSR arrays (offsets, ids, steps).
+def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The move rule of every cell at once, as a direction mask (allowed, shift, step).
 
-    The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
-    lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
-    rows of obstacles are empty. Each direction is one shifted copy of the
-    free mask, framed by obstacles so that shifts never wrap. Not cached on
-    the map.
+    allowed[i, d] tells whether flat cell i may move in direction
+    NEIGHBOR_OFFSETS[d]; that move goes to cell i + shift[d] and is step[d]
+    long. Rows of obstacles are all False. Each direction is one shifted copy
+    of the free mask, framed by obstacles so that shifts never wrap. The
+    first stage of move_csr; not cached on the map.
     """
     rows, cols = grid.n_rows, grid.n_cols
     free = np.zeros((rows + 2, cols + 2), dtype=bool)
@@ -190,9 +190,21 @@ def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shift = np.array([dr * cols + dc for dr, dc in NEIGHBOR_OFFSETS])
     step = np.array([DIAGONAL_STEP if dr and dc else STRAIGHT_STEP
                      for dr, dc in NEIGHBOR_OFFSETS])
-    ids = (np.arange(rows * cols)[:, None] + shift)[allowed]
+    return allowed, shift, step
+
+
+def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The move rule of every cell at once, as CSR arrays (offsets, ids, steps).
+
+    The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
+    lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
+    rows of obstacles are empty. The arrays are the allowed entries of
+    move_mask(grid). Not cached on the map.
+    """
+    allowed, shift, step = move_mask(grid)
+    ids = (np.arange(allowed.shape[0])[:, None] + shift)[allowed]
     steps = np.broadcast_to(step, allowed.shape)[allowed]
-    offsets = np.zeros(rows * cols + 1, dtype=np.int64)
+    offsets = np.zeros(allowed.shape[0] + 1, dtype=np.int64)
     np.cumsum(allowed.sum(axis=1), out=offsets[1:])
     return offsets, ids, steps
 
@@ -201,8 +213,8 @@ def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
     """The move rule behind neighbors(), for the free cell (r, c) on the
     row-major flattened obstacle mask `obst`: (j, step) with j = rr * n_cols + cc.
 
-    move_csr() is the same rule for every cell at once; a whole-map table
-    would cost more than this loop for one cell."""
+    move_mask() and move_csr() are the same rule for every cell at once; a
+    whole-map table would cost more than this loop for one cell."""
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         rr, cc = r + dr, c + dc

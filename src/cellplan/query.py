@@ -1,14 +1,17 @@
 """Queries over a built database: Pareto fronts, exact path counts, coverage,
 and bounded path enumeration, plus the report renderers (JSON/CSV/ASCII/PGM).
 
-All queries walk the (cell, vector) successor graph implied by the database:
-a state (c, F) steps to (j, F') when F = F' + hop_cost(c, j). Path length
-strictly decreases along every edge, so the graph is acyclic, every walked
-path is simple, and counting is a plain DP. One private step expands a state,
-for the graph and for `successors` alike, with the moves of `grid._moves`.
-It reads each neighbour's label set as its slice of the database's f1 and f2
-arrays: a graph turns each slice it meets into a dict once, and successors()
-bisects the f1 slice.
+All queries walk the successor graph implied by the database. Its states are
+label ids: row k of the database's f1 and f2 arrays is the state (c, F) with
+F = (f1[k], f2[k]) in the label set of cell c. A state (c, F) steps to
+(j, F') when F = F' + hop_cost(c, j). Path length strictly decreases along
+every edge, so the graph is acyclic, every walked path is simple, and
+counting is a plain DP. One private step expands a whole hop-frontier of
+states in numpy, for the graph and for `successors` alike: it reads the move
+rule's direction mask (grid.move_mask) and finds every candidate successor
+with one searchsorted over the database's sorted (cell, f1) key
+(Database.label_key). The graph is the reached label ids plus CSR successor
+lists (an offsets array and a flat array of successor positions).
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
+
+import numpy as np
 
 from .cellmap import Database
-from .grid import Cell, GridMap, _moves, require_free
+from .grid import Cell, GridMap, move_mask, require_free
 from .pareto import LabelSet, Vector
 
 Path = tuple[Cell, ...]
@@ -52,123 +58,146 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
 
     Each entry (j, F') satisfies vector == F' + hop_cost(cell, j) with F' in
     the label set of j. Non-empty for every non-goal vector of a consistent
-    database; goal cells have no successors. Each membership test bisects
-    one cell's f1 slice; no label set is decoded.
+    database (ValueError otherwise); goal cells have no successors.
     """
     cell = tuple(cell)
     vector = tuple(vector)
     i = db.index(cell)
-    if i is None or _SortedSlice(*db.segment(i)).get(vector[0]) != vector[1]:
+    k = -1
+    if i is not None:
+        f1, f2 = db.segment(i)
+        k = int(f1.searchsorted(vector[0]))
+        if k == f1.size or (f1[k], f2[k]) != vector:
+            k = -1
+    if k < 0:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
         return []
     require_free(grid, cell)
-    return _decomposer(db, grid, grid.obstacle.ravel(), _SortedSlice)(cell, vector)
+    step = _Step(db, grid)
+    _degree, dst = step(np.array([db.offsets[i] + k]), np.array([i]))
+    return list(zip(_decode(step.cells(dst), grid.n_cols),
+                    zip(db.f1[dst].tolist(), db.f2[dst].tolist())))
 
 
-class _SortedSlice:
-    """One cell's label set as a lookup f1 -> f2 that bisects its f1 slice."""
-
-    __slots__ = ("f1", "f2")
-
-    def __init__(self, f1, f2):
-        self.f1, self.f2 = f1, f2
-
-    def get(self, w1: int):
-        k = int(self.f1.searchsorted(w1))
-        if k < self.f1.size and self.f1[k] == w1:
-            return int(self.f2[k])
-        return None
-
-
-def _slice_dict(f1, f2) -> dict:
-    """One cell's label set as a dict f1 -> f2 (f1 is unique within a set)."""
-    return dict(zip(f1.tolist(), f2.tolist()))
-
-
-def _decomposer(db: Database, grid: GridMap, obst, lookup):
+class _Step:
     """The one expansion step behind successors() and the successor graph.
 
-    Returns step(cell, vec): the row-major list of (j, F') with
-    vec == F' + hop_cost(cell, j) and F' in the label set of j, for a free
-    non-goal `cell`. `lookup(f1, f2)` turns a cell's slices into an object
-    whose get(w1) is the f2 paired with w1, or None: a dict for a whole
-    graph, which tests many vectors against each cell, a bisection for one
-    call. Moves and lookups are cached per step function, so one graph
-    computes each only once. `obst` is the row-major obstacle mask: a list
-    for a whole graph (faster to index), the numpy view for one call (no
-    list of every cell is built).
+    step(ids, cells) maps a frontier of label ids at their row-major cells
+    to its successor edges (degree, dst): the number of successors of each
+    frontier state, and their label ids, grouped by frontier state in
+    row-major move order. Each allowed move of a state (c, F) forms the key
+    of its candidate (j, F[0] - step) and keeps it when the label found
+    there has F[1] - terrain(c). Goal-cell states have no successors; any
+    other state without one raises ValueError.
     """
-    terr = grid.terrain
-    rows, cols, cut = grid.n_rows, grid.n_cols, grid.allow_corner_cut
-    move_cache: dict[Cell, list] = {}
-    slice_cache: dict[int, object] = {}
 
-    def step(cell: Cell, vec: Vector) -> list:
-        moves = move_cache.get(cell)
-        if moves is None:
-            moves = [(j, divmod(j, cols), dz)
-                     for j, dz in _moves(obst, rows, cols, cut, *cell)]
-            move_cache[cell] = moves
-        t = int(terr[cell])
-        w2 = vec[1] - t
-        out = []
-        if w2 < 0:
-            return out
-        for j, nb, dz in moves:
-            w1 = vec[0] - dz
-            if w1 < 0:
-                continue
-            sj = slice_cache.get(j)
-            if sj is None:
-                sj = slice_cache[j] = lookup(*db.segment(j))
-            if sj.get(w1) == w2:
-                out.append((nb, (w1, w2)))
-        return out
+    def __init__(self, db: Database, grid: GridMap):
+        if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
+            raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
+                             f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
+        self.db, self.n_cols = db, grid.n_cols
+        self.key, self.stride = db.label_key
+        allowed, shift, step = move_mask(grid)
+        self.goal = np.zeros(allowed.shape[0], dtype=bool)
+        self.goal[[r * grid.n_cols + c for r, c in db.goal.cells]] = True
+        allowed[self.goal] = False
+        self.allowed = allowed
+        # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]).
+        self.delta = (shift * self.stride - step).astype(self.key.dtype)
+        self.terrain = grid.terrain.ravel()
 
-    return step
+    def __call__(self, ids: np.ndarray, cells: np.ndarray):
+        db, key = self.db, self.key
+        src, d = np.nonzero(self.allowed[cells])
+        q = key[ids[src]] + self.delta[d]
+        pos = key.searchsorted(q)
+        np.minimum(pos, key.size - 1, out=pos)
+        hit = key[pos] == q
+        hit &= db.f2[pos] == (db.f2[ids] - self.terrain[cells])[src]
+        degree = np.bincount(src[hit], minlength=ids.size)
+        if not degree.all():
+            stuck = np.flatnonzero((degree == 0) & ~self.goal[cells])
+            if stuck.size:
+                s = stuck[0]
+                raise ValueError(
+                    f"label {(int(db.f1[ids[s]]), int(db.f2[ids[s]]))} at "
+                    f"{divmod(int(cells[s]), self.n_cols)} has no decomposition; "
+                    "database does not match this map")
+        return degree, pos[hit]
+
+    def cells(self, ids: np.ndarray) -> np.ndarray:
+        """Row-major cells of label ids, read off their keys."""
+        return self.key[ids] // self.stride
 
 
-def _successor_graph(db: Database, grid: GridMap, start: Cell):
-    """Successor lists for every state reachable from (start, F), F in front."""
-    goal_cells = db.goal.cells
-    step = _decomposer(db, grid, grid.obstacle.ravel().tolist(), _slice_dict)
-    succ: dict[tuple[Cell, Vector], tuple] = {}
-    stack = [(start, v) for v in db.front(start)]
-    while stack:
-        state = stack.pop()
-        if state in succ:
-            continue
-        cell, vec = state
-        if cell in goal_cells:
-            succ[state] = ()
-            continue
-        acc = step(cell, vec)
-        if not acc:
-            raise ValueError(
-                f"label {vec} at {cell} has no decomposition; database does not match this map")
-        succ[state] = tuple(acc)
-        stack.extend(acc)
-    return succ
+class _Graph(NamedTuple):
+    """The states reachable from a start, by position in discovery order
+    (the start's front first, in canonical order): their label ids and
+    row-major cells, and each one's successor positions
+    succ[offsets[s]:offsets[s + 1]] in row-major move order."""
+
+    ids: np.ndarray
+    cells: np.ndarray
+    offsets: np.ndarray
+    succ: np.ndarray
+
+
+def _successor_graph(db: Database, grid: GridMap, start: Cell) -> _Graph:
+    """The successor graph of every state reachable from (start, F), F in
+    the front at `start`, found breadth-first one hop-frontier at a time.
+    States are numbered as they are found and expanded in that order, so
+    the edges come out grouped by state."""
+    step = _Step(db, grid)
+    i = start[0] * grid.n_cols + start[1]
+    ids = np.arange(*db.offsets[i:i + 2].tolist())
+    cells = np.full(ids.size, i)
+    # Position of each reached label id; positions fit the key's dtype.
+    pos = np.full(db.f1.size, -1, dtype=step.key.dtype)
+    pos[ids] = np.arange(ids.size)
+    reached = ids.size
+    id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
+    while ids.size:
+        degree, dst = step(ids, cells)
+        # The next frontier: each new label id once, where its last scatter won.
+        fresh = dst[pos[dst] < 0]
+        mark = np.arange(reached, reached + fresh.size)
+        pos[fresh] = mark
+        ids = fresh[pos[fresh] == mark]
+        cells = step.cells(ids)
+        pos[ids] = np.arange(reached, reached + ids.size)
+        reached += ids.size
+        degree_parts.append(degree)
+        succ_parts.append(pos[dst])
+        id_parts.append(ids)
+        cell_parts.append(cells)
+    offsets = np.zeros(reached + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(degree_parts), out=offsets[1:])
+    return _Graph(np.concatenate(id_parts), np.concatenate(cell_parts), offsets,
+                  np.concatenate(succ_parts))
 
 
 def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
     """Front at `start` with the exact optimal-path count per vector.
 
-    A DP over (cell, vector) states in increasing-length order; nothing is
-    enumerated, so counts may be astronomically large.
+    A DP over the states in increasing path length, in Python ints; nothing
+    is enumerated, so counts may be astronomically large.
     """
     start = tuple(start)
     require_free(grid, start)
     front = db.front(start)
     if not front:
         return QueryResult(start=start, front=(), counts={}, total_paths=0)
-    succ = _successor_graph(db, grid, start)
-    counts: dict[tuple[Cell, Vector], int] = {}
-    for state in sorted(succ, key=lambda s: s[1]):
-        nxt = succ[state]
-        counts[state] = 1 if not nxt else sum(counts[s] for s in nxt)
-    per_vec = {v: counts[(start, v)] for v in front}
+    graph = _successor_graph(db, grid, start)
+    off, succ = graph.offsets.tolist(), graph.succ.tolist()
+    counts = [1] * len(graph.ids)  # goal states keep their one path
+    for s in np.argsort(db.f1[graph.ids], kind="stable").tolist():
+        a, b = off[s], off[s + 1]
+        if b - a == 1:  # most states have a single successor
+            counts[s] = counts[succ[a]]
+        elif a < b:
+            counts[s] = sum([counts[t] for t in succ[a:b]])
+    per_vec = dict(zip(front, counts))
     return QueryResult(start=start, front=front, counts=per_vec,
                        total_paths=sum(per_vec.values()))
 
@@ -179,8 +208,14 @@ def coverage(db: Database, grid: GridMap, start: Cell) -> frozenset[Cell]:
     require_free(grid, start)
     if not db.front(start):
         raise ValueError(f"start {start} cannot reach the goal")
-    succ = _successor_graph(db, grid, start)
-    return frozenset(cell for cell, _vec in succ)
+    graph = _successor_graph(db, grid, start)
+    return frozenset(_decode(np.unique(graph.cells), grid.n_cols))
+
+
+def _decode(cells: np.ndarray, n_cols: int) -> list[Cell]:
+    """(row, col) tuples of row-major cell ids."""
+    rows, cols = np.divmod(cells, n_cols)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None = None):
@@ -198,8 +233,7 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     front = db.front(start)
     if not front:
         return [], False
-    succ = _successor_graph(db, grid, start)
-    gen = _walk_paths(succ, start, front)
+    gen = _walk_paths(_successor_graph(db, grid, start), grid.n_cols, front)
     if limit is None:
         return list(gen), False
     out = list(islice(gen, limit))
@@ -207,26 +241,28 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     return out, truncated
 
 
-def _walk_paths(succ, start: Cell, front: LabelSet):
-    for vec in front:
-        first = (start, vec)
-        if not succ[first]:
-            yield (start,), vec
+def _walk_paths(graph: _Graph, n_cols: int, front: LabelSet):
+    """Depth-first over the graph's successor lists, from the front's states."""
+    off, succ = graph.offsets.tolist(), graph.succ.tolist()
+    cells = _decode(graph.cells, n_cols)
+    for s, vec in enumerate(front):
+        if off[s] == off[s + 1]:
+            yield (cells[s],), vec
             continue
-        path = [start]
-        stack = [iter(succ[first])]
+        path = [cells[s]]
+        stack = [iter(succ[off[s]:off[s + 1]])]
         while stack:
-            step = next(stack[-1], None)
-            if step is None:
+            t = next(stack[-1], None)
+            if t is None:
                 stack.pop()
                 path.pop()
                 continue
-            cell, w = step
-            if not succ[(cell, w)]:
-                yield tuple(path) + (cell,), vec
+            a, b = off[t], off[t + 1]
+            if a == b:
+                yield tuple(path) + (cells[t],), vec
             else:
-                path.append(cell)
-                stack.append(iter(succ[(cell, w)]))
+                path.append(cells[t])
+                stack.append(iter(succ[a:b]))
 
 
 # --- report renderers ---

@@ -84,6 +84,25 @@ def test_two_route_map_full_fixed_point(db_2x3):
     assert db_2x3.convention_tag == CONVENTION_TAG
 
 
+@pytest.mark.parametrize("fixture, goal", [
+    ("map_1x2", (0, 1)), ("map_1x3", (0, 2)), ("map_2x3", GOAL_2X3),
+    ("map_3x3_ring", (2, 2)), ("random", None),
+])
+def test_label_view_walks(request, fixture, goal):
+    """items() and values() equal {cell: db.front(cell)} in row-major order."""
+    if fixture == "random":
+        grid = random_map(17, 20, 20, 0.2, 5)  # more cells than one walk block
+        goal = free_cells(grid)[-1]
+    else:
+        grid = request.getfixturevalue(fixture)
+    db = build_database(grid, [goal])
+    cells = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)]
+    want = [(cell, db.front(cell)) for cell in cells if db.front(cell)]
+    assert list(db.labels.items()) == want
+    assert list(db.labels.values()) == [ls for _cell, ls in want]
+    assert list(db.labels) == [cell for cell, _ls in want]
+
+
 def test_unreachable_cell_has_empty_labels():
     g = parse_map("3 3\n0 # 0\n# # 0\n0 0 0\n")
     db = build_database(g, [(2, 2)])

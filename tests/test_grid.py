@@ -16,6 +16,7 @@ from cellplan.grid import (
     free_cells,
     map_digest,
     move_csr,
+    move_mask,
     neighbor_table,
     neighbors,
     parse_map,
@@ -158,7 +159,8 @@ _SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 @given(data=st.data())
 def test_move_rule(shape, corner_cut, data):
-    """move_csr, neighbor_table and neighbors all follow the move rule on random maps."""
+    """move_mask, move_csr, neighbor_table and neighbors all follow the move
+    rule on random maps."""
     row_st, col_st = _SHAPES[shape]
     rows, cols = data.draw(row_st), data.draw(col_st)
     obstacle = data.draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
@@ -171,11 +173,15 @@ def test_move_rule(shape, corner_cut, data):
     assert len(offsets) == rows * cols + 1 and offsets[0] == 0
     assert (np.diff(offsets) >= 0).all()
     assert offsets[-1] == len(ids) == len(steps)
+    allowed, shift, step = move_mask(g)
+    assert allowed.shape == (rows * cols, 8)
     for r in range(rows):
         for c in range(cols):
             i = r * cols + c
             row = list(zip(ids[offsets[i]:offsets[i + 1]].tolist(),
                            steps[offsets[i]:offsets[i + 1]].tolist()))
+            masked = [(i + int(shift[d]), int(step[d])) for d in np.flatnonzero(allowed[i])]
+            assert masked == row
             if obstacle[r][c]:
                 assert row == []
                 assert table[i] == ()

@@ -2,13 +2,17 @@
 coverage, enumeration, and the report renderers."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cellplan import (
+    Database,
     GoalRegion,
+    GridMap,
     build_database,
     count_paths,
     coverage,
@@ -108,6 +112,55 @@ def test_successors_match_definition(corner_cut, max_cost, n_goals, seed, rows, 
             assert successors(db, g, cell, vec) == want
 
 
+def _reference_graph(db, g, start):
+    """Successor lists of every state reachable from `start`, built from
+    neighbors, hop_cost and db.front alone."""
+    succ = {}
+    stack = [(start, v) for v in db.front(start)]
+    while stack:
+        state = stack.pop()
+        if state in succ:
+            continue
+        cell, vec = state
+        nxt = []
+        if cell not in db.goal.cells:
+            for j, _step in neighbors(g, cell):
+                dz, dt = hop_cost(g, cell, j)
+                w = (vec[0] - dz, vec[1] - dt)
+                if w in db.front(j):
+                    nxt.append((j, w))
+        succ[state] = nxt
+        stack.extend(nxt)
+    return succ
+
+
+def _reference_paths(succ, state):
+    """Every path from `state` to a goal cell, depth-first in list order."""
+    cell = state[0]
+    if not succ[state]:
+        return [(cell,)]
+    return [(cell,) + rest for nxt in succ[state] for rest in _reference_paths(succ, nxt)]
+
+
+@pytest.mark.parametrize("corner_cut, max_cost, n_goals", _SUCCESSOR_CASES)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 7))
+def test_queries_match_reference_graph(corner_cut, max_cost, n_goals, seed, rows, cols):
+    """count_paths, coverage and the full ordered enumerate_paths agree with a
+    successor graph built in the test at every reachable start."""
+    g = random_map(seed, rows, cols, 0.25, max_cost, allow_corner_cut=corner_cut)
+    fc = free_cells(g)
+    goal = {fc[(seed + k * len(fc) // n_goals) % len(fc)] for k in range(n_goals)}
+    db = build_database(g, goal)
+    for start, front in db.labels.items():
+        succ = _reference_graph(db, g, start)
+        paths = [(cells, vec) for vec in front for cells in _reference_paths(succ, (start, vec))]
+        res = count_paths(db, g, start)
+        assert res.front == front
+        assert res.counts == {vec: sum(1 for _, v in paths if v == vec) for vec in front}
+        assert coverage(db, g, start) == {cell for cell, _vec in succ}
+        assert enumerate_paths(db, g, start) == (paths, False)
+
+
 def test_count_corridor(map_1x3):
     db = build_database(map_1x3, [(0, 2)])
     res = count_paths(db, map_1x3, (0, 0))
@@ -145,11 +198,61 @@ def test_count_rejects_bad_start(db_2x3, map_2x3):
         count_paths(db_2x3, map_2x3, (9, 9))
 
 
-def test_count_mismatched_database(map_2x3, db_2x3):
+@pytest.mark.parametrize("query", [count_paths, coverage, enumerate_paths],
+                         ids=["count_paths", "coverage", "enumerate_paths"])
+def test_count_mismatched_database(map_2x3, db_2x3, query):
     # Same shape, different terrain: stored vectors stop decomposing.
     other = parse_map("2 3\n0 4 0\n0 0 0\n")
     with pytest.raises(ValueError, match="does not match"):
+        query(db_2x3, other, (0, 0))
+
+
+def test_query_rejects_other_map_shape(db_2x3):
+    other = parse_map("3 2\n0 0\n0 0\n0 0\n")
+    with pytest.raises(ValueError, match="does not match"):
         count_paths(db_2x3, other, (0, 0))
+
+
+def test_query_rejects_noncanonical_sets(map_2x3, db_2x3):
+    # The key the queries search must be sorted; swapped sets are refused.
+    labels = dict(db_2x3.labels)
+    labels[(0, 0)] = labels[(0, 0)][::-1]
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
+                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    with pytest.raises(ValueError, match="canonical order"):
+        count_paths(bad, map_2x3, (1, 1))
+
+
+def test_query_rejects_impossible_path_length(map_2x3, db_2x3):
+    # No route on six cells is longer than 5 diagonal steps.
+    labels = {**db_2x3.labels, (1, 0): ((71, 0),)}
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
+                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    with pytest.raises(ValueError, match="longest route"):
+        coverage(bad, map_2x3, (0, 0))
+
+
+def test_query_rejects_short_label_near_another_cells_key():
+    # (9, 0) at (0, 0) decomposes through no move: every step is longer than 9.
+    # Its step south looks up (1, 0) at path length -1, which must not land on
+    # the key of (0, 1)'s label (10, 0).
+    g = parse_map("2 2\n0 0\n0 0\n")
+    db = build_database(g, [(1, 1)])
+    bad = Database.from_labels({**db.labels, (0, 0): ((9, 0),)}, 2, 2, goal=db.goal,
+                               map_digest=db.map_digest, iterations=db.iterations)
+    with pytest.raises(ValueError, match="does not match"):
+        count_paths(bad, g, (0, 0))
+
+
+def test_count_exceeds_int64():
+    # Every shortest route from (0, 0) to (29, 69) takes 29 diagonal and 40
+    # straight steps in some order: C(69, 29), about 2.4e22 routes.
+    g = GridMap(np.zeros((30, 70), dtype=np.int64), np.zeros((30, 70), dtype=bool))
+    db = build_database(g, [(29, 69)])
+    res = count_paths(db, g, (0, 0))
+    assert res.front == ((806, 0),)
+    assert res.counts == {(806, 0): math.comb(69, 29)}
+    assert res.total_paths > 2**64
 
 
 def test_coverage_corridor(map_1x3):

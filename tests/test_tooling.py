@@ -1,6 +1,6 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
-so keep those names alive; the package imports only what it declares; and the
-pytest settings must survive a failing test."""
+so keep those names alive; the package imports only what it declares; the
+pytest settings must survive a failing test; and every demo runs."""
 
 import ast
 import importlib
@@ -11,10 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 COMMON = ROOT / "perfbench" / "common.py"
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "cellplan"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_trace_points_resolve(monkeypatch):
@@ -80,3 +83,14 @@ def test_failing_property_test_does_not_end_session(tmp_path):
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demos_run(demo, tmp_path):
+    # Demos write their exports into the working directory.
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": pythonpath,
+                               "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
