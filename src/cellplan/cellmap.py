@@ -86,6 +86,9 @@ class Database:
     `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
     set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
     sets as given; load_database is what checks that they are canonical.
+    `_query_memo` is the query layer's one-entry memo of its last map and
+    start (query._Memo); it holds only data derived from the read-only arrays
+    and a read-only map, and == ignores it.
     """
 
     counts: np.ndarray
@@ -98,6 +101,7 @@ class Database:
     iterations: int
     convention_tag: str = CONVENTION_TAG
     offsets: np.ndarray = field(init=False, repr=False)
+    _query_memo: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):
         # Copies, so no caller keeps a writeable reference to the stored arrays.

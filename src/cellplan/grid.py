@@ -46,25 +46,33 @@ class MapFormatError(ValueError):
 class GridMap:
     """Rectangular grid with per-cell terrain cost and obstacle mask.
 
-    Instances are value objects: construct once, then treat as read-only.
-    `allow_corner_cut` controls whether a diagonal move may pass between two
-    diagonally touching obstacles (allowed by default).
+    Instances are read-only value objects. The constructor copies `terrain`
+    and `obstacle` into arrays that cannot be written (the caller's arrays
+    stay writeable), and no attribute can be set afterwards, so a map can
+    key a cache by identity. `allow_corner_cut` controls whether a diagonal
+    move may pass between two diagonally touching obstacles (allowed by
+    default).
     """
 
     __slots__ = ("terrain", "obstacle", "allow_corner_cut")
 
     def __init__(self, terrain, obstacle, allow_corner_cut: bool = True):
-        terrain = np.ascontiguousarray(np.asarray(terrain, dtype=np.int64))
-        obstacle = np.ascontiguousarray(np.asarray(obstacle, dtype=bool))
+        terrain = np.array(terrain, dtype=np.int64, order="C")
+        obstacle = np.array(obstacle, dtype=bool, order="C")
         if terrain.ndim != 2 or terrain.size == 0:
             raise ValueError("terrain must be a non-empty 2D array")
         if obstacle.shape != terrain.shape:
             raise ValueError("obstacle mask shape must match terrain shape")
         if (terrain < 0).any():
             raise ValueError("terrain costs must be non-negative")
-        self.terrain = terrain
-        self.obstacle = obstacle
-        self.allow_corner_cut = bool(allow_corner_cut)
+        terrain.flags.writeable = False
+        obstacle.flags.writeable = False
+        object.__setattr__(self, "terrain", terrain)
+        object.__setattr__(self, "obstacle", obstacle)
+        object.__setattr__(self, "allow_corner_cut", bool(allow_corner_cut))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GridMap is read-only; cannot set {name!r}")
 
     @property
     def n_rows(self) -> int:
@@ -149,9 +157,7 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
     squeeze between two diagonally touching obstacles.
     """
     require_free(grid, cell)
-    cols = grid.n_cols
-    moves = _moves(grid.obstacle.ravel(), grid.n_rows, cols, grid.allow_corner_cut, *cell)
-    return [(divmod(j, cols), step) for j, step in moves]
+    return _moves(grid.obstacle, grid.n_rows, grid.n_cols, grid.allow_corner_cut, *cell)
 
 
 def neighbor_table(grid: GridMap) -> list[tuple[tuple[int, int], ...]]:
@@ -211,24 +217,21 @@ def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
     """The move rule behind neighbors(), for the free cell (r, c) on the
-    row-major flattened obstacle mask `obst`: (j, step) with j = rr * n_cols + cc.
+    obstacle mask `obst`: ((rr, cc), step) pairs in NEIGHBOR_OFFSETS order.
 
     move_mask() and move_csr() are the same rule for every cell at once; a
     whole-map table would cost more than this loop for one cell."""
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         rr, cc = r + dr, c + dc
-        if not (0 <= rr < n_rows and 0 <= cc < n_cols):
-            continue
-        j = rr * n_cols + cc
-        if obst[j]:
+        if not (0 <= rr < n_rows and 0 <= cc < n_cols) or obst[rr, cc]:
             continue
         if dr and dc:
-            if not corner_cut and (obst[r * n_cols + cc] or obst[rr * n_cols + c]):
+            if not corner_cut and (obst[r, cc] or obst[rr, c]):
                 continue
-            out.append((j, DIAGONAL_STEP))
+            out.append(((rr, cc), DIAGONAL_STEP))
         else:
-            out.append((j, STRAIGHT_STEP))
+            out.append(((rr, cc), STRAIGHT_STEP))
     return out
 
 

@@ -12,6 +12,13 @@ rule's direction mask (grid.move_mask) and finds every candidate successor
 with one searchsorted over the database's sorted (cell, f1) key
 (Database.label_key). The graph is the reached label ids plus CSR successor
 lists (an offsets array and a flat array of successor positions).
+
+A database keeps a one-entry memo of its last query: the map (compared with
+`is`; a GridMap is read-only) with its step, and the last start's graph. So
+count_paths, coverage and enumerate_paths at one start build the graph once,
+and successors builds the step once per map. A step or graph that raises is
+never stored, so a query on a database that does not match its map raises
+every time.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     if cell in db.goal.cells:
         return []
     require_free(grid, cell)
-    step = _Step(db, grid)
+    step = _memo_step(db, grid)
     _degree, dst = step(np.array([db.offsets[i] + k]), np.array([i]))
     return list(zip(_decode(step.cells(dst), grid.n_cols),
                     zip(db.f1[dst].tolist(), db.f2[dst].tolist())))
@@ -96,7 +103,9 @@ class _Step:
         if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
             raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
                              f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
-        self.db, self.n_cols = db, grid.n_cols
+        # The step lives in the database's memo, so it holds the database's
+        # arrays but not the database: no reference cycle keeps either alive.
+        self.f1, self.f2, self.n_cols = db.f1, db.f2, grid.n_cols
         self.key, self.stride = db.label_key
         allowed, shift, step = move_mask(grid)
         self.goal = np.zeros(allowed.shape[0], dtype=bool)
@@ -108,20 +117,20 @@ class _Step:
         self.terrain = grid.terrain.ravel()
 
     def __call__(self, ids: np.ndarray, cells: np.ndarray):
-        db, key = self.db, self.key
+        f1, f2, key = self.f1, self.f2, self.key
         src, d = np.nonzero(self.allowed[cells])
         q = key[ids[src]] + self.delta[d]
         pos = key.searchsorted(q)
         np.minimum(pos, key.size - 1, out=pos)
         hit = key[pos] == q
-        hit &= db.f2[pos] == (db.f2[ids] - self.terrain[cells])[src]
+        hit &= f2[pos] == (f2[ids] - self.terrain[cells])[src]
         degree = np.bincount(src[hit], minlength=ids.size)
         if not degree.all():
             stuck = np.flatnonzero((degree == 0) & ~self.goal[cells])
             if stuck.size:
                 s = stuck[0]
                 raise ValueError(
-                    f"label {(int(db.f1[ids[s]]), int(db.f2[ids[s]]))} at "
+                    f"label {(int(f1[ids[s]]), int(f2[ids[s]]))} at "
                     f"{divmod(int(cells[s]), self.n_cols)} has no decomposition; "
                     "database does not match this map")
         return degree, pos[hit]
@@ -143,13 +152,43 @@ class _Graph(NamedTuple):
     succ: np.ndarray
 
 
-def _successor_graph(db: Database, grid: GridMap, start: Cell) -> _Graph:
+class _Memo(NamedTuple):
+    """A database's last query: a map, its step, and the successor graph of
+    `start` on it (start and graph are None until a graph is built)."""
+
+    grid: GridMap
+    step: _Step
+    start: Cell | None
+    graph: _Graph | None
+
+
+def _memo_step(db: Database, grid: GridMap) -> _Step:
+    """The step of `grid`, from the database's memo when it holds this map."""
+    memo = db._query_memo[0]
+    if memo is not None and memo.grid is grid:
+        return memo.step
+    step = _Step(db, grid)
+    db._query_memo[0] = _Memo(grid, step, None, None)
+    return step
+
+
+def _memo_graph(db: Database, grid: GridMap, start: Cell) -> _Graph:
+    """The successor graph of `start`, from the database's memo when it
+    holds this map and start; otherwise built, and stored once it is."""
+    step = _memo_step(db, grid)
+    memo = db._query_memo[0]
+    if memo.start != start:
+        memo = memo._replace(start=start, graph=_successor_graph(db, step, start))
+        db._query_memo[0] = memo
+    return memo.graph
+
+
+def _successor_graph(db: Database, step: _Step, start: Cell) -> _Graph:
     """The successor graph of every state reachable from (start, F), F in
     the front at `start`, found breadth-first one hop-frontier at a time.
     States are numbered as they are found and expanded in that order, so
     the edges come out grouped by state."""
-    step = _Step(db, grid)
-    i = start[0] * grid.n_cols + start[1]
+    i = start[0] * step.n_cols + start[1]
     ids = np.arange(*db.offsets[i:i + 2].tolist())
     cells = np.full(ids.size, i)
     # Position of each reached label id; positions fit the key's dtype.
@@ -188,7 +227,7 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
     front = db.front(start)
     if not front:
         return QueryResult(start=start, front=(), counts={}, total_paths=0)
-    graph = _successor_graph(db, grid, start)
+    graph = _memo_graph(db, grid, start)
     off, succ = graph.offsets.tolist(), graph.succ.tolist()
     counts = [1] * len(graph.ids)  # goal states keep their one path
     for s in np.argsort(db.f1[graph.ids], kind="stable").tolist():
@@ -208,7 +247,7 @@ def coverage(db: Database, grid: GridMap, start: Cell) -> frozenset[Cell]:
     require_free(grid, start)
     if not db.front(start):
         raise ValueError(f"start {start} cannot reach the goal")
-    graph = _successor_graph(db, grid, start)
+    graph = _memo_graph(db, grid, start)
     return frozenset(_decode(np.unique(graph.cells), grid.n_cols))
 
 
@@ -233,7 +272,7 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     front = db.front(start)
     if not front:
         return [], False
-    gen = _walk_paths(_successor_graph(db, grid, start), grid.n_cols, front)
+    gen = _walk_paths(_memo_graph(db, grid, start), grid.n_cols, front)
     if limit is None:
         return list(gen), False
     out = list(islice(gen, limit))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cellplan.query as query
 from cellplan import GoalRegion, build_database, parse_map
 
 # 6-cell map with one expensive cell. From (0,0) to the goal (0,2) there are
@@ -205,6 +206,20 @@ def map_1x3():
 @pytest.fixture
 def map_3x3_ring():
     return parse_map(TEXT_3X3_RING)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The argument tuples of every successor graph the queries build."""
+    calls = []
+    build_graph = query._successor_graph
+
+    def counted(*args):
+        calls.append(args)
+        return build_graph(*args)
+
+    monkeypatch.setattr(query, "_successor_graph", counted)
+    return calls
 
 
 def build(grid, goal_cells, **kw):

@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in-process through cli.main."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from cellplan import (
     serialize_map,
 )
 from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3, with_labels
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -134,6 +137,21 @@ def test_query_json_full_report(map_file, db_file, capsys):
     assert payload["coverage"] == [[0, 0], [0, 1], [0, 2], [1, 1]]
     assert payload["truncated"] is False
     assert len(payload["paths"]) == 2
+
+
+def test_query_count_coverage_paths_golden(tmp_path, capsys, graph_builds):
+    # Two front vectors, 3 and 4 optimal paths, the listing truncated at 5.
+    # Each call loads its own database and builds the start's graph once.
+    map_file, db = GOLDEN / "query_5x6.map", tmp_path / "q.db"
+    assert cli.main(["build", "-m", str(map_file), "--goal", "4,5", "-o", str(db)]) == 0
+    capsys.readouterr()
+    want = (GOLDEN / "query_5x6_count_coverage_paths5.json").read_text()
+    argv = ["query", "-d", str(db), "-m", str(map_file), "--start", "0,0",
+            "--count", "--coverage", "--paths", "5"]
+    for calls in (1, 2):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert len(graph_builds) == calls
 
 
 @pytest.mark.parametrize("edit, message", KEY_EDITS_2X3)

@@ -272,6 +272,30 @@ def test_gridmap_validation():
         GridMap(np.array([[-1, 0]]), np.zeros((1, 2), dtype=bool))
 
 
+def test_gridmap_is_read_only():
+    terrain = np.array([[0, 3, 0], [2, 0, 1]], dtype=np.int64)
+    obstacle = np.array([[False, False, True], [False, False, False]])
+    g = GridMap(terrain, obstacle, allow_corner_cut=False)
+    with pytest.raises(ValueError):
+        g.terrain[0, 0] = 7
+    with pytest.raises(ValueError):
+        g.obstacle[1, 1] = True
+    with pytest.raises(AttributeError):
+        g.allow_corner_cut = True
+    with pytest.raises(AttributeError):
+        g.terrain = terrain
+    assert g.allow_corner_cut is False
+    # The map holds copies: the caller's arrays stay writeable and apart.
+    terrain[0, 0] = 7
+    obstacle[1, 1] = True
+    assert g.terrain[0, 0] == 0 and not g.obstacle[1, 1]
+    # A map built from another map's read-only arrays is read-only too.
+    h = GridMap(g.terrain, g.obstacle, allow_corner_cut=False)
+    assert h == g and h.terrain is not g.terrain
+    assert not h.terrain.flags.writeable and not h.obstacle.flags.writeable
+    assert parse_map(serialize_map(g), allow_corner_cut=False) == g
+
+
 def test_goal_region():
     region = GoalRegion([(1, 1), (0, 0), (1, 1)])
     assert region.sorted_cells() == [(0, 0), (1, 1)]

@@ -1,13 +1,19 @@
 """Query layer tests: fronts, successor decompositions, exact counts,
 coverage, enumeration, and the report renderers."""
 
+import gc
+import itertools
 import json
 import math
+import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+import cellplan.query as query_module
 
 from cellplan import (
     Database,
@@ -29,7 +35,7 @@ from cellplan import (
     render_report_json,
     successors,
 )
-from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2
+from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3
 
 
 def test_front_at_goal(db_2x3):
@@ -146,19 +152,34 @@ def _reference_paths(succ, state):
 @given(st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 7))
 def test_queries_match_reference_graph(corner_cut, max_cost, n_goals, seed, rows, cols):
     """count_paths, coverage and the full ordered enumerate_paths agree with a
-    successor graph built in the test at every reachable start."""
+    successor graph built in the test at every reachable start, called in
+    row-major order of starts and again in a shuffled order, so that most
+    answers come from the database's memo of the last start's graph."""
     g = random_map(seed, rows, cols, 0.25, max_cost, allow_corner_cut=corner_cut)
     fc = free_cells(g)
     goal = {fc[(seed + k * len(fc) // n_goals) % len(fc)] for k in range(n_goals)}
     db = build_database(g, goal)
-    for start, front in db.labels.items():
-        succ = _reference_graph(db, g, start)
-        paths = [(cells, vec) for vec in front for cells in _reference_paths(succ, (start, vec))]
+
+    def check_count(start, front, succ, paths):
         res = count_paths(db, g, start)
         assert res.front == front
         assert res.counts == {vec: sum(1 for _, v in paths if v == vec) for vec in front}
+
+    def check_coverage(start, front, succ, paths):
         assert coverage(db, g, start) == {cell for cell, _vec in succ}
+
+    def check_paths(start, front, succ, paths):
         assert enumerate_paths(db, g, start) == (paths, False)
+
+    reference = {}
+    for start, front in db.labels.items():
+        succ = _reference_graph(db, g, start)
+        paths = [(cells, vec) for vec in front for cells in _reference_paths(succ, (start, vec))]
+        reference[start] = (front, succ, paths)
+    calls = [(start, check) for start in reference
+             for check in (check_count, check_coverage, check_paths)]
+    for start, check in calls + random.Random(seed).sample(calls, len(calls)):
+        check(start, *reference[start])
 
 
 def test_count_corridor(map_1x3):
@@ -201,10 +222,89 @@ def test_count_rejects_bad_start(db_2x3, map_2x3):
 @pytest.mark.parametrize("query", [count_paths, coverage, enumerate_paths],
                          ids=["count_paths", "coverage", "enumerate_paths"])
 def test_count_mismatched_database(map_2x3, db_2x3, query):
-    # Same shape, different terrain: stored vectors stop decomposing.
+    # Same shape, different terrain: stored vectors stop decomposing. No
+    # failed graph is kept, so every query on the pair raises, before and
+    # after a good query has filled the memo.
     other = parse_map("2 3\n0 4 0\n0 0 0\n")
-    with pytest.raises(ValueError, match="does not match"):
-        query(db_2x3, other, (0, 0))
+    for _ in range(2):
+        for q in (query, count_paths, coverage, enumerate_paths):
+            with pytest.raises(ValueError, match="does not match"):
+                q(db_2x3, other, (0, 0))
+        assert coverage(db_2x3, map_2x3, (0, 0)) == {(0, 0), (0, 1), (0, 2), (1, 1)}
+
+
+_QUERIES = {
+    "count": lambda db, g, start: count_paths(db, g, start).counts,
+    "coverage": coverage,
+    "paths": lambda db, g, start: enumerate_paths(db, g, start, limit=1),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_QUERIES)),
+                         ids="-".join)
+def test_queries_share_one_graph(map_3x3_ring, graph_builds, order):
+    # Each query at one start, in any order, reads one graph and answers as
+    # it does on a database of its own.
+    db = build_database(map_3x3_ring, [(2, 2)])
+    for name in order:
+        fresh = build_database(map_3x3_ring, [(2, 2)])
+        assert _QUERIES[name](db, map_3x3_ring, (0, 0)) == \
+            _QUERIES[name](fresh, map_3x3_ring, (0, 0))
+    own = [args for args in graph_builds if args[0] is db]
+    assert len(own) == 1
+
+
+def test_graph_memo_keys(map_2x3, db_2x3, graph_builds):
+    # One entry, keyed on the database, the map object and the start.
+    count_paths(db_2x3, map_2x3, (0, 0))
+    coverage(db_2x3, map_2x3, (0, 0))
+    assert len(graph_builds) == 1
+    coverage(db_2x3, map_2x3, (1, 1))
+    assert len(graph_builds) == 2
+    assert graph_builds[-1][2] == (1, 1)
+    coverage(db_2x3, map_2x3, (0, 0))  # only the last start is kept
+    assert len(graph_builds) == 3
+    equal_map = parse_map(TEXT_2X3)
+    assert equal_map == map_2x3
+    assert coverage(db_2x3, equal_map, (0, 0)) == coverage(db_2x3, map_2x3, (0, 0))
+    assert len(graph_builds) == 5
+    other_db = build_database(map_2x3, [GOAL_2X3])
+    assert enumerate_paths(other_db, map_2x3, (0, 0)) == enumerate_paths(db_2x3, map_2x3, (0, 0))
+    assert len(graph_builds) == 6
+
+
+def test_queried_database_is_freed_without_the_collector(map_2x3):
+    # The memo holds no reference back to its database, so dropping the
+    # last reference frees it at once.
+    db = build_database(map_2x3, [GOAL_2X3])
+    count_paths(db, map_2x3, (0, 0))
+    successors(db, map_2x3, (0, 0), (20, 5))
+    ref = weakref.ref(db)
+    gc.disable()
+    try:
+        del db
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_successors_reuse_the_step(map_2x3, db_2x3, monkeypatch):
+    steps = []
+    make_step = query_module._Step
+
+    def counted(*args):
+        steps.append(args)
+        return make_step(*args)
+
+    monkeypatch.setattr(query_module, "_Step", counted)
+    count_paths(db_2x3, map_2x3, (0, 0))
+    for cell, front in db_2x3.labels.items():
+        for vec in front:
+            successors(db_2x3, map_2x3, cell, vec)
+    coverage(db_2x3, map_2x3, (1, 0))
+    assert len(steps) == 1
+    successors(db_2x3, parse_map(TEXT_2X3), (0, 0), (20, 5))
+    assert len(steps) == 2
 
 
 def test_query_rejects_other_map_shape(db_2x3):
