@@ -16,13 +16,18 @@ Two schedules compute the same fixed point:
 
 * "sweep": synchronous full sweeps from empty sets until one changes nothing.
   `iterations` counts the sweeps that changed at least one label set.
-* "worklist": label-setting over Dial's bucket queue, one bucket per path
-  length f1, with whole-array numpy steps over the move table of
-  grid.move_csr; much faster. Every step is at least 10 long, so a bucket
-  holds all of its entries by the time it is opened, and each final vector
-  is settled exactly once. It reports the identical `iterations` value,
-  1 + the largest hop count any stored vector needs, read off the hop depth
-  each entry carries.
+* "worklist": label-setting over Dial's bucket queue, opened one window of
+  path lengths [10w, 10w + 10) at a time, with whole-array numpy steps over
+  the whole-map move table of grid.move_mask; much faster. Every f1 is even,
+  so a window has five lanes, one per path length. Every step is at least
+  10 long, so a window holds all of its entries by the time it is opened,
+  and each final vector is settled exactly once: a cell's lanes settle in
+  f1 order, each only if its least f2 beats the cell's last settled f2.
+  Each cell counts the labels it settles, which places every label in the
+  (cell, f1) layout without a sort. It reports the identical `iterations`
+  value, 1 + the largest hop count any stored vector needs, read off the
+  hop depth each entry carries. Its integers are int32 when the scratch key
+  (lane * n + cell, below 5n) and the largest f2 fit, else int64.
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
@@ -52,7 +57,7 @@ from .grid import (
     GoalRegion,
     GridMap,
     map_digest,
-    move_csr,
+    move_mask,
     neighbor_table,
     overflow_risk,
     step_length,
@@ -317,104 +322,168 @@ def _build_sweep(grid: GridMap, goal_ids: list[int]):
     return _pack(labels), iterations
 
 
-def _build_buckets(grid: GridMap, goal_ids: list[int]):
-    """Label-setting in Dial's bucket queue: one bucket of entries
-    (depth, f2, cell) per path length f1, opened in increasing f1 order.
+# Path lengths per window of the bucket queue: a window spans one
+# STRAIGHT_STEP, and every f1 is even (steps of 10 and 14, goal seeds at 0).
+_LANES = STRAIGHT_STEP // 2
 
-    Every step is at least STRAIGHT_STEP long, so every entry of bucket f1
-    comes from a label settled in a smaller bucket: a bucket is complete when
-    it is opened. Inside it, an entry whose f2 does not beat the last one
-    settled at its cell is dominated and dropped; of the rest, each cell's
-    least (f2, depth) is settled, and the settled labels expand through the
-    move table into buckets f1 + 10 and f1 + 14.
+
+def _build_buckets(grid: GridMap, goal_ids: list[int]):
+    """Label-setting in Dial's bucket queue, opened one window of path lengths
+    [10w, 10w + 10) at a time, in increasing w. An entry is a column (depth,
+    f2, cell, lane) with lane = (f1 - 10w) / 2, one of the window's _LANES.
+
+    Every step is at least STRAIGHT_STEP long, so every entry of window w
+    comes from a label settled in an earlier window: a window is complete
+    when it is opened. Entries whose f2 does not beat the last one settled at
+    their cell are dropped. Each (cell, lane) keeps its least f2, then the
+    least depth among those, in a scratch indexed by lane * n + cell. A lane
+    then settles where its f2 is below the running minimum over the cell's
+    earlier lanes, which starts at the cell's last settled f2: exactly what
+    opening the window's path lengths one at a time would settle. The
+    settled labels expand through the whole-map move table (grid.move_mask
+    as n rows of eight moves) into window w + 1 or w + 2, by the child's f1.
 
     `depth` is the hop count of the route that made the entry. All parents of
-    a vector (f1, f2) are settled, each with its own least depth, before
-    bucket f1 opens, so the settled depth is the fewest hops the vector needs,
+    a vector (f1, f2) are settled, each with its own least depth, before its
+    window opens, so the settled depth is the fewest hops the vector needs,
     and `iterations` is 1 + the largest settled depth.
 
-    Cells, f2 and depths are int32 when the map's bounds fit (cell ids below
-    n, f2 at most max terrain * n, depths at most n), else int64. The
-    sentinel that marks a cell with no label is the dtype's maximum: only a
-    route that revisits a cell can reach it, and such a route is dominated.
+    Labels are placed by counting, not sorted: every cell counts the labels
+    it has settled, so a label's row in the (cell, f1) layout is its cell's
+    offset plus its rank there. A window settles its labels lane by lane, so
+    the f1 column is one run per (window, lane).
+
+    Cells, f2, depths and ranks are int32 when the map's bounds fit: scratch
+    keys below _LANES * n, f2 at most max terrain * n, depths below n, and
+    ranks below a front's size, at most max terrain * n + 1 as its f2 values
+    are distinct. Else they are int64. Label rows are int32 when the label
+    count fits. The sentinel that marks a cell or lane with no label is the
+    dtype's maximum: only a route that revisits a cell can reach it, and
+    such a route is dominated.
     """
     n = grid.terrain.size
     f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
-    dtype = np.int32 if max(n, f2_cap) < np.iinfo(np.int32).max else np.int64
-    terr = grid.terrain.ravel().astype(dtype)
-    offsets, ids, steps = move_csr(grid)
-    ids = ids.astype(dtype)
-    counts = np.diff(offsets)
+    dtype = np.int32 if max(_LANES * n, f2_cap) < np.iinfo(np.int32).max else np.int64
     unset = np.iinfo(dtype).max
-    last_f2 = np.full(n, unset, dtype=dtype)
-    least_depth = np.full(n, unset, dtype=dtype)  # scratch, reset after each bucket
+    # Move table, one row of eight per cell; a missing move leads to the extra
+    # cell n, whose last_f2 of 0 no child beats.
+    allowed, shift, step = move_mask(grid)
+    moves = np.where(allowed, np.arange(n)[:, None] + shift, n).astype(dtype)
+    move_f2 = np.append(grid.terrain.ravel(), 0).astype(dtype)[moves]  # hop cost
+    move_lanes = ((step - STRAIGHT_STEP) // 2).astype(dtype)  # 0 straight, 2 diagonal
+    last_f2 = np.full(n + 1, unset, dtype=dtype)
+    last_f2[n] = 0
+    top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
+    # Least f2 and depth per (lane, cell) of the open window, reset after it.
+    scratch = np.full((2, _LANES * n), unset, dtype=dtype)
+    least_f2, least_depth = scratch
     owner = np.empty(n, dtype=np.intp)  # scratch
-    # Every mask is written into this one buffer. A bucket holds the children
-    # of at most two buckets, each settling at most one label per cell. numpy
-    # keeps freed buffers under 1 KiB for reuse by exact size, and a new mask
-    # of every bucket's size kept about 3 MB resident for the process's life.
-    flags = np.empty(2 * len(ids) + len(goal_ids), dtype=bool)
+    lane_of = np.arange(_LANES, dtype=dtype)[:, None]
+    # Every mask is written into this one buffer. A window holds the children
+    # of at most _LANES + 2 lanes per cell, eight moves each. numpy keeps
+    # freed buffers under 1 KiB for reuse by exact size, and a new mask of
+    # every window's size kept about 3 MB resident for the process's life.
+    flags = np.empty(8 * (_LANES + 2) * n + len(goal_ids), dtype=bool)
 
     def mask(ufunc, a, b):
-        return ufunc(a, b, out=flags[:len(a)])
+        return ufunc(a, b, out=flags[:a.size].reshape(a.shape))
 
-    buckets = {}  # f1 -> chunks of entries, each entry a column (depth, f2, cell)
+    windows = {}  # w -> chunks of entries
 
-    def push(key, entries):
+    def push(w, entries):
         if entries.shape[1]:
-            buckets.setdefault(key, []).append(entries)
+            windows.setdefault(w, []).append(entries)
 
-    seed = np.zeros((3, len(goal_ids)), dtype=dtype)
+    seed = np.zeros((4, len(goal_ids)), dtype=dtype)
     seed[2] = goal_ids
     push(0, seed)
-    settled = []  # (f1, cells, f2s) per bucket, in increasing f1
+    settled = []  # (cell, rank, f2) rows per window, in increasing w
+    runs = []  # (w, labels settled per lane) per window
     max_depth = 0
-    while buckets:
-        f1 = min(buckets)
-        chunks = buckets.pop(f1)
+    while windows:
+        w = min(windows)
+        chunks = windows.pop(w)
         entries = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
         del chunks
         entries = entries.compress(mask(np.less, entries[1], last_f2[entries[2]]), axis=1)
         if not entries.shape[1]:
             continue
-        # Each cell's least f2, then the least depth among those, then one
-        # entry per cell: whichever wins the `owner` write, as ties are equal.
-        np.minimum.at(last_f2, entries[2], entries[1])
-        entries = entries.compress(mask(np.equal, entries[1], last_f2[entries[2]]), axis=1)
-        np.minimum.at(least_depth, entries[2], entries[0])
-        entries = entries.compress(mask(np.equal, entries[0], least_depth[entries[2]]), axis=1)
-        least_depth[entries[2]] = unset
-        rank = np.arange(entries.shape[1])
-        owner[entries[2]] = rank
-        labels = entries.compress(mask(np.equal, owner[entries[2]], rank), axis=1)
-        del entries
-        depth, f2, cell = labels
-        settled.append((f1, cell, f2))
+        depth, f2, cell, key = entries
+        key *= n  # the lane row becomes the scratch key
+        key += cell
+        np.minimum.at(least_f2, key, f2)
+        tie = mask(np.equal, f2, least_f2[key])
+        np.minimum.at(least_depth, key, np.where(tie, depth, unset))
+        # The window's cells, once each: whichever entry wins the `owner` write.
+        first = np.arange(len(cell))
+        owner[cell] = first
+        cells = cell.compress(mask(np.equal, owner[cell], first))
+
+        # One column per cell, one row per lane: cell, rank, f2, depth, lane.
+        m = len(cells)
+        table = np.empty((5, _LANES, m), dtype=dtype)
+        scratch.reshape(2 * _LANES, n).take(cells, axis=1, out=table[2:4].reshape(2 * _LANES, m))
+        scratch[:, key] = unset
+        # Freed as soon as they are spent: in a process that builds again and
+        # again, holding a window's arrays into the next allocations raised
+        # peak RSS by about 1.5 MB on the 117x117 reference map.
+        del entries, depth, f2, cell, key, first
+        # Every f2 here is below its cell's last_f2, so a lane settles where
+        # the running minimum down the column falls.
+        run = table[2]
+        np.minimum.accumulate(run, axis=0, out=run)
+        keep = flags[:run.size].reshape(run.shape)
+        np.not_equal(run[0], unset, out=keep[0])
+        np.less(run[1:], run[:-1], out=keep[1:])
+        last_f2[cells] = run[-1]
+        rank = table[1]
+        np.add.accumulate(keep.view(np.uint8), axis=0, dtype=dtype, out=rank)
+        rank += top_rank[cells]
+        top_rank[cells] = rank[-1]
+        table[0] = cells
+        table[4] = lane_of
+        labels = table.reshape(5, -1).compress(keep.ravel(), axis=1)
+        runs.append((w, keep.sum(axis=1)))
+        del table, run, rank, cells
+        settled.append(labels[:3].copy())
+        cell, _rank, f2, depth, lane = labels
         max_depth = max(max_depth, int(depth.max()))
 
-        count = counts[cell]
-        total = int(count.sum())
-        if not total:
-            continue
-        # Move-table slots of every settled label's moves, row after row.
-        slot = np.arange(total) + np.repeat(offsets[cell] - (np.cumsum(count) - count), count)
-        child = np.repeat(labels, count, axis=1)
-        child[0] += 1
-        child[2] = ids[slot]
-        child[1] += terr[child[2]]
-        live = mask(np.less, child[1], last_f2[child[2]])
-        child, slot = child.compress(live, axis=1), slot.compress(live)
-        straight = mask(np.equal, steps[slot], STRAIGHT_STEP)
-        push(f1 + STRAIGHT_STEP, child.compress(straight, axis=1))
-        push(f1 + DIAGONAL_STEP, child.compress(np.logical_not(straight, out=straight), axis=1))
+        # Children, eight per label, of which the live ones go on: a child
+        # lane past the window's last belongs to window w + 2.
+        child = np.empty((4, len(cell), 8), dtype=dtype)
+        np.add(depth[:, None], 1, out=child[0])
+        move_f2.take(cell, axis=0, out=child[1])
+        child[1] += f2[:, None]
+        moves.take(cell, axis=0, out=child[2])
+        np.add(lane[:, None], move_lanes, out=child[3])
+        del labels, cell, f2, depth, lane
+        child = child.reshape(4, -1)
+        child = child.compress(mask(np.less, child[1], last_f2[child[2]]), axis=1)
+        near = mask(np.less, child[3], _LANES)
+        push(w + 1, child.compress(near, axis=1))
+        child = child.compress(np.logical_not(near, out=near), axis=1)
+        child[3] -= _LANES
+        push(w + 2, child)
 
-    cells = np.concatenate([c for _, c, _ in settled])
-    f1s = np.repeat([f1 for f1, _, _ in settled], [c.size for _, c, _ in settled])
-    f2s = np.concatenate([f2 for _, _, f2 in settled])
+    # Counting placement: a label's row is its cell's offset plus its rank.
+    counts = top_rank + 1
+    total = int(counts.sum())
+    pos_type = dtype if total <= np.iinfo(dtype).max else np.int64
+    starts = np.zeros(n, dtype=pos_type)
+    np.cumsum(counts[:-1], out=starts[1:])
+    cell, pos, f2 = (np.concatenate([c[k] for c in settled]) for k in range(3))
     del settled
-    # Buckets settle in increasing f1, so a stable sort by cell gives (cell, f1) order.
-    order = np.argsort(cells, kind="stable")
-    return (np.bincount(cells, minlength=n), f1s[order], f2s[order]), max_depth + 1
+    pos = pos.astype(pos_type, copy=False)
+    pos += starts[cell]
+    del starts, cell
+    f1 = np.empty(total, dtype=np.int64)
+    f1[pos] = np.repeat(
+        (STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None] + 2 * np.arange(_LANES)).ravel(),
+        np.concatenate([k for _, k in runs]))
+    f2_out = np.empty(total, dtype=dtype)
+    f2_out[pos] = f2
+    return (counts, f1, f2_out), max_depth + 1
 
 
 def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellplan import (
@@ -27,7 +27,7 @@ from cellplan import (
     save_database,
     verify_database,
 )
-from cellplan.grid import overflow_risk
+from cellplan.grid import STRAIGHT_STEP, overflow_risk
 from cellplan.pareto import MAX_COMPONENT
 from conftest import (
     FRONT_2X3,
@@ -149,10 +149,10 @@ def test_disjoint_goal_areas():
     assert db.front((0, 2)) == ((20, 9),)
 
 
-# (map, goal cell count) per seed. Zero terrain makes every f2 zero, so only
-# the depth tie-break decides which entry settles. The corridor's far end is
-# 16 hops out on 17 cells, the deepest label a map of that size allows.
-# Multi-cell goals are spread over the map.
+# (map, goal cell count) per seed. Zero terrain makes every f2 zero, so each
+# cell settles only its shortest routes. The corridor's far end is 16 hops out
+# on 17 cells, the deepest label a map of that size allows. Multi-cell goals
+# are spread over the map.
 _SCHEDULE_CASES = (
     [pytest.param(0, parse_map("1 17\n" + "0 " * 16 + "0\n"), 1, id="corridor")]
     + [pytest.param(s, random_map(s, 7, 9, 0.25, 4), 1, id=str(s)) for s in range(12)]
@@ -162,6 +162,9 @@ _SCHEDULE_CASES = (
                     id=f"no-corner-cut-{s}") for s in range(4)]
     + [pytest.param(s, random_map(s, 7, 9, 0.25, 4), 3, id=f"multi-goal-{s}")
        for s in range(4)]
+    # Open maps: equal vectors reach each cell from several neighbours at once.
+    + [pytest.param(44, GridMap(np.full((10, 10), t), np.zeros((10, 10), dtype=bool)), 1,
+                    id=f"open-terrain-{t}") for t in (0, 1)]
 )
 
 
@@ -173,6 +176,69 @@ def test_schedules_and_threads_agree(seed, g, n_goals):
     assert len(set(goal)) == n_goals
     assert (save_database(build_database(g, goal, schedule="sweep"))
             == save_database(build_database(g, goal, schedule="worklist")))
+
+
+# (map, goal cells, cell) whose front holds several path lengths of one window
+# [10w, 10w + 10), which the worklist settles in one pass. Cell (1, 0) of the
+# 3x3 map reaches the two goal cells by routes of length 20, 24 and 28, each
+# with less terrain than the shorter one.
+_SAME_WINDOW_CASES = [
+    pytest.param(TEXT_2X3, [GOAL_2X3], (0, 0), id="2x3"),
+    pytest.param("3 3\n0 5 0\n0 9 0\n0 0 0\n", [(0, 2), (1, 2)], (1, 0), id="3x3-two-goals"),
+]
+
+
+@pytest.mark.parametrize("text, goal, cell", _SAME_WINDOW_CASES)
+def test_same_window_front_matches_sweep(text, goal, cell):
+    g = parse_map(text)
+    db = build_database(g, goal)
+    front = db.front(cell)
+    assert len(front) >= 2
+    assert len({f1 // STRAIGHT_STEP for f1, _ in front}) == 1
+    assert save_database(db) == save_database(build_database(g, goal, schedule="sweep"))
+
+
+# Two routes of length 140 join cell (1, 0) to the goal (1, 10): 14 straight
+# steps round the walled corridor of rows 2-3, and 10 diagonal steps along the
+# cheap cells of rows 0-1, whose first cell (0, 1) has terrain {t}. Corner
+# cutting is off, so neither route has a shortcut. Equal path lengths with
+# different hop counts need 14 straight steps against 10 diagonal ones (7
+# against 5 cannot meet, by parity), so no small random map has such a tie.
+_DEPTH_TIE_MAP = ("4 11\n"
+                  "50 {t} 50 0 50 0 50 0 50 0 50\n"
+                  "0 50 0 50 0 50 0 50 0 50 0\n"
+                  "0 # # # # # # # # # 0\n"
+                  "0 0 0 0 0 0 0 0 0 0 0\n")
+
+
+@pytest.mark.parametrize("t, iterations", [(0, 14), (1, 16)])
+def test_depth_tie_settles_fewest_hops(t, iterations):
+    """(1, 0) settles (140, 0) with the fewest hops of the routes that make it.
+    Both routes cost 0 at t = 0, so that is the diagonals' 10 and the
+    corridor's 13 hops from (2, 0) set `iterations`. At t = 1 only the
+    corridor's 14 hops make it, and they go on to (150, 50) at (0, 0)."""
+    g = parse_map(_DEPTH_TIE_MAP.format(t=t), allow_corner_cut=False)
+    db = build_database(g, [(1, 10)])
+    assert (140, 0) in db.front((1, 0))
+    assert (130, 0) in db.front((2, 0))  # the corridor
+    assert (126, t) in db.front((0, 1))  # the diagonals
+    assert ((150, 50) in db.front((0, 0))) == (t == 1)
+    assert db.iterations == iterations
+    assert save_database(db) == save_database(build_database(g, [(1, 10)], schedule="sweep"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9), st.floats(0, 0.4),
+       st.sampled_from([0, 1, 9, 50]), st.booleans(),
+       st.lists(st.integers(0, 80), min_size=1, max_size=3))
+def test_schedules_agree_on_random_maps(seed, rows, cols, density, max_terrain, corner_cut,
+                                        picks):
+    """Sweep and worklist builds are byte-identical on random small maps."""
+    g = random_map(seed, rows, cols, density, max_terrain, allow_corner_cut=corner_cut)
+    fc = free_cells(g)
+    goal = sorted({fc[k % len(fc)] for k in picks})
+    assert (save_database(build_database(g, goal))
+            == save_database(build_database(g, goal, schedule="sweep")))
 
 
 def _near_overflow_map(seed, rows, cols, allow_corner_cut):
