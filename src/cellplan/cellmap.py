@@ -32,6 +32,9 @@ Two schedules compute the same fixed point:
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
 
+verify_database checks a database without a build: one whole-array pass per
+move direction over grid.move_mask and the queries' key, Database.label_key.
+
 One layout holds a database, in memory and on disk: a label count for every
 cell of the map in row-major order (0 for obstacles and unreachable cells)
 and flat f1 and f2 arrays in (cell, f1) order, so each cell's set is one
@@ -57,8 +60,8 @@ from .grid import (
     GoalRegion,
     GridMap,
     map_digest,
+    move_csr,
     move_mask,
-    neighbor_table,
     overflow_risk,
     step_length,
 )
@@ -67,7 +70,6 @@ from .pareto import (
     CostOverflowError,
     LabelSet,
     Vector,
-    nondominated,
     skyline,
 )
 
@@ -173,9 +175,9 @@ class Database:
         """(key, stride): key[k] = cell * stride + f1[k] for every label k, a
         strictly rising array, with stride = max f1 + 1 + DIAGONAL_STEP.
 
-        A one-hop candidate (j, f1[k] - step) of a stored label k then has the
-        key key[k] + (j - cell) * stride - step, and the headroom above the
-        largest f1 keeps a negative f1[k] - step off every stored key. Derived
+        A one-hop candidate (j, f1[k] + s) of a stored label k, |s| <= 14, has
+        the key key[k] + (j - cell) * stride + s, and the headroom above the
+        largest f1 keeps it off the keys of every cell but j. Derived
         once from the read-only counts and f1, so it cannot go stale; int32
         when every value fits. Raises ValueError when the sets are not in
         (cell, f1) order or a path length exceeds the longest route a map of
@@ -281,15 +283,6 @@ def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
     return (step_length(src, dst), int(grid.terrain[src]))
 
 
-def _update(labels: list[LabelSet], moves, ti: int, is_goal: bool) -> LabelSet:
-    """One cell's fixed-point update: goal seed plus hop-shifted neighbor labels."""
-    cands = [(0, 0)] if is_goal else []
-    for j, dz in moves:
-        for a, b in labels[j]:
-            cands.append((a + dz, b + ti))
-    return skyline(cands)
-
-
 def _build_sweep(grid: GridMap, goal_ids: list[int]):
     """Synchronous Jacobi sweeps until nothing changes.
 
@@ -298,26 +291,31 @@ def _build_sweep(grid: GridMap, goal_ids: list[int]):
     is identical to the naive full recomputation.
     """
     terr = grid.terrain.ravel().tolist()
-    obst = grid.obstacle.ravel().tolist()
-    nbrs = neighbor_table(grid)
-    n = len(terr)
+    offsets, ids, steps = (a.tolist() for a in move_csr(grid))
     goal_set = set(goal_ids)
-    labels: list[LabelSet] = [()] * n
-    recompute = [i for i in range(n) if not obst[i]]
+    labels: list[LabelSet] = [()] * len(terr)
+    recompute = np.flatnonzero(~grid.obstacle.ravel()).tolist()
     iterations = 0
 
     while recompute:
-        updated = [(i, _update(labels, nbrs[i], terr[i], i in goal_set))
-                   for i in recompute]
-        changed = [(i, ls) for i, ls in updated if ls != labels[i]]
+        changed = []
+        for i in recompute:  # the per-cell update of the module docstring
+            ti = terr[i]
+            cands = [(0, 0)] if i in goal_set else []
+            for k in range(offsets[i], offsets[i + 1]):
+                dz = steps[k]
+                for a, b in labels[ids[k]]:
+                    cands.append((a + dz, b + ti))
+            ls = skyline(cands)
+            if ls != labels[i]:
+                changed.append((i, ls))
         if not changed:
             break
         iterations += 1
         nxt = set()
         for i, ls in changed:
             labels[i] = ls
-            for j, _dz in nbrs[i]:
-                nxt.add(j)
+            nxt.update(ids[offsets[i]:offsets[i + 1]])
         recompute = sorted(nxt)
     return _pack(labels), iterations
 
@@ -507,48 +505,52 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
 
 
 def verify_database(db: Database, grid: GridMap) -> bool:
-    """Check that `db` is exactly the fixed point for `grid`.
+    """Check that `db` is exactly the fixed point for `grid`: the map's
+    shape, no label on an obstacle, exactly (0, 0) at each goal cell, sets
+    in canonical order (label_key's f1 order, f2 strictly falling), and no
+    change from one more sweep. False for a wrong database, and
+    DigestMismatchError when `grid` is not the map it was built from.
 
-    Verifies goal seeds, canonical label sets, that every non-goal vector
-    decomposes through some neighbor, and that one more synchronous sweep
-    changes nothing. Raises DigestMismatchError when `grid` is not the map
-    the database was built from.
-    """
+    Moves are symmetric, so each label k at a cell that may move in
+    direction d gives j = cell + shift[d] the candidate (f1[k] + step[d],
+    f2[k] + terrain[j]), keyed key[k] + shift[d] * stride + step[d]. These
+    keys rise with k, and one searchsorted per direction finds the label at
+    j with the largest f1 not above the candidate's, which has the least f2
+    of those as f2 falls within a cell. That f2 may not exceed the
+    candidate's (else a better vector is missing at j), an equal candidate
+    supports the label, and every non-goal label needs support."""
     if db.map_digest != map_digest(grid):
         raise DigestMismatchError("database digest does not match this map")
-    rows, cols = grid.n_rows, grid.n_cols
-    terr = grid.terrain.ravel().tolist()
-    obst = grid.obstacle.ravel().tolist()
-    nbrs = neighbor_table(grid)
-    n = rows * cols
-    flat: list[LabelSet] = [()] * n
-    for cell, ls in db.labels.items():
-        r, c = cell
-        if not (0 <= r < rows and 0 <= c < cols):
+    if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
+        return False
+    try:
+        key, stride = db.label_key
+    except ValueError:
+        return False
+    counts, offsets, f1, f2 = db.counts, db.offsets, db.f1, db.f2
+    if counts[grid.obstacle.ravel()].any():
+        return False
+    supported = np.zeros(f1.size, dtype=bool)  # goal seeds need no support
+    for goal_cell in db.goal.cells:
+        i = db.index(goal_cell)
+        if i is None or counts[i] != 1 or f1[offsets[i]] or f2[offsets[i]]:
             return False
-        i = r * cols + c
-        if obst[i]:
+        supported[offsets[i]] = True
+    cell = np.repeat(np.arange(counts.size), counts)
+    if ((cell[1:] == cell[:-1]) & (f2[1:] >= f2[:-1])).any():
+        return False
+    allowed, shift, step = move_mask(grid)
+    for d in range(len(shift)):
+        k = np.flatnonzero(allowed[cell, d])
+        j = cell[k] + shift[d]
+        at = key.searchsorted(key[k] + (shift[d] * stride + step[d]), side="right") - 1
+        if (at < offsets[j]).any():  # no label at j with f1 <= f1[k] + step[d]
             return False
-        ls = tuple(tuple(v) for v in ls)
-        if nondominated(ls) != ls:
+        back = f2[at] - grid.terrain.ravel()[j]  # compared with f2[k]: no sum to overflow
+        if (back > f2[k]).any():
             return False
-        flat[i] = ls
-    goal_ids = {r * cols + c for r, c in db.goal.cells}
-    for g in goal_ids:
-        if flat[g] != ((0, 0),):
-            return False
-    sets = [set(ls) for ls in flat]
-    for i in range(n):
-        if obst[i] or i in goal_ids:
-            continue
-        ti = terr[i]
-        for f1, f2 in flat[i]:
-            if not any((f1 - dz, f2 - ti) in sets[j] for j, dz in nbrs[i]):
-                return False
-    for i in range(n):
-        if not obst[i] and _update(flat, nbrs[i], terr[i], i in goal_ids) != flat[i]:
-            return False
-    return True
+        supported[at[(f1[at] == f1[k] + step[d]) & (back == f2[k])]] = True
+    return bool(supported.all())
 
 
 def save_database(db: Database) -> bytes:

@@ -160,15 +160,6 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
     return _moves(grid.obstacle, grid.n_rows, grid.n_cols, grid.allow_corner_cut, *cell)
 
 
-def neighbor_table(grid: GridMap) -> list[tuple[tuple[int, int], ...]]:
-    """neighbors() of every cell by flat id i = r * n_cols + c, as (j, step)
-    pairs with flat ids j; obstacles hold (). Not cached on the map."""
-    offsets, ids, steps = move_csr(grid)
-    moves = list(zip(ids.tolist(), steps.tolist()))
-    bounds = offsets.tolist()
-    return [tuple(moves[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The move rule of every cell at once, as a direction mask (allowed, shift, step).
 
@@ -176,7 +167,8 @@ def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     NEIGHBOR_OFFSETS[d]; that move goes to cell i + shift[d] and is step[d]
     long. Rows of obstacles are all False. Each direction is one shifted copy
     of the free mask, framed by obstacles so that shifts never wrap. The
-    first stage of move_csr; not cached on the map.
+    rule is symmetric: allowed[i, d] == allowed[i + shift[d], 7 - d], the
+    opposite direction. Not cached on the map.
     """
     rows, cols = grid.n_rows, grid.n_cols
     free = np.zeros((rows + 2, cols + 2), dtype=bool)
@@ -205,7 +197,8 @@ def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
     lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
     rows of obstacles are empty. The arrays are the allowed entries of
-    move_mask(grid). Not cached on the map.
+    move_mask(grid), the other whole-map form; MOA* and the sweep read them
+    as Python lists. Not cached on the map.
     """
     allowed, shift, step = move_mask(grid)
     ids = (np.arange(allowed.shape[0])[:, None] + shift)[allowed]
@@ -219,8 +212,8 @@ def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
     """The move rule behind neighbors(), for the free cell (r, c) on the
     obstacle mask `obst`: ((rr, cc), step) pairs in NEIGHBOR_OFFSETS order.
 
-    move_mask() and move_csr() are the same rule for every cell at once; a
-    whole-map table would cost more than this loop for one cell."""
+    The one per-cell form: move_mask() and move_csr() are the same rule for
+    every cell at once, which costs more than this loop for one cell."""
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         rr, cc = r + dr, c + dc

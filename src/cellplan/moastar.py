@@ -30,7 +30,7 @@ from .grid import (
     Cell,
     GoalRegion,
     GridMap,
-    neighbor_table,
+    move_csr,
     overflow_risk,
     require_free,
 )
@@ -39,15 +39,16 @@ from .pareto import CostOverflowError, Vector
 Path = tuple[Cell, ...]
 
 
-def _cost_to_go(nbr, goal_ids: list[int], terr=None) -> list:
+def _cost_to_go(offsets, ids, steps, goal_ids: list[int], terr=None) -> list:
     """Backward Dijkstra from the goal cells: the least path length to go
     from every cell, or with `terr` the least terrain cost (a hop i -> j
-    costs terr[i]); math.inf where no goal is reachable. Moves are
-    symmetric, so nbr[j] lists the cells that can step into j. Heap keys
-    pack (cost, cell) into one int."""
-    shift = max(1, (len(nbr) - 1).bit_length())
+    costs terr[i]); math.inf where no goal is reachable. The first three
+    arguments are move_csr as lists, and moves are symmetric, so the moves
+    of j list the cells that can step into j. Heap keys pack (cost, cell)
+    into one int."""
+    dist = [math.inf] * (len(offsets) - 1)
+    shift = max(1, (len(dist) - 1).bit_length())
     mask = (1 << shift) - 1
-    dist = [math.inf] * len(nbr)
     for g in goal_ids:
         dist[g] = 0
     heap = sorted(goal_ids)  # cost 0 packs to the bare cell id
@@ -57,8 +58,9 @@ def _cost_to_go(nbr, goal_ids: list[int], terr=None) -> list:
         d = key >> shift
         if d > dist[j]:
             continue
-        for i, step in nbr[j]:
-            nd = d + (step if terr is None else terr[i])
+        for k in range(offsets[j], offsets[j + 1]):
+            i = ids[k]
+            nd = d + (steps[k] if terr is None else terr[i])
             if nd < dist[i]:
                 dist[i] = nd
                 heappush(heap, (nd << shift) | i)
@@ -66,12 +68,12 @@ def _cost_to_go(nbr, goal_ids: list[int], terr=None) -> list:
 
 
 def _heuristics(grid: GridMap, region: GoalRegion):
-    """Move table, flat terrain, goal ids and both cost-to-go lists, h1 and h2."""
+    """move_csr as lists, flat terrain, goal ids and both cost-to-go lists, h1 and h2."""
     cols = grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
-    nbr = neighbor_table(grid)
+    moves = [a.tolist() for a in move_csr(grid)]
     terr = grid.terrain.ravel().tolist()
-    return nbr, terr, goal_ids, _cost_to_go(nbr, goal_ids), _cost_to_go(nbr, goal_ids, terr)
+    return moves, terr, goal_ids, _cost_to_go(*moves, goal_ids), _cost_to_go(*moves, goal_ids, terr)
 
 
 def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
@@ -85,7 +87,7 @@ def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
     cell = tuple(cell)
     require_free(grid, cell)
     region.validate_on(grid)
-    _nbr, _terr, _goal_ids, h1, h2 = _heuristics(grid, region)
+    _moves, _terr, _goal_ids, h1, h2 = _heuristics(grid, region)
     i = cell[0] * grid.n_cols + cell[1]
     if h1[i] == math.inf:
         return None
@@ -116,13 +118,13 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols
-    nbr, terr, goal_ids, h1, h2 = _heuristics(grid, region)
+    (offsets, ids, steps), terr, goal_ids, h1, h2 = _heuristics(grid, region)
     goal_set = set(goal_ids)
     start_id = start[0] * cols + start[1]
     if h1[start_id] == math.inf:
         return (), []
 
-    g2_min = [math.inf] * len(nbr)
+    g2_min = [math.inf] * len(terr)
     start_label = _Label(start_id, (0, 0))
     labels: dict[tuple[int, Vector], _Label] = {(start_id, (0, 0)): start_label}
     sol_labels: list[_Label] = []
@@ -143,8 +145,9 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
             sol_f1, sol_g2 = g1, g2
             continue
         ng2 = g2 + terr[cell]
-        for j, dz in nbr[cell]:
-            ng = (g1 + dz, ng2)
+        for k in range(offsets[cell], offsets[cell + 1]):
+            j = ids[k]
+            ng = (g1 + steps[k], ng2)
             child = labels.get((j, ng))
             if child is not None:
                 child.parents.append(lab)

@@ -8,8 +8,8 @@ order: first components strictly increasing, second components strictly
 decreasing.
 
 This module is the only 2-D Pareto code: `skyline` reduces a batch (the
-build's sweep and the verifier use it). MOA* needs no front per cell: its pop
-order lets one best g2 per cell stand in for one.
+build's sweep uses it). MOA* needs no front per cell: its pop order lets
+one best g2 per cell stand in for one.
 """
 
 from __future__ import annotations

@@ -326,6 +326,107 @@ def test_verify_requires_matching_map(db_2x3):
         verify_database(db_2x3, other)
 
 
+def test_verify_rejects_database_of_another_shape():
+    """A 2x2 database under the digest of a 2x3 map: the digest matches, the
+    shape does not."""
+    db = build_database(parse_map("2 2\n0 0\n0 0\n"), [(0, 1)])
+    wide = parse_map("2 3\n0 0 #\n0 0 #\n")
+    bad = Database(db.counts, db.f1, db.f2, n_rows=2, n_cols=2, goal=db.goal,
+                   map_digest=map_digest(wide), iterations=db.iterations)
+    assert verify_database(bad, wide) is False
+
+
+def test_verify_compares_without_int64_sums():
+    """The fixed point of a map whose hop sums pass int64 (the build refuses
+    the map, so the database is made by hand): the candidate from (0,0) into
+    the goal, (20, 2 * big), would wrap as an int64 sum."""
+    big = 2**62 + 1
+    g = GridMap([[big, big]], [[False, False]])
+    db = Database([1, 1], [10, 0], [big, 0], n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
+                  map_digest=map_digest(g), iterations=2)
+    assert verify_database(db, g) is True
+
+
+def _relabel(db, sets, **meta):
+    """`db` packed again by from_labels, with the cells of `sets` holding
+    those label sets and `meta` replacing fields."""
+    fields = {"goal": db.goal, "map_digest": db.map_digest, "iterations": db.iterations, **meta}
+    return Database.from_labels({**db.labels, **sets}, db.n_rows, db.n_cols, **fields)
+
+
+def _shift_f1(db):
+    return _relabel(db, {cell: tuple((f1 + 2, f2) for f1, f2 in ls)
+                         for cell, ls in db.labels.items()})
+
+
+# Wrong databases of the 2x3 map (goal (0,2)), the first seven each caught by
+# one of the verifier's checks alone; the built front of (0,0) is ((20, 5), (28, 0)),
+# and its candidates are (20, 5), (28, 0) and (34, 0). The 2x3 map with a
+# wall at (1,1) takes a goal seed on the wall, which no move reaches.
+_VERIFY_REJECTS = [
+    pytest.param("2 3\n0 5 0\n0 # 0\n",
+                 lambda db: _relabel(db, {(1, 1): ((0, 0),)}, goal=GoalRegion([GOAL_2X3, (1, 1)])),
+                 id="label-on-obstacle"),
+    pytest.param(TEXT_2X3, lambda db: _relabel(db, {(0, 0): ((20, 5), (28, 0), (34, 0))}),
+                 id="equal-f2"),
+    pytest.param(TEXT_2X3, lambda db: _relabel(db, {(0, 0): ((20, 5), (99, 0))}),
+                 id="path-longer-than-any-route"),
+    pytest.param(TEXT_2X3, lambda db: _relabel(db, {(0, 0): ((20, 5), (26, 1), (28, 0))}),
+                 id="unsupported"),
+    pytest.param(TEXT_2X3, lambda db: _relabel(db, {(1, 2): ()}), id="empty-reachable-cell"),
+    pytest.param(TEXT_2X3, _shift_f1, id="goal-seed-shifted"),
+    pytest.param(TEXT_2X3, lambda db: _relabel(db, {}, goal=GoalRegion([GOAL_2X3, (0, 3)])),
+                 id="goal-outside-map"),
+] + [
+    pytest.param(TEXT_2X3, lambda db, ls=p.values[0]: _relabel(db, {(0, 0): tuple(ls)}),
+                 id=f"order-{p.id}")
+    for p in ORDER_EDITS_2X3
+]
+
+
+@pytest.mark.parametrize("text, edit", _VERIFY_REJECTS)
+def test_verify_rejects(text, edit):
+    """False, never an exception, for each way a database can miss the fixed
+    point; test_verify_rejects_missing_vector covers a missing better vector."""
+    g = parse_map(text)
+    assert verify_database(edit(build_database(g, [GOAL_2X3])), g) is False
+
+
+_EDITS = ("none", "f1", "f2", "drop", "insert")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_accepts_exactly_the_build(data):
+    """The build is the reference: a database with one vector edited,
+    dropped or inserted verifies exactly when it equals the build."""
+    draw = data.draw
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    g = random_map(draw(st.integers(0, 2**16)), rows, cols, draw(st.floats(0, 0.4)),
+                   draw(st.sampled_from((0, 3, 50))), allow_corner_cut=draw(st.booleans()))
+    goal = draw(st.lists(st.sampled_from(free_cells(g)), min_size=1, max_size=3, unique=True))
+    db = build_database(g, goal)
+    counts, f1, f2 = (np.array(a) for a in (db.counts, db.f1, db.f2))
+    edit = draw(st.sampled_from(_EDITS))
+    if edit in ("f1", "f2"):
+        a = f1 if edit == "f1" else f2
+        k = draw(st.integers(0, a.size - 1))
+        a[k] = abs(a[k] + draw(st.sampled_from((-2, 2) if edit == "f1" else (-1, 1))))
+    elif edit == "drop":
+        k = draw(st.integers(0, f1.size - 1))
+        counts[np.searchsorted(db.offsets, k, side="right") - 1] -= 1
+        f1, f2 = np.delete(f1, k), np.delete(f2, k)
+    elif edit == "insert":
+        i = draw(st.integers(0, counts.size - 1))
+        k = draw(st.integers(int(db.offsets[i]), int(db.offsets[i + 1])))
+        counts[i] += 1
+        f1 = np.insert(f1, k, draw(st.integers(0, 14 * counts.size)))
+        f2 = np.insert(f2, k, draw(st.integers(0, int(f2.max()) + 5)))
+    mutant = Database(counts, f1, f2, n_rows=rows, n_cols=cols, goal=db.goal,
+                      map_digest=db.map_digest, iterations=db.iterations)
+    assert verify_database(mutant, g) == (mutant == db)
+
+
 def test_save_load_roundtrip(map_2x3, db_2x3):
     blob = save_database(db_2x3)
     db2 = load_database(blob)
