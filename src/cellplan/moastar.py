@@ -18,7 +18,12 @@ only strictly worse vectors are cut. Solutions are pruned against the
 latest, lowest-g2 solution, keeping equal vectors at other goal cells.
 
 The heuristics never read the database, so MOA* stays an independent
-cross-check of it.
+cross-check of it. They depend only on the map and the goal, so the module
+keeps a one-entry memo of the last ones built: the map (compared with `is`;
+a GridMap is read-only) and its sorted goal ids, with the move lists, the
+flat terrain and h1 and h2. Every start of one map and goal after the first
+skips both Dijkstras; a call on another map or goal replaces the entry, so
+the memo keeps one map's lists alive. A call that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -67,21 +72,40 @@ def _cost_to_go(offsets, ids, steps, goal_ids: list[int], terr=None) -> list:
     return dist
 
 
+# The last (grid, goal ids, entry) that _heuristics built, replaced as one
+# tuple so a reader never sees a half-replaced entry.
+_memo: list = [None]
+
+
 def _heuristics(grid: GridMap, region: GoalRegion):
-    """move_csr as lists, flat terrain, goal ids and both cost-to-go lists, h1 and h2."""
+    """move_csr as lists, flat terrain, goal ids and both cost-to-go lists, h1
+    and h2, from the memo when it holds this map (by identity) and goal.
+
+    Callers validate first, so a call that raises stores nothing. The entry
+    is shared: callers must not change the lists.
+    """
     cols = grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
+    memo = _memo[0]
+    if memo is not None and memo[0] is grid and memo[1] == goal_ids:
+        return memo[2]
     moves = [a.tolist() for a in move_csr(grid)]
     terr = grid.terrain.ravel().tolist()
-    return moves, terr, goal_ids, _cost_to_go(*moves, goal_ids), _cost_to_go(*moves, goal_ids, terr)
+    h1 = _cost_to_go(*moves, goal_ids)
+    h2 = _cost_to_go(*moves, goal_ids, terr)
+    entry = (moves, terr, goal_ids, h1, h2)
+    _memo[0] = (grid, goal_ids, entry)
+    return entry
 
 
 def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
     """The exact (path length, terrain cost) lower bounds from `cell` to the
     goal, each minimised on its own over all routes into the goal region.
 
-    This is the heuristic moa_star uses. Returns None when `cell` cannot
-    reach the goal.
+    This is the heuristic moa_star uses, read through the same memo: calls
+    on one map object and goal, and moa_star calls before them, share one
+    pair of backward Dijkstras. Returns None when `cell` cannot reach the
+    goal.
     """
     region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     cell = tuple(cell)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cellplan.moastar as moastar
 import cellplan.query as query
 from cellplan import GoalRegion, build_database, parse_map
 
@@ -219,6 +220,20 @@ def graph_builds(monkeypatch):
         return build_graph(*args)
 
     monkeypatch.setattr(query, "_successor_graph", counted)
+    return calls
+
+
+@pytest.fixture
+def dijkstra_calls(monkeypatch):
+    """The argument tuples of every backward Dijkstra MOA*'s heuristics run."""
+    calls = []
+    cost_to_go = moastar._cost_to_go
+
+    def counted(*args):
+        calls.append(args)
+        return cost_to_go(*args)
+
+    monkeypatch.setattr(moastar, "_cost_to_go", counted)
     return calls
 
 

@@ -141,3 +141,15 @@ def test_amortization_needs_a_start():
         amortization_table(g, GoalRegion([(0, 0)]), 1)
     with pytest.raises(ValueError, match="at least 1"):
         amortization_table(parse_map("1 2\n0 0\n"), GoalRegion([(0, 0)]), 0)
+
+
+def test_campaign_times_cold_starts(dijkstra_calls):
+    rep = run_campaign(small_cfg(starts_per_map=3))
+    assert len(dijkstra_calls) == 2 * 3 * rep.total
+
+
+def test_amortization_times_cold_starts(dijkstra_calls):
+    g = parse_map("4 4\n" + "0 1 0 2\n" * 4)
+    table = amortization_table(g, GoalRegion([(0, 0)]), 5)
+    assert table["sampled_starts"] == 5
+    assert len(dijkstra_calls) == 2 * 5

@@ -1,12 +1,17 @@
-"""MOA* baseline tests: exact heuristics, hand examples, and equivalence with
-the database on random maps."""
+"""MOA* baseline tests: exact heuristics, hand examples, equivalence with
+the database on random maps, and the heuristics memo."""
 
 import heapq
+import random
 
+import numpy as np
 import pytest
 
+import cellplan.moastar as moastar
 from cellplan import (
+    CostOverflowError,
     GoalRegion,
+    GridMap,
     build_database,
     enumerate_paths,
     free_cells,
@@ -182,3 +187,96 @@ def test_zero_terrain_collapses_to_octile_shortest(seed):
             assert front == ((dist[start], 0),)
         else:
             assert front == ()
+
+
+def copy_of(g):
+    return GridMap(g.terrain, g.obstacle, g.allow_corner_cut)
+
+
+def test_memo_builds_once_per_map_and_goal(dijkstra_calls):
+    g = random_map(3, 7, 7, 0.2, 3)
+    cells = free_cells(g)
+    goal = [cells[0]]
+    for start in cells[1:6]:
+        moa_star(g, start, goal, collect_paths=False)
+    assert len(dijkstra_calls) == 2
+    # heuristic() reads the same entry.
+    assert heuristic(g, cells[7], GoalRegion(goal)) is not None
+    assert len(dijkstra_calls) == 2
+
+
+@pytest.mark.parametrize("change", ["new goal", "equal copy", "no corner cut"])
+def test_memo_rebuilds_on_a_new_key(dijkstra_calls, change):
+    g = random_map(4, 6, 6, 0.2, 3)
+    cells = free_cells(g)
+    goal, start = [cells[0]], cells[-1]
+    moa_star(g, start, goal)
+    if change == "new goal":
+        goal = [cells[1]]
+    elif change == "equal copy":
+        g = copy_of(g)
+    else:
+        g = GridMap(g.terrain, g.obstacle, allow_corner_cut=False)
+    moa_star(g, start, goal)
+    moa_star(g, start, goal)
+    assert len(dijkstra_calls) == 4
+
+
+def test_memo_holds_one_map():
+    a = random_map(5, 5, 5, 0.2, 3)
+    b = copy_of(a)
+    goal = [free_cells(a)[0]]
+    moa_star(a, free_cells(a)[-1], goal)
+    assert moastar._memo[0][0] is a
+    moa_star(b, free_cells(b)[-1], goal)
+    assert moastar._memo[0][0] is b
+    assert all(x is not a for x in moastar._memo[0])
+
+
+def test_failed_calls_leave_the_memo():
+    g = parse_map("3 3\n0 # 0\n0 0 0\n0 0 0\n")
+    moa_star(g, (2, 2), [(0, 0)])
+    before = moastar._memo[0]
+    with pytest.raises(ValueError):
+        moa_star(g, (0, 1), [(0, 0)])  # start on an obstacle
+    with pytest.raises(ValueError):
+        moa_star(g, (2, 2), [(3, 0)])  # goal outside the map
+    with pytest.raises(ValueError):
+        heuristic(g, (0, 1), [(0, 0)])
+    with pytest.raises(ValueError):
+        heuristic(g, (2, 2), [(0, 3)])
+    big = GridMap(np.array([[2**62, 0]]), np.zeros((1, 2), dtype=bool))
+    with pytest.raises(CostOverflowError):
+        moa_star(big, (0, 0), [(0, 1)])
+    assert moastar._memo[0] is before
+
+
+# (rows, cols, obstacle density, max terrain, corner cutting)
+_MEMO_CORPUS = [
+    (2, 2, 0.0, 2, True), (3, 4, 0.2, 3, True), (5, 5, 0.25, 2, False),
+    (6, 7, 0.2, 3, True), (7, 7, 0.3, 2, False), (8, 6, 0.2, 3, True),
+    (9, 9, 0.25, 3, True), (9, 8, 0.3, 3, False),
+]
+
+
+@pytest.mark.parametrize("seed, dims", list(enumerate(_MEMO_CORPUS)))
+def test_memo_answers_equal_cold_runs(dijkstra_calls, seed, dims):
+    """Every free start, shuffled, with the goal switching between two now
+    and then: each answer equals a cold run on a fresh copy of the map."""
+    rows, cols, density, max_cost, corner_cut = dims
+    g = random_map(100 + seed, rows, cols, density, max_cost, allow_corner_cut=corner_cut)
+    cells = free_cells(g)
+    rng = random.Random(seed)
+    goals = [[cells[0]], [cells[-1]]]
+    order = []
+    k = 0
+    for start in rng.sample(cells, len(cells)):
+        if rng.random() < 0.3:
+            k = 1 - k
+        order.append((start, k))
+    cold = {(s, k): moa_star(copy_of(g), s, goals[k]) for s, k in order}
+    del dijkstra_calls[:]  # the memo now holds the last copy, not g
+    for s, k in order:
+        assert moa_star(g, s, goals[k]) == cold[(s, k)]
+    switches = 1 + sum(a[1] != b[1] for a, b in zip(order, order[1:]))
+    assert len(dijkstra_calls) == 2 * switches
