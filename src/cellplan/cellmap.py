@@ -32,8 +32,11 @@ Two schedules compute the same fixed point:
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
 
-verify_database checks a database without a build: one whole-array pass per
-move direction over grid.move_mask and the queries' key, Database.label_key.
+Database.label_key is the one check of canonical form (f1 strictly rising
+and f2 strictly falling in each cell, no path longer than the longest route,
+exactly (0, 0) at each goal cell): load_database, verify_database and the
+queries all read it. verify_database checks a database without a build: one
+whole-array pass per move direction over grid.move_mask and that key.
 
 One layout holds a database, in memory and on disk: a label count for every
 cell of the map in row-major order (0 for obstacles and unreachable cells)
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,7 +95,9 @@ class Database:
     all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
     `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
     set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
-    sets as given; load_database is what checks that they are canonical.
+    sets as given. label_key is the one check that they are canonical: the
+    loader, the verifier and the queries all read it, so no database out of
+    canonical form is loaded, verified or queried.
     `_query_memo` is the query layer's one-entry memo of its last map and
     start (query._Memo); it holds only data derived from the read-only arrays
     and a read-only map, and == ignores it.
@@ -179,22 +184,40 @@ class Database:
         the key key[k] + (j - cell) * stride + s, and the headroom above the
         largest f1 keeps it off the keys of every cell but j. Derived
         once from the read-only counts and f1, so it cannot go stale; int32
-        when every value fits. Raises ValueError when the sets are not in
-        (cell, f1) order or a path length exceeds the longest route a map of
-        this size has.
+        when every value fits.
+
+        This is the one check of canonical form. Raises ValueError when a
+        cell's set is not in canonical order (f1 strictly rising, f2
+        strictly falling), when a goal cell lies outside the map or does not
+        hold exactly (0, 0), or when a path length exceeds the longest route
+        a map of this size has.
         """
-        n = self.counts.size
-        top = int(self.f1.max()) if self.f1.size else 0
+        counts, offsets, f1, f2 = self.counts, self.offsets, self.f1, self.f2
+        n = counts.size
+        # Neighbouring labels of one cell: every pair except across a cell's start.
+        bad = np.ones(max(f1.size - 1, 0), dtype=bool)
+        starts = offsets[:-1]
+        bad[starts[(starts > 0) & (starts < f1.size)] - 1] = False
+        bad &= (f1[1:] <= f1[:-1]) | (f2[1:] >= f2[:-1])
+        if bad.any():
+            i = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+            raise ValueError(f"labels of cell {i // self.n_cols},{i % self.n_cols} "
+                             "are not in canonical order")
+        for r, c in sorted(self.goal.cells):
+            i = self.index((r, c))
+            if i is None:
+                raise ValueError(f"goal cell {r},{c} lies outside the map")
+            if counts[i] != 1 or f1[offsets[i]] or f2[offsets[i]]:
+                raise ValueError(f"goal cell {r},{c} must hold exactly (0, 0)")
+        top = int(f1.max()) if f1.size else 0
         if top > DIAGONAL_STEP * (n - 1):
             raise ValueError(f"path length {top} exceeds the longest route on a "
                              f"{self.n_rows}x{self.n_cols} map")
         stride = top + 1 + DIAGONAL_STEP
         dtype = np.int32 if n * stride <= np.iinfo(np.int32).max else np.int64
-        key = np.repeat(np.arange(n, dtype=dtype), self.counts)
+        key = np.repeat(np.arange(n, dtype=dtype), counts)
         key *= stride
-        key += self.f1.astype(dtype)
-        if (key[1:] <= key[:-1]).any():
-            raise ValueError("label sets are not in canonical order")
+        key += f1.astype(dtype)
         key.flags.writeable = False
         return key, stride
 
@@ -222,49 +245,6 @@ class _LabelView(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._db.counts))
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-    def _walk(self):
-        """(cell, label set) pairs in row-major order, decoded with one
-        tolist() of f1 and of f2 per block of _WALK_BLOCK cells."""
-        db = self._db
-        cells = np.flatnonzero(db.counts)
-        for lo in range(0, cells.size, _WALK_BLOCK):
-            block = cells[lo:lo + _WALK_BLOCK]
-            bounds = db.offsets[np.append(block, block[-1] + 1)]
-            f1 = db.f1[bounds[0]:bounds[-1]].tolist()
-            f2 = db.f2[bounds[0]:bounds[-1]].tolist()
-            bounds = (bounds - bounds[0]).tolist()
-            for i, x, y in zip(block.tolist(), bounds, bounds[1:]):
-                yield divmod(i, db.n_cols), tuple(zip(f1[x:y], f2[x:y]))
-
-
-# Cells per decoded block of a label walk. Decoding the whole database at once
-# holds every vector as a Python tuple, about 50 MB on a 117x117 map.
-_WALK_BLOCK = 256
-
-
-class _Items(ItemsView):
-    """items() of a _LabelView, walked a block of cells at a time."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._walk()
-
-
-class _Values(ValuesView):
-    """values() of a _LabelView, walked a block of cells at a time."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return (ls for _cell, ls in self._mapping._walk())
 
 
 def _pack(sets) -> tuple:
@@ -506,10 +486,10 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
 
 def verify_database(db: Database, grid: GridMap) -> bool:
     """Check that `db` is exactly the fixed point for `grid`: the map's
-    shape, no label on an obstacle, exactly (0, 0) at each goal cell, sets
-    in canonical order (label_key's f1 order, f2 strictly falling), and no
-    change from one more sweep. False for a wrong database, and
-    DigestMismatchError when `grid` is not the map it was built from.
+    shape, canonical form (Database.label_key raises for none of it), no
+    label on an obstacle, and no change from one more sweep. False for a
+    wrong database, and DigestMismatchError when `grid` is not the map it
+    was built from.
 
     Moves are symmetric, so each label k at a cell that may move in
     direction d gives j = cell + shift[d] the candidate (f1[k] + step[d],
@@ -530,15 +510,9 @@ def verify_database(db: Database, grid: GridMap) -> bool:
     counts, offsets, f1, f2 = db.counts, db.offsets, db.f1, db.f2
     if counts[grid.obstacle.ravel()].any():
         return False
-    supported = np.zeros(f1.size, dtype=bool)  # goal seeds need no support
-    for goal_cell in db.goal.cells:
-        i = db.index(goal_cell)
-        if i is None or counts[i] != 1 or f1[offsets[i]] or f2[offsets[i]]:
-            return False
-        supported[offsets[i]] = True
+    supported = np.zeros(f1.size, dtype=bool)
+    supported[offsets[[db.index(g) for g in db.goal.cells]]] = True  # goal seeds, (0, 0)
     cell = np.repeat(np.arange(counts.size), counts)
-    if ((cell[1:] == cell[:-1]) & (f2[1:] >= f2[:-1])).any():
-        return False
     allowed, shift, step = move_mask(grid)
     for d in range(len(shift)):
         k = np.flatnonzero(allowed[cell, d])
@@ -609,12 +583,14 @@ def load_database(raw: bytes) -> Database:
     Rejects with ValueError a version-1 (JSON) file, a header that is not
     in its saved form, widths that are not the narrowest, a payload of the
     wrong length or checksum, counts that do not sum to the label count,
-    a label set that is not in canonical order (f1 strictly rising, f2
-    strictly falling), a component above MAX_COMPONENT, and a goal cell
-    outside the map or not holding exactly (0, 0). Every field is then
-    determined, so save_database(load_database(raw)) == raw whenever this
-    returns. Whether the sets fit the map and each other is left to
-    verify_database, which needs the map.
+    and a component above MAX_COMPONENT. It then reads the Database's
+    label_key, the one check of canonical form, which rejects a label set
+    out of canonical order (f1 strictly rising, f2 strictly falling), a
+    goal cell outside the map or not holding exactly (0, 0), and a path
+    length beyond the longest route; the key stays cached for queries.
+    Every field is then determined, so save_database(load_database(raw))
+    == raw whenever this returns. Whether the sets fit the map and each
+    other is left to verify_database, which needs the map.
     """
     end = raw.find(b"\n")
     if end < 0:
@@ -651,8 +627,6 @@ def load_database(raw: bytes) -> Database:
     for cell in goal_raw:
         if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
             raise ValueError(f"bad goal cell {cell!r}")
-        if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
-            raise ValueError(f"goal cell {cell[0]},{cell[1]} lies outside the map")
     # The version is compared as a number above, so 2.0 would pass: write the int.
     if _header_bytes({**header, "version": DB_VERSION}) != raw[:end + 1]:
         raise ValueError("database header is not in its saved form")
@@ -676,21 +650,8 @@ def load_database(raw: bytes) -> Database:
         raise ValueError(f"label counts do not sum to the {n_labels} labels")
     if n_labels and max(int(f1.max()), int(f2.max())) > MAX_COMPONENT:
         raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # Neighbouring labels of one cell: every pair except across a cell's start.
-    inner = np.ones(max(n_labels - 1, 0), dtype=bool)
-    starts = offsets[:-1]
-    inner[starts[(starts > 0) & (starts < n_labels)] - 1] = False
-    bad = inner & ((f1[1:] <= f1[:-1]) | (f2[1:] >= f2[:-1]))
-    if bad.any():
-        i = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
-        raise ValueError(f"labels of cell {i // cols},{i % cols} are not in canonical order")
-    goal = GoalRegion(map(tuple, goal_raw))
-    for r, c in sorted(goal.cells):
-        i = r * cols + c
-        if counts[i] != 1 or f1[offsets[i]] or f2[offsets[i]]:
-            raise ValueError(f"goal cell {r},{c} must hold exactly (0, 0)")
-    return Database(counts, f1, f2, n_rows=rows, n_cols=cols, goal=goal,
-                    map_digest=header["map_digest"], iterations=header["iterations"],
-                    convention_tag=header["convention_tag"])
+    db = Database(counts, f1, f2, n_rows=rows, n_cols=cols,
+                  goal=GoalRegion(map(tuple, goal_raw)), map_digest=header["map_digest"],
+                  iterations=header["iterations"], convention_tag=header["convention_tag"])
+    db.label_key  # the canonical-form check; the key stays cached for the queries
+    return db

@@ -117,11 +117,13 @@ KEY_EDITS_2X3 = [
 ]
 
 # Label sets for cell (0,0), saved as [(20, 5), (28, 0)], that break
-# canonical order (f1 strictly increasing, f2 strictly decreasing).
+# canonical order (f1 strictly increasing, f2 strictly decreasing);
+# "f1-falling" breaks only the f1 half.
 ORDER_EDITS_2X3 = [
     pytest.param([(28, 0), (20, 5)], id="swapped"),
     pytest.param([(20, 5), (20, 5), (28, 0)], id="repeated"),
     pytest.param([(20, 5), (28, 5)], id="dominated"),
+    pytest.param([(28, 5), (20, 0)], id="f1-falling"),
 ]
 
 
@@ -141,16 +143,21 @@ def _component_overflow(counts, f1, f2):
     f1[1] = 2**63  # cell (0,0)'s second label; order still holds
 
 
+def _past_longest_route(counts, f1, f2):
+    f1[4] = 71  # cell (1,0)'s one label; no route on six cells is longer than 70
+
+
 def _flip_last_byte(blob):
     return blob[:-1] + bytes([blob[-1] ^ 1])
 
 
 # Edits of the saved 2x3 database that the loader must reject, with the
-# error text each raises: a goal cell that does not hold exactly (0, 0),
-# bytes save_database never writes, and a payload that does not fit its
-# header. "label-whitespace" puts a byte inside the arrays and "minus-zero"
-# spells a value another way (a wider width), the version-2 forms of those
-# JSON defects; "escaped-key" escapes a character of a header string.
+# error text each raises: a goal cell that does not hold exactly (0, 0), a
+# path length past the longest route, bytes save_database never writes, and
+# a payload that does not fit its header. "label-whitespace" puts a byte
+# inside the arrays and "minus-zero" spells a value another way (a wider
+# width), the version-2 forms of those JSON defects; "escaped-key" escapes a
+# character of a header string.
 LOADER_EDITS_2X3 = [
     pytest.param(repack(_goal_front), "goal cell", id="goal-front"),
     pytest.param(replace(b'"iterations":3', b'"iterations":4,"iterations":3'), "saved form",
@@ -172,6 +179,7 @@ LOADER_EDITS_2X3 = [
     pytest.param(repack(_extra_count), "payload holds", id="counts-length"),
     pytest.param(repack(_count_too_many), "do not sum", id="counts-sum"),
     pytest.param(repack(_component_overflow), "exceeds", id="component-overflow"),
+    pytest.param(repack(_past_longest_route), "longest route", id="past-longest-route"),
     pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0,3]]'), "outside the map",
                  id="goal-outside-map"),
     pytest.param(version_1, "rebuild", id="version-1"),

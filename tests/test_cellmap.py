@@ -91,7 +91,7 @@ def test_two_route_map_full_fixed_point(db_2x3):
 def test_label_view_walks(request, fixture, goal):
     """items() and values() equal {cell: db.front(cell)} in row-major order."""
     if fixture == "random":
-        grid = random_map(17, 20, 20, 0.2, 5)  # more cells than one walk block
+        grid = random_map(17, 20, 20, 0.2, 5)  # obstacles among 400 cells, which the view skips
         goal = free_cells(grid)[-1]
     else:
         grid = request.getfixturevalue(fixture)
@@ -399,7 +399,9 @@ _EDITS = ("none", "f1", "f2", "drop", "insert")
 @given(data=st.data())
 def test_verify_accepts_exactly_the_build(data):
     """The build is the reference: a database with one vector edited,
-    dropped or inserted verifies exactly when it equals the build."""
+    dropped or inserted verifies exactly when it equals the build, and its
+    saved bytes load exactly when its label_key, the one canonical-form
+    check, holds."""
     draw = data.draw
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     g = random_map(draw(st.integers(0, 2**16)), rows, cols, draw(st.floats(0, 0.4)),
@@ -425,6 +427,13 @@ def test_verify_accepts_exactly_the_build(data):
     mutant = Database(counts, f1, f2, n_rows=rows, n_cols=cols, goal=db.goal,
                       map_digest=db.map_digest, iterations=db.iterations)
     assert verify_database(mutant, g) == (mutant == db)
+    try:
+        mutant.label_key
+    except ValueError:
+        with pytest.raises(ValueError):
+            load_database(save_database(mutant))
+    else:
+        assert load_database(save_database(mutant)) == mutant
 
 
 def test_save_load_roundtrip(map_2x3, db_2x3):

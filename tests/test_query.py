@@ -332,6 +332,19 @@ def test_query_rejects_impossible_path_length(map_2x3, db_2x3):
         coverage(bad, map_2x3, (0, 0))
 
 
+@pytest.mark.parametrize("seed", [(0, 1), (4, 0)])
+@pytest.mark.parametrize("query", [count_paths, coverage, enumerate_paths])
+def test_query_rejects_bad_goal_seed(map_2x3, db_2x3, seed, query):
+    # A goal cell holds exactly (0, 0); any other seed is refused at the goal
+    # and at a start whose routes lead there, never answered.
+    labels = {**db_2x3.labels, GOAL_2X3: (seed,)}
+    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
+                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    for start in (GOAL_2X3, (0, 0)):
+        with pytest.raises(ValueError, match="goal cell"):
+            query(bad, map_2x3, start)
+
+
 def test_query_rejects_short_label_near_another_cells_key():
     # (9, 0) at (0, 0) decomposes through no move: every step is longer than 9.
     # Its step south looks up (1, 0) at path length -1, which must not land on
