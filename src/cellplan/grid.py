@@ -49,12 +49,13 @@ class GridMap:
     Instances are read-only value objects. The constructor copies `terrain`
     and `obstacle` into arrays that cannot be written (the caller's arrays
     stay writeable), and no attribute can be set afterwards, so a map can
-    key a cache by identity. `allow_corner_cut` controls whether a diagonal
-    move may pass between two diagonally touching obstacles (allowed by
-    default).
+    key a cache by identity. The one private slot, `_digest`, is the cache
+    map_digest fills on first use. `allow_corner_cut` controls whether a
+    diagonal move may pass between two diagonally touching obstacles
+    (allowed by default).
     """
 
-    __slots__ = ("terrain", "obstacle", "allow_corner_cut")
+    __slots__ = ("terrain", "obstacle", "allow_corner_cut", "_digest")
 
     def __init__(self, terrain, obstacle, allow_corner_cut: bool = True):
         terrain = np.array(terrain, dtype=np.int64, order="C")
@@ -70,6 +71,7 @@ class GridMap:
         object.__setattr__(self, "terrain", terrain)
         object.__setattr__(self, "obstacle", obstacle)
         object.__setattr__(self, "allow_corner_cut", bool(allow_corner_cut))
+        object.__setattr__(self, "_digest", None)  # filled by map_digest
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GridMap is read-only; cannot set {name!r}")
@@ -257,7 +259,8 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     time and folded into map_digest. Raises MapFormatError on any malformed
     input: bad dimension line, row or token count mismatches, invalid tokens,
     a missing trailing newline, or terrain large enough to risk overflowing
-    path-cost sums.
+    path-cost sums (a cost beyond int64 included). The first error is the
+    one a token-by-token reading in row-major order would meet.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -283,43 +286,63 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     # After the trailing newline, split() leaves one final empty element.
     if len(lines) != n_rows + 2 or lines[-1] != "":
         raise MapFormatError(f"expected {n_rows} data rows")
-    terrain = np.zeros((n_rows, n_cols), dtype=np.int64)
-    obstacle = np.zeros((n_rows, n_cols), dtype=bool)
+    # Each row is one lookup per token in `values`, which checks and converts
+    # each distinct token once, in row-major order of first appearance: "#"
+    # is -1, the obstacle mark, and a cost above MAX_COMPONENT is stored as 0
+    # and raised as an overflow risk once every row has parsed.
+    terrain = np.empty((n_rows, n_cols), dtype=np.int64)
+    values = {"#": -1}
+    lookup = values.__getitem__
+    too_big = False
     for r in range(n_rows):
         toks = lines[r + 1].split()
         if len(toks) != n_cols:
             raise MapFormatError(f"row {r} has {len(toks)} tokens, expected {n_cols}")
-        for c, tok in enumerate(toks):
-            if tok == "#":
-                obstacle[r, c] = True
-            elif tok.isascii() and tok.isdigit():
-                terrain[r, c] = int(tok)
-            else:
-                raise MapFormatError(f"bad token {tok!r} at row {r}, column {c}")
+        try:
+            terrain[r] = np.fromiter(map(lookup, toks), np.int64, n_cols)
+        except KeyError:
+            for c, tok in enumerate(toks):
+                if tok in values:
+                    continue
+                if not (tok.isascii() and tok.isdigit()):
+                    raise MapFormatError(f"bad token {tok!r} at row {r}, column {c}") from None
+                # More than 19 significant digits exceed MAX_COMPONENT; int()
+                # is not asked to convert them.
+                cost = int(tok) if len(tok.lstrip("0")) <= 19 else MAX_COMPONENT + 1
+                too_big |= cost > MAX_COMPONENT
+                values[tok] = cost if cost <= MAX_COMPONENT else 0
+            terrain[r] = np.fromiter(map(lookup, toks), np.int64, n_cols)
+    obstacle = terrain < 0
+    terrain[obstacle] = 0
     grid = GridMap(terrain, obstacle, allow_corner_cut=allow_corner_cut)
-    if overflow_risk(grid):
+    if too_big or overflow_risk(grid):
         raise MapFormatError("terrain costs could overflow a path sum; rescale the map")
     return grid
 
 
 def serialize_map(grid: GridMap) -> bytes:
-    """Canonical map file bytes; parse_map(serialize_map(g)) == g."""
+    """Canonical map file bytes; parse_map(serialize_map(g)) == g.
+
+    Each distinct value is formatted once, and each row is one join."""
+    values = np.where(grid.obstacle, -1, grid.terrain).tolist()
+    names = {v: str(v) for v in set().union(*values)}
+    names[-1] = "#"
     rows = [f"{grid.n_rows} {grid.n_cols}"]
-    for r in range(grid.n_rows):
-        toks = [
-            "#" if grid.obstacle[r, c] else str(int(grid.terrain[r, c]))
-            for c in range(grid.n_cols)
-        ]
-        rows.append(" ".join(toks))
+    rows.extend(" ".join(map(names.__getitem__, row)) for row in values)
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 
 def map_digest(grid: GridMap) -> str:
-    """Content hash of a GridMap (map text plus the corner-cut flag)."""
-    h = hashlib.sha256()
-    h.update(serialize_map(grid))
-    h.update(b"corner-cut=%d" % int(grid.allow_corner_cut))
-    return h.hexdigest()
+    """Content hash of a GridMap (map text plus the corner-cut flag).
+
+    Computed once per map object and cached on it; the map is read-only,
+    so the cache cannot go stale."""
+    if grid._digest is None:
+        h = hashlib.sha256()
+        h.update(serialize_map(grid))
+        h.update(b"corner-cut=%d" % int(grid.allow_corner_cut))
+        object.__setattr__(grid, "_digest", h.hexdigest())
+    return grid._digest
 
 
 def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,

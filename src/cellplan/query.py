@@ -16,9 +16,12 @@ lists (an offsets array and a flat array of successor positions).
 A database keeps a one-entry memo of its last query: the map (compared with
 `is`; a GridMap is read-only) with its step, and the last start's graph. So
 count_paths, coverage and enumerate_paths at one start build the graph once,
-and successors builds the step once per map. A step or graph that raises is
-never stored, so a query on a database that does not match its map raises
-every time.
+and successors builds the step once per map. Every query entry point but
+pareto_front_at starts from the step, and making it checks the database
+against the map: the map digest (cached on the map), the shape and the
+canonical form (Database.label_key); a memo hit checks nothing again. A
+step or graph that raises is never stored, so a query on a database that
+does not match its map raises every time.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cellmap import Database
-from .grid import Cell, GridMap, move_mask, require_free
+from .cellmap import Database, DigestMismatchError
+from .grid import Cell, GridMap, map_digest, move_mask, require_free
 from .pareto import LabelSet, Vector
 
 Path = tuple[Cell, ...]
@@ -56,7 +59,9 @@ class QueryResult:
 
 def pareto_front_at(db: Database, start: Cell) -> LabelSet:
     """The non-dominated cost vectors from `start`; empty if unreachable.
-    Decodes one slice of the database's arrays."""
+    Decodes one slice of the database's arrays, once Database.label_key has
+    found the database in canonical form (ValueError otherwise)."""
+    db.label_key  # the canonical-form check; cached after the first call
     return db.front(start)
 
 
@@ -67,6 +72,7 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     the label set of j. Non-empty for every non-goal vector of a consistent
     database (ValueError otherwise); goal cells have no successors.
     """
+    step = _memo_step(db, grid)
     cell = tuple(cell)
     vector = tuple(vector)
     i = db.index(cell)
@@ -81,7 +87,6 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     if cell in db.goal.cells:
         return []
     require_free(grid, cell)
-    step = _memo_step(db, grid)
     _degree, dst = step(np.array([db.offsets[i] + k]), np.array([i]))
     return list(zip(_decode(step.cells(dst), grid.n_cols),
                     zip(db.f1[dst].tolist(), db.f2[dst].tolist())))
@@ -96,10 +101,13 @@ class _Step:
     row-major move order. Each allowed move of a state (c, F) forms the key
     of its candidate (j, F[0] - step) and keeps it when the label found
     there has F[1] - terrain(c). Goal-cell states have no successors; any
-    other state without one raises ValueError.
+    other state without one raises ValueError. Making a step raises
+    DigestMismatchError when the database was built from another map.
     """
 
     def __init__(self, db: Database, grid: GridMap):
+        if db.map_digest != map_digest(grid):
+            raise DigestMismatchError("database digest does not match this map")
         if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
             raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
                              f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
@@ -172,10 +180,10 @@ def _memo_step(db: Database, grid: GridMap) -> _Step:
     return step
 
 
-def _memo_graph(db: Database, grid: GridMap, start: Cell) -> _Graph:
-    """The successor graph of `start`, from the database's memo when it
-    holds this map and start; otherwise built, and stored once it is."""
-    step = _memo_step(db, grid)
+def _memo_graph(db: Database, step: _Step, start: Cell) -> _Graph:
+    """The successor graph of `start` under `step`, which _memo_step has
+    just put in the database's memo: from the memo when it holds this start;
+    otherwise built, and stored once it is."""
     memo = db._query_memo[0]
     if memo.start != start:
         memo = memo._replace(start=start, graph=_successor_graph(db, step, start))
@@ -222,12 +230,13 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
     A DP over the states in increasing path length, in Python ints; nothing
     is enumerated, so counts may be astronomically large.
     """
+    step = _memo_step(db, grid)
     start = tuple(start)
     require_free(grid, start)
     front = db.front(start)
     if not front:
         return QueryResult(start=start, front=(), counts={}, total_paths=0)
-    graph = _memo_graph(db, grid, start)
+    graph = _memo_graph(db, step, start)
     off, succ = graph.offsets.tolist(), graph.succ.tolist()
     counts = [1] * len(graph.ids)  # goal states keep their one path
     for s in np.argsort(db.f1[graph.ids], kind="stable").tolist():
@@ -243,11 +252,12 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
 
 def coverage(db: Database, grid: GridMap, start: Cell) -> frozenset[Cell]:
     """Cells lying on at least one optimal path from `start`."""
+    step = _memo_step(db, grid)
     start = tuple(start)
     require_free(grid, start)
     if not db.front(start):
         raise ValueError(f"start {start} cannot reach the goal")
-    graph = _memo_graph(db, grid, start)
+    graph = _memo_graph(db, step, start)
     return frozenset(_decode(np.unique(graph.cells), grid.n_cols))
 
 
@@ -265,6 +275,7 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     are returned and the flag is False; otherwise at most `limit` paths are
     returned and the flag tells whether more exist.
     """
+    step = _memo_step(db, grid)
     start = tuple(start)
     require_free(grid, start)
     if limit is not None and limit < 1:
@@ -272,7 +283,7 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     front = db.front(start)
     if not front:
         return [], False
-    gen = _walk_paths(_memo_graph(db, grid, start), grid.n_cols, front)
+    gen = _walk_paths(_memo_graph(db, step, start), grid.n_cols, front)
     if limit is None:
         return list(gen), False
     out = list(islice(gen, limit))

@@ -127,6 +127,16 @@ def test_build_overflow_exit_code(map_file, tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_build_rejects_terrain_beyond_int64(tmp_path, capsys):
+    m = tmp_path / "big.map"
+    m.write_text("1 2\n99999999999999999999 1\n")
+    rc = cli.main(["build", "-m", str(m), "--goal", "0,1", "-o", str(tmp_path / "x.db")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: terrain costs could overflow a path sum")
+    assert not (tmp_path / "x.db").exists()
+
+
 def test_query_json_full_report(map_file, db_file, capsys):
     rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
                    "--start", "0,0", "--count", "--coverage", "--paths"])

@@ -24,6 +24,7 @@ from cellplan.grid import (
     serialize_map,
     step_length,
 )
+from cellplan.pareto import MAX_COMPONENT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,6 +68,113 @@ def test_parse_rejects_overflow_risk():
     big = 2**62
     with pytest.raises(MapFormatError, match="overflow"):
         parse_map(f"1 2\n{big} 0\n")
+
+
+@pytest.mark.parametrize("token", ["99999999999999999999", "9223372036854775808",
+                                   "0" * 30 + "9223372036854775808", "9" * 5000],
+                         ids=["20-digits", "int64-max-plus-1", "leading-zeros", "5000-digits"])
+def test_parse_rejects_terrain_beyond_int64(token):
+    # Costs that do not fit the terrain array are an overflow risk, not a crash.
+    with pytest.raises(MapFormatError, match="^terrain costs could overflow a path sum; "
+                                             "rescale the map$"):
+        parse_map(f"1 2\n{token} 1\n")
+
+
+def test_parse_keeps_the_largest_cost_of_a_one_cell_map():
+    # One free cell never sums two costs: int64's largest value still parses.
+    g = parse_map(f"1 1\n{MAX_COMPONENT}\n")
+    assert g.terrain[0, 0] == MAX_COMPONENT
+
+
+def _reference_parse(text):
+    """parse_map's contract, one token at a time: the (terrain, obstacle)
+    lists of the map, or the text of the MapFormatError it raises."""
+    if not text.endswith("\n"):
+        return "map text must end with a newline"
+    lines = text.split("\n")
+    header = lines[0].split()
+    if len(header) != 2:
+        return f"dimension line has {len(header)} tokens, expected 2"
+    for tok in header:
+        if not (tok.isascii() and tok.isdigit()):
+            return f"bad dimension token {tok!r}"
+    n_rows, n_cols = map(int, header)
+    if n_rows < 1 or n_cols < 1:
+        return "dimensions must be positive"
+    if len(lines) != n_rows + 2:
+        return f"expected {n_rows} data rows"
+    terrain, obstacle = [], []
+    for r in range(n_rows):
+        toks = lines[r + 1].split()
+        if len(toks) != n_cols:
+            return f"row {r} has {len(toks)} tokens, expected {n_cols}"
+        for c, tok in enumerate(toks):
+            if tok == "#":
+                terrain.append(0)
+                obstacle.append(True)
+            elif tok.isascii() and tok.isdigit():
+                terrain.append(int(tok))
+                obstacle.append(False)
+            else:
+                return f"bad token {tok!r} at row {r}, column {c}"
+    n = n_rows * n_cols
+    top = max((t for t, o in zip(terrain, obstacle) if not o), default=0)
+    if top * n > MAX_COMPONENT or DIAGONAL_STEP * n > MAX_COMPONENT:
+        return "terrain costs could overflow a path sum; rescale the map"
+    return terrain, obstacle
+
+
+_GOOD_TOKENS = ["0", "3", "9", "#", "12", "007", "00"]
+_ODD_TOKENS = ["-1", "\u00b2", "\u0663", "1x", "+1", "##", "1_0", str(MAX_COMPONENT),
+               str(MAX_COMPONENT + 1), str(2**62), "9" * 25]
+_SPACES = [" ", "  ", "\t", "\r", "\x0c", "\x0b", "\xa0", "\u2028", "\x1f"]
+
+
+@st.composite
+def _map_texts(draw):
+    """Map text near the format: a valid map, then up to three edits (odd
+    tokens, a short or long row, a missing or extra row, no final newline),
+    with whitespace of every kind around the tokens."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from(_GOOD_TOKENS)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    newline = True
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        edit = draw(st.sampled_from(["token", "token", "short", "long", "rows", "newline"]))
+        if edit == "token" and rows and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        elif edit == "short" and rows:
+            rows[r] = rows[r][:-1]
+        elif edit == "long" and rows:
+            rows[r] = rows[r] + ["0"]
+        elif edit == "rows":
+            rows = rows[:-1] if draw(st.booleans()) else rows + [["0"] * n_cols]
+        elif edit == "newline":
+            newline = False
+
+    def line(toks):
+        edge = st.sampled_from(["", *_SPACES])
+        text = draw(edge)
+        for i, tok in enumerate(toks):
+            text += (draw(st.sampled_from(_SPACES)) if i else "") + tok
+        return text + draw(edge)
+
+    return "\n".join([f"{n_rows} {n_cols}"] + [line(toks) for toks in rows]) + "\n" * newline
+
+
+@given(_map_texts())
+def test_parse_matches_reference(text):
+    want = _reference_parse(text)
+    for data in (text, text.encode("utf-8")):
+        if isinstance(want, str):
+            with pytest.raises(MapFormatError) as err:
+                parse_map(data)
+            assert str(err.value) == want
+        else:
+            g = parse_map(data)
+            assert g.terrain.ravel().tolist() == want[0]
+            assert g.obstacle.ravel().tolist() == want[1]
 
 
 def test_serialize_examples():
@@ -320,6 +428,24 @@ def test_require_free():
         require_free(g, (1, 0))
     with pytest.raises(ValueError):
         require_free(g, (-1, 0))
+
+
+@pytest.mark.parametrize("args,corner_cut,digest", [
+    ((9, 117, 117, 0.15, 9), True,
+     "a888783c2bfe32b1d32d6838132a7eeca78edb1b363dfde2c14e90af84a93355"),
+    ((3, 20, 30, 0.3, 1000), True,
+     "11e0c5838760ca55a7d3a43f5b8a80589f1383aef654d872627d968b99d980f8"),
+    ((3, 20, 30, 0.3, 1000), False,
+     "3f15acf49678c07a8cd0a69fb69dc3119aa90c4654999a25ef599be6287dccd4"),
+], ids=["reference-117x117", "20x30", "20x30-no-corner-cut"])
+def test_map_digest_pinned(args, corner_cut, digest):
+    # Every saved database carries its map's digest, so the map text may
+    # never change for a map, whichever way serialize_map forms it.
+    grid = random_map(*args, allow_corner_cut=corner_cut)
+    assert map_digest(grid) == digest
+    copy = GridMap(grid.terrain, grid.obstacle, grid.allow_corner_cut)
+    assert map_digest(copy) == digest
+    assert map_digest(parse_map(serialize_map(grid), grid.allow_corner_cut)) == digest
 
 
 def test_map_digest_covers_corner_cut_flag():

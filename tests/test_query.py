@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cellplan.grid as grid_module
 import cellplan.query as query_module
 
 from cellplan import (
     Database,
+    DigestMismatchError,
     GoalRegion,
     GridMap,
     build_database,
@@ -71,6 +73,57 @@ def test_successors_rejects_unknown_vector(map_2x3, db_2x3):
 
 def test_successors_at_goal(map_2x3, db_2x3):
     assert successors(db_2x3, map_2x3, GOAL_2X3, (0, 0)) == []
+
+
+def test_front_and_successors_check_canonical_form(map_2x3, db_2x3):
+    # A goal seed other than (0, 0), or a front out of order, is refused by
+    # the lookups that read one cell, at that cell too, never answered.
+    meta = {"goal": db_2x3.goal, "map_digest": db_2x3.map_digest,
+            "iterations": db_2x3.iterations}
+    seeded = Database.from_labels({**db_2x3.labels, GOAL_2X3: ((0, 1),)}, 2, 3, **meta)
+    with pytest.raises(ValueError, match="goal cell 0,2 must hold exactly"):
+        pareto_front_at(seeded, GOAL_2X3)
+    with pytest.raises(ValueError, match="goal cell 0,2 must hold exactly"):
+        successors(seeded, map_2x3, GOAL_2X3, (0, 1))
+    swapped = Database.from_labels({**db_2x3.labels, (0, 0): FRONT_2X3[::-1]}, 2, 3, **meta)
+    with pytest.raises(ValueError, match="canonical order"):
+        pareto_front_at(swapped, (0, 0))
+    with pytest.raises(ValueError, match="canonical order"):
+        successors(swapped, map_2x3, (1, 1), (14, 0))
+
+
+def test_queries_check_the_map_digest(map_2x3, db_2x3):
+    # The goal cell's terrain is never paid, so a map that differs only
+    # there gives the same label sets: only the digest tells the maps apart.
+    other = parse_map("2 3\n0 5 7\n0 0 0\n")
+    twin = build_database(other, [GOAL_2X3])
+    assert all(np.array_equal(getattr(twin, k), getattr(db_2x3, k))
+               for k in ("counts", "f1", "f2"))
+    checks = [lambda g: count_paths(db_2x3, g, (0, 0)),
+              lambda g: coverage(db_2x3, g, (0, 0)),
+              lambda g: enumerate_paths(db_2x3, g, (0, 0)),
+              lambda g: successors(db_2x3, g, (0, 0), (20, 5)),
+              lambda g: successors(db_2x3, g, GOAL_2X3, (0, 0))]
+    for check in checks:
+        with pytest.raises(DigestMismatchError, match="does not match"):
+            check(other)
+        check(map_2x3)
+
+
+def test_map_digest_is_computed_once_per_map(db_2x3, monkeypatch):
+    # Two equal maps in turn: every query makes a new step, and each map
+    # is serialized for its digest once.
+    serialized = []
+    serialize = grid_module.serialize_map
+    monkeypatch.setattr(grid_module, "serialize_map",
+                        lambda g: serialized.append(g) or serialize(g))
+    maps = [parse_map(TEXT_2X3), parse_map(TEXT_2X3)]
+    for _ in range(3):
+        for g in maps:
+            count_paths(db_2x3, g, (0, 0))
+            coverage(db_2x3, g, (1, 0))
+            successors(db_2x3, g, (0, 0), (20, 5))
+    assert list(map(id, serialized)) == list(map(id, maps))
 
 
 def test_successors_consistency(map_2x3, db_2x3):
