@@ -89,7 +89,7 @@ class DigestMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Database:
-    """Fixed-point label sets plus build metadata, as read-only int64 arrays.
+    """Fixed-point label sets plus build metadata, as read-only numpy arrays.
 
     `counts[i]` is the size of the label set of the row-major cell i, over
     all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
@@ -98,6 +98,14 @@ class Database:
     sets as given. label_key is the one check that they are canonical: the
     loader, the verifier and the queries all read it, so no database out of
     canonical form is loaded, verified or queried.
+
+    The dtype rule: the constructor and from_labels copy what they are given
+    into int64 arrays. load_database keeps the file's arrays in place, as
+    read-only views of its bytes in their stored widths: uint8, uint16 or
+    uint32, and int64 for width 8 (every value is at most MAX_COMPONENT).
+    `offsets` is int64 always. So arithmetic on counts, f1 and f2 takes its
+    dtype from an int64 or label-key operand, never from a bare Python int:
+    a uint16 array plus 14 stays uint16 and wraps.
     `_query_memo` is the query layer's one-entry memo of its last map and
     start (query._Memo); it holds only data derived from the read-only arrays
     and a read-only map, and == ignores it.
@@ -117,7 +125,22 @@ class Database:
 
     def __post_init__(self):
         # Copies, so no caller keeps a writeable reference to the stored arrays.
-        counts, f1, f2 = (np.array(a, dtype=np.int64) for a in (self.counts, self.f1, self.f2))
+        self._store(*(np.array(a, dtype=np.int64) for a in (self.counts, self.f1, self.f2)))
+
+    @classmethod
+    def _in_place(cls, counts, f1, f2, **meta) -> Database:
+        """A database over arrays no one can write, stored as they are: the
+        loader's read-only views of a bytes object. `meta` is every other
+        field."""
+        db = cls.__new__(cls)
+        for name, value in {**meta, "_query_memo": [None]}.items():
+            object.__setattr__(db, name, value)
+        db._store(counts, f1, f2)
+        return db
+
+    def _store(self, counts, f1, f2) -> None:
+        """Check the arrays' shapes and signs, derive offsets, and store all
+        four read-only."""
         if counts.shape != (self.n_rows * self.n_cols,):
             raise ValueError("counts must hold one entry per cell of the map")
         if f1.ndim != 1 or f1.shape != f2.shape or int(counts.sum()) != f1.size:
@@ -125,7 +148,7 @@ class Database:
         if any(a.size and a.min() < 0 for a in (counts, f1, f2)):
             raise ValueError("counts and cost components must be non-negative")
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        np.cumsum(counts, dtype=np.int64, out=offsets[1:])
         for name, a in (("counts", counts), ("f1", f1), ("f2", f2), ("offsets", offsets)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -217,7 +240,7 @@ class Database:
         dtype = np.int32 if n * stride <= np.iinfo(np.int32).max else np.int64
         key = np.repeat(np.arange(n, dtype=dtype), counts)
         key *= stride
-        key += f1.astype(dtype)
+        key += f1  # f1 is below stride, so it fits the key's dtype
         key.flags.writeable = False
         return key, stride
 
@@ -534,8 +557,8 @@ def save_database(db: Database) -> bytes:
     f2 arrays as raw little-endian unsigned integers, each in the narrowest
     width of _WIDTHS that holds its largest value.
     """
-    arrays = [a.astype(f"<u{_width(a)}") for a in (db.counts, db.f1, db.f2)]
-    payload = b"".join(a.tobytes() for a in arrays)
+    arrays = [a.astype(f"<u{_width(_top(a))}", copy=False) for a in (db.counts, db.f1, db.f2)]
+    payload = b"".join(arrays)
     return _header_bytes({
         "version": DB_VERSION,
         "map_digest": db.map_digest,
@@ -567,9 +590,13 @@ def _header_bytes(fields) -> bytes:
     return _COMPACT.encode(header).encode("utf-8") + b"\n"
 
 
-def _width(a: np.ndarray) -> int:
-    """The narrowest byte width in _WIDTHS that holds every value of `a`."""
-    top = int(a.max()) if a.size else 0
+def _top(a: np.ndarray) -> int:
+    """The largest value of `a`, or 0 when it is empty."""
+    return int(a.max()) if a.size else 0
+
+
+def _width(top: int) -> int:
+    """The narrowest byte width in _WIDTHS that holds the values up to `top`."""
     return next(w for w in _WIDTHS if top < 1 << (8 * w))
 
 
@@ -591,7 +618,14 @@ def load_database(raw: bytes) -> Database:
     Every field is then determined, so save_database(load_database(raw))
     == raw whenever this returns. Whether the sets fit the map and each
     other is left to verify_database, which needs the map.
+
+    The database's arrays are read-only views of the file's bytes in their
+    stored widths (see Database). A `raw` that is not a bytes object, such
+    as a bytearray, is copied into one first, so no caller keeps writeable
+    memory under the database.
     """
+    if type(raw) is not bytes:
+        raw = bytes(raw)
     end = raw.find(b"\n")
     if end < 0:
         raise ValueError("database header line missing")
@@ -643,15 +677,19 @@ def load_database(raw: bytes) -> Database:
     counts = np.frombuffer(payload, f"<u{w_counts}", n)
     f1 = np.frombuffer(payload, f"<u{w_f1}", n_labels, n * w_counts)
     f2 = np.frombuffer(payload, f"<u{w_f2}", n_labels, n * w_counts + n_labels * w_f1)
-    if [_width(a) for a in (counts, f1, f2)] != widths:
+    tops = [_top(a) for a in (counts, f1, f2)]
+    if [_width(top) for top in tops] != widths:
         raise ValueError("array widths must be the narrowest that hold their values")
     # A count above the label count is caught before the sum, which it could wrap.
-    if int(counts.max()) > n_labels or int(counts.sum(dtype=np.uint64)) != n_labels:
+    if tops[0] > n_labels or int(counts.sum(dtype=np.uint64)) != n_labels:
         raise ValueError(f"label counts do not sum to the {n_labels} labels")
-    if n_labels and max(int(f1.max()), int(f2.max())) > MAX_COMPONENT:
+    if max(tops[1:]) > MAX_COMPONENT:
         raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
-    db = Database(counts, f1, f2, n_rows=rows, n_cols=cols,
-                  goal=GoalRegion(map(tuple, goal_raw)), map_digest=header["map_digest"],
-                  iterations=header["iterations"], convention_tag=header["convention_tag"])
+    # Width 8 is read as int64, which now holds every value: numpy would make
+    # float64 of uint64 mixed with the int64 of offsets and the map.
+    counts, f1, f2 = (a.view("<i8") if a.itemsize == 8 else a for a in (counts, f1, f2))
+    db = Database._in_place(counts, f1, f2, n_rows=rows, n_cols=cols,
+                            goal=GoalRegion(map(tuple, goal_raw)), map_digest=header["map_digest"],
+                            iterations=header["iterations"], convention_tag=header["convention_tag"])
     db.label_key  # the canonical-form check; the key stays cached for the queries
     return db

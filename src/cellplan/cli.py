@@ -9,6 +9,7 @@ stderr. Exit codes: 0 success / comparison equal, 1 comparison mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,7 +250,9 @@ def _add_corner_flag(p) -> None:
                    help="forbid diagonal moves between two touching obstacles")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cellplan",
         description="Multi-objective grid path planning with a cell-mapping database.")

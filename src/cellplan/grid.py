@@ -76,6 +76,11 @@ class GridMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"GridMap is read-only; cannot set {name!r}")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the map through the constructor,
+        # so the copy is read-only too and fills its own digest cache.
+        return (GridMap, (self.terrain, self.obstacle, self.allow_corner_cut))
+
     @property
     def n_rows(self) -> int:
         return self.terrain.shape[0]

@@ -12,6 +12,10 @@ rule's direction mask (grid.move_mask) and finds every candidate successor
 with one searchsorted over the database's sorted (cell, f1) key
 (Database.label_key). The graph is the reached label ids plus CSR successor
 lists (an offsets array and a flat array of successor positions).
+enumerate_paths walks that graph depth-first one single-successor run at a
+time (most states have exactly one successor): each run is made once, as a
+tuple of cells, and a path is its branch prefix joined with a run that ends
+at a goal state.
 
 A database keeps a one-entry memo of its last query: the map (compared with
 `is`; a GridMap is read-only) with its step, and the last start's graph. So
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -292,35 +296,68 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
 
 
 def _walk_paths(graph: _Graph, n_cols: int, front: LabelSet):
-    """Depth-first over the graph's successor lists, from the front's states."""
-    off, succ = graph.offsets.tolist(), graph.succ.tolist()
-    cells = _decode(graph.cells, n_cols)
+    """Depth-first over the graph's successor lists, from the front's states,
+    one run at a time. The run of a state is its cells up to the first state
+    without exactly one successor, the run's end; most states have one. Each
+    run is made once, on first entry, and a path is its branch prefix joined
+    with the run that ends at a goal state. The states of one map cell share
+    one (row, col) tuple, made when a run first reaches the cell."""
+    off, succ, ids = graph.offsets.tolist(), graph.succ.tolist(), graph.cells.tolist()
+    cells: dict[int, Cell] = {}
+    runs: dict[int, tuple[Path, int]] = {}
+
+    def run(t: int) -> tuple[Path, int]:
+        got = runs.get(t)
+        if got is None:
+            part, end = [], t
+            while True:
+                i = ids[end]
+                cell = cells.get(i)
+                if cell is None:
+                    cell = cells[i] = divmod(i, n_cols)
+                part.append(cell)
+                if off[end + 1] - off[end] != 1:
+                    break
+                end = succ[off[end]]
+            got = runs[t] = (tuple(part), end)
+        return got
+
     for s, vec in enumerate(front):
-        if off[s] == off[s + 1]:
-            yield (cells[s],), vec
+        prefix, end = run(s)
+        if off[end] == off[end + 1]:
+            yield prefix, vec
             continue
-        path = [cells[s]]
-        stack = [iter(succ[off[s]:off[s + 1]])]
+        stack = [(iter(succ[off[end]:off[end + 1]]), prefix)]
         while stack:
-            t = next(stack[-1], None)
+            branches, prefix = stack[-1]
+            t = next(branches, None)
             if t is None:
                 stack.pop()
-                path.pop()
                 continue
-            a, b = off[t], off[t + 1]
+            part, end = run(t)
+            a, b = off[end], off[end + 1]
             if a == b:
-                yield tuple(path) + (cells[t],), vec
+                yield prefix + part, vec
             else:
-                path.append(cells[t])
-                stack.append(iter(succ[a:b]))
+                stack.append((iter(succ[a:b]), prefix + part))
 
 
 # --- report renderers ---
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def render_report_json(start: Cell, front: LabelSet, *, counts=None,
                        total_paths=None, coverage_cells=None, paths=None,
                        truncated=None) -> bytes:
-    """Canonical JSON report; sections not supplied are omitted."""
+    """Canonical JSON report; sections not supplied are omitted.
+
+    The bytes are json.dumps(payload, separators=(",", ":")) of the payload
+    below, plus a newline. The paths are most of it, so they are encoded in
+    parts by the same encoder: each distinct cell object once, and each path
+    joined from those texts. Should any part fail, the whole payload is
+    encoded the plain way instead, so every error is json.dumps's own.
+    """
     payload: dict = {
         "start": list(start),
         "front": [list(v) for v in front],
@@ -332,13 +369,39 @@ def render_report_json(start: Cell, front: LabelSet, *, counts=None,
         payload["total_paths"] = int(total_paths)
     if coverage_cells is not None:
         payload["coverage"] = [list(c) for c in sorted(coverage_cells)]
-    if paths is not None:
+    if paths is None:
+        return _COMPACT.encode(payload).encode("utf-8") + b"\n"
+    paths = list(paths)
+    try:
+        text = _paths_text(paths)
+    except (TypeError, ValueError):
         payload["paths"] = [
             {"cells": [list(c) for c in cells], "vector": list(v)}
             for cells, v in paths
         ]
         payload["truncated"] = bool(truncated)
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+        return _COMPACT.encode(payload).encode("utf-8") + b"\n"
+    tail = ',"truncated":true}' if truncated else ',"truncated":false}'
+    head = _COMPACT.encode(payload)[:-1]  # the payload always holds start and front
+    return f'{head},"paths":{text}{tail}\n'.encode("utf-8")
+
+
+def _paths_text(paths) -> str:
+    """The JSON text of the report's paths section, made in parts: each
+    distinct cell object (enumerate_paths shares one per map cell) encoded
+    once, and each path's cells joined from those texts in C."""
+    paths = [(tuple(cells), list(v)) for cells, v in paths]
+    flat = list(chain.from_iterable(cells for cells, _ in paths))
+    ids = list(map(id, flat))
+    distinct = dict(zip(ids, flat))
+    encoded = dict(zip(distinct, map(_COMPACT.encode, map(list, distinct.values()))))
+    texts = list(map(encoded.__getitem__, ids))
+    out, a = [], 0
+    for cells, v in paths:
+        b = a + len(cells)
+        out.append('{"cells":[' + ",".join(texts[a:b]) + '],"vector":' + _COMPACT.encode(v) + "}")
+        a = b
+    return "[" + ",".join(out) + "]"
 
 
 def render_front_csv(front: LabelSet) -> str:

@@ -18,6 +18,9 @@ from cellplan import (
     GoalRegion,
     GridMap,
     build_database,
+    count_paths,
+    coverage,
+    enumerate_paths,
     free_cells,
     hop_cost,
     load_database,
@@ -25,6 +28,7 @@ from cellplan import (
     parse_map,
     random_map,
     save_database,
+    successors,
     verify_database,
 )
 from cellplan.grid import STRAIGHT_STEP, overflow_risk
@@ -558,6 +562,97 @@ def test_load_missing_digest():
     blob = save_database(build_database(parse_map(TEXT_1X2), [(0, 1)]))
     with pytest.raises(ValueError, match="digest"):
         load_database(_with_header(blob, map_digest=None))
+
+
+def _corridor(n: int, terrain: int) -> GridMap:
+    return GridMap(np.full((1, n), terrain), np.zeros((1, n), dtype=bool))
+
+
+def _built(g, goal):
+    starts = [(0, 0), (g.n_rows - 1, 0), (0, g.n_cols // 2), (0, g.n_cols - 2), goal]
+    return g, build_database(g, [goal]), starts
+
+
+def _big_terrain():
+    """The database of test_verify_compares_without_int64_sums, f2 up to 2**62 + 1."""
+    big = 2**62 + 1
+    g = GridMap([[big, big]], [[False, False]])
+    db = Database([1, 1], [10, 0], [big, 0], n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
+                  map_digest=map_digest(g), iterations=2)
+    return g, db, [(0, 0), (0, 1)]
+
+
+def _wide_front(labels: int, n: int):
+    """A hand-made database of a 1 x n corridor whose cell (0, 0) holds
+    `labels` vectors: canonical, so it loads, but not the map's fixed point,
+    so the queries at (0, 0) raise and verify_database is False."""
+    g = _corridor(n, 0)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[[0, n - 1]] = labels, 1
+    f1 = np.append(2 * np.arange(labels), 0)
+    f2 = np.append(np.arange(labels)[::-1], 0)
+    db = Database(counts, f1, f2, n_rows=1, n_cols=n, goal=GoalRegion([(0, n - 1)]),
+                  map_digest=map_digest(g), iterations=1)
+    return g, db, [(0, 0), (0, 1), (0, n - 1)]
+
+
+# (widths of counts, f1 and f2; the case's map, database and starts). Width 8
+# holds only f2: a count or a path length that wide needs 2**32 cells.
+_WIDTH_CASES = [
+    pytest.param([1, 1, 1], lambda: _built(parse_map(TEXT_2X3), GOAL_2X3), id="1-1-1"),
+    pytest.param([1, 2, 2], lambda: _built(random_map(1, 30, 30, 0.1, 50), (29, 29)),
+                 id="1-2-2"),
+    # Path lengths up to 65534: uint16 values past the signed 16-bit range.
+    pytest.param([1, 2, 2], lambda: _built(GridMap(np.full((2, 6554), 9),
+                                                   np.zeros((2, 6554), dtype=bool)),
+                                           (0, 6553)), id="1-2-2-near-the-top"),
+    pytest.param([1, 4, 4], lambda: _built(_corridor(6560, 10), (0, 6559)), id="1-4-4"),
+    pytest.param([1, 1, 8], _big_terrain, id="1-1-8"),
+    pytest.param([2, 2, 2], lambda: _wide_front(300, 50), id="2-2-2"),
+    pytest.param([4, 4, 2], lambda: _wide_front(65536, 9400), id="4-4-2"),
+]
+
+
+def _answers(db, g, starts):
+    """Everything the queries say about `db` at `starts`, errors included."""
+    def outcome(query, *args):
+        try:
+            return query(db, g, *args)
+        except ValueError as e:
+            return type(e), str(e)
+
+    out = [verify_database(db, g)]
+    for start in starts:
+        out += [db.front(start), outcome(count_paths, start), outcome(coverage, start),
+                outcome(enumerate_paths, start, 50)]
+        front = db.front(start)
+        out += [outcome(successors, start, vec) for vec in front[:3] + front[-3:]]
+    return out
+
+
+@pytest.mark.parametrize("widths, case", _WIDTH_CASES)
+def test_loaded_arrays_keep_their_widths(widths, case):
+    """A loaded database reads its arrays in place, in their stored widths,
+    and answers every query as the database it was saved from does."""
+    g, db, starts = case()
+    raw = save_database(db)
+    assert split_db(raw)[0]["widths"] == widths
+    loaded = load_database(raw)
+    dtypes = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
+    for name, width in zip(("counts", "f1", "f2"), widths):
+        array = getattr(loaded, name)
+        assert array.dtype == dtypes[width] and not array.flags.writeable
+        assert getattr(db, name).dtype == np.int64
+    assert loaded.offsets.dtype == np.int64
+    assert loaded == db
+    assert save_database(loaded) == raw
+    assert _answers(loaded, g, starts) == _answers(db, g, starts)
+
+    # Bytes that can change under the database are copied first.
+    buf = bytearray(raw)
+    from_buf = load_database(buf)
+    buf[-len(buf) // 2:] = bytes(len(buf) - len(buf) // 2)
+    assert from_buf == db and save_database(from_buf) == raw
 
 
 def test_database_is_read_only(db_2x3):

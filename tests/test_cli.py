@@ -327,6 +327,34 @@ def test_missing_required_flag_is_usage_error(map_file, capsys):
     capsys.readouterr()
 
 
+def test_main_runs_again_and_again_in_one_process(map_file, tmp_path, capsys):
+    """One parser serves every call: a call's options never leak into the
+    next, and a failed call leaves the next one working."""
+    assert cli._build_parser() is cli._build_parser()
+    db = tmp_path / "again.db"
+    query = ["query", "-d", str(db), "-m", str(map_file), "--start", "0,0"]
+    assert cli.main(["build", "-m", str(map_file), "--goal", "0,2", "-o", str(db)]) == 0
+    assert out_json(capsys) == {"iterations": 3, "free_cells": 6}
+    assert cli.main(query + ["--count", "--paths", "1"]) == 0
+    report = out_json(capsys)
+    assert report["total_paths"] == 2 and len(report["paths"]) == 1 and report["truncated"]
+    with pytest.raises(SystemExit) as err:
+        cli.main(["query", "-d", str(db)])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert cli.main(query[:-1] + ["2,2"]) == 2  # outside the map
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(query) == 0
+    assert out_json(capsys) == {"start": [0, 0], "front": [[20, 5], [28, 0]]}
+    assert cli.main(["genmap", "--seed", "3", "--rows", "2", "--cols", "2"]) == 0
+    assert parse_map(capsys.readouterr().out).n_rows == 2
+    assert cli.main(query + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "f1,f2\n20,5\n28,0\n"
+    assert cli.main(query + ["--paths"]) == 0
+    report = out_json(capsys)
+    assert "counts" not in report and len(report["paths"]) == 2 and not report["truncated"]
+
+
 def test_bench_runs_and_gates(tmp_path, capsys):
     cfg = tmp_path / "camp.json"
     cfg.write_text(json.dumps({

@@ -1,5 +1,7 @@
 """Grid model tests: map I/O round-trips, neighborhood geometry, random maps."""
 
+import copy
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +402,24 @@ def test_gridmap_is_read_only():
     assert h == g and h.terrain is not g.terrain
     assert not h.terrain.flags.writeable and not h.obstacle.flags.writeable
     assert parse_map(serialize_map(g), allow_corner_cut=False) == g
+
+
+@pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy,
+                                       lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_gridmap_copies_rebuild_through_the_constructor(make_copy):
+    g = random_map(3, 5, 7, 0.3, 9, allow_corner_cut=False)
+    digest = map_digest(g)  # fills the original's digest cache
+    h = make_copy(g)
+    assert h == g and h is not g and h.allow_corner_cut is False
+    assert h.terrain is not g.terrain and h.obstacle is not g.obstacle
+    assert h._digest is None  # the copy computes its own digest
+    assert map_digest(h) == digest
+    assert not h.terrain.flags.writeable and not h.obstacle.flags.writeable
+    with pytest.raises(ValueError):
+        h.terrain[0, 0] = 1
+    with pytest.raises(AttributeError):
+        h.allow_corner_cut = True
 
 
 def test_goal_region():

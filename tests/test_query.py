@@ -538,6 +538,138 @@ def test_report_json_omits_absent_sections():
     assert payload == {"start": [1, 2], "front": [[10, 0]]}
 
 
+def _reference_report(start, front, *, counts=None, total_paths=None, coverage_cells=None,
+                      paths=None, truncated=None) -> bytes:
+    """render_report_json as it was: the whole payload through json.dumps."""
+    payload: dict = {"start": list(start), "front": [list(v) for v in front]}
+    if counts is not None:
+        payload["counts"] = [{"vector": list(v), "count": str(counts[v])} for v in front]
+        payload["total_paths"] = int(total_paths)
+    if coverage_cells is not None:
+        payload["coverage"] = [list(c) for c in sorted(coverage_cells)]
+    if paths is not None:
+        payload["paths"] = [{"cells": [list(c) for c in cells], "vector": list(v)}
+                            for cells, v in paths]
+        payload["truncated"] = bool(truncated)
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def _rendered(render, start, front, kwargs):
+    try:
+        return render(start, front, **kwargs)
+    except (TypeError, ValueError, KeyError) as e:
+        return type(e), str(e)
+
+
+# Cell components: ints, and bools, which equal 0 and 1 but print otherwise.
+_COMPONENT = st.one_of(st.integers(0, 1), st.integers(-5, 200), st.booleans())
+_CELL = st.tuples(_COMPONENT, _COMPONENT)
+
+
+def _twin(cell):
+    """A cell equal to `cell` that prints otherwise where it holds a 0 or a 1."""
+    return tuple(int(x) if type(x) is bool else bool(x) if x in (0, 1) else x for x in cell)
+
+
+@st.composite
+def _reports(draw):
+    """(start, front, sections) of a report, sections drawn independently:
+    counts above int64, repeated cells (the same object, an equal copy, or
+    an equal cell that prints otherwise), empty and one-cell paths, and both
+    truncation values."""
+    front = tuple(draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                                max_size=4, unique=True)))
+    sections = {}
+    if draw(st.booleans()):
+        counts = {v: draw(st.integers(0, 2**80)) for v in front}
+        sections.update(counts=counts, total_paths=sum(counts.values()))
+    if draw(st.booleans()):
+        sections["coverage_cells"] = frozenset(draw(st.lists(st.tuples(st.integers(0, 50),
+                                                                       st.integers(0, 50)))))
+    if draw(st.booleans()):
+        pool = draw(st.lists(_CELL, min_size=1, max_size=5))
+        cell = st.sampled_from(pool).flatmap(
+            lambda c: st.sampled_from([c, tuple(list(c)), list(c), _twin(c)]))
+        vector = st.sampled_from(front) if front else st.tuples(st.integers(0, 9),
+                                                                st.integers(0, 9))
+        sections["paths"] = draw(st.lists(st.tuples(st.lists(cell, max_size=6).map(tuple),
+                                                    vector), max_size=5))
+        sections["truncated"] = draw(st.sampled_from([True, False, None]))
+    return draw(_CELL), front, sections
+
+
+@given(_reports())
+def test_report_json_matches_json_dumps(report):
+    start, front, sections = report
+    assert _rendered(render_report_json, start, front, sections) \
+        == _rendered(_reference_report, start, front, sections)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda p: [((np.int64(1), 0),), *p], id="numpy-int-cell"),
+    pytest.param(lambda p: [((0, 1), 7)] + p, id="int-vector"),
+    pytest.param(lambda p: [(5, (10, 0))] + p, id="int-cells"),
+    pytest.param(lambda p: [((0, 0), (10, 0), "extra")] + p, id="triple"),
+    pytest.param(lambda p: p + [(((0, 0), 9),)], id="int-cell-late"),
+    pytest.param(lambda p: p + [(((0, 0),), (np.float32(1), 0))], id="numpy-float-vector"),
+])
+def test_report_json_raises_what_json_dumps_raises(bad):
+    paths = bad([(((0, 0), (0, 1)), (10, 0)), (((0, 0),), (0, 0))])
+    for sections in ({"paths": paths, "truncated": True},
+                     {"paths": paths, "coverage_cells": {(np.int64(2), 0)}}):
+        got = _rendered(render_report_json, (0, 0), ((10, 0),), sections)
+        assert isinstance(got, tuple)
+        assert got == _rendered(_reference_report, (0, 0), ((10, 0),), sections)
+
+
+def _reference_walk(graph, n_cols, front):
+    """enumerate_paths' walk as it was: depth-first one state at a time."""
+    off, succ = graph.offsets.tolist(), graph.succ.tolist()
+    rows, cols = np.divmod(graph.cells, n_cols)
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    for s, vec in enumerate(front):
+        if off[s] == off[s + 1]:
+            yield (cells[s],), vec
+            continue
+        path = [cells[s]]
+        stack = [iter(succ[off[s]:off[s + 1]])]
+        while stack:
+            t = next(stack[-1], None)
+            if t is None:
+                stack.pop()
+                path.pop()
+                continue
+            a, b = off[t], off[t + 1]
+            if a == b:
+                yield tuple(path) + (cells[t],), vec
+            else:
+                path.append(cells[t])
+                stack.append(iter(succ[a:b]))
+
+
+@pytest.mark.parametrize("size, limits", [
+    pytest.param(7, (None,), id="every-path"),
+    pytest.param(16, (1, 2, 5, 13), id="small-limits"),
+])
+@given(st.integers(0, 10**6), st.integers(1, 2**16), st.booleans(), st.sampled_from([0, 2, 9]))
+def test_walk_matches_reference_walk(size, limits, seed, shape, corner_cut, max_cost):
+    """enumerate_paths walks run by run, in the order and with the paths of
+    the walk one state at a time; equal cells share one tuple."""
+    rows, cols = 1 + shape % size, 1 + shape // size % size  # each in 1..size
+    g = random_map(seed, rows, cols, 0.2, max_cost, allow_corner_cut=corner_cut)
+    db = build_database(g, [free_cells(g)[seed % len(free_cells(g))]])
+    enough = None if None in limits else max(limits) + 1
+    for start, front in db.labels.items():
+        graph = query_module._memo_graph(db, query_module._memo_step(db, g), start)
+        want = list(itertools.islice(_reference_walk(graph, g.n_cols, front), enough))
+        for limit in limits:
+            paths, truncated = enumerate_paths(db, g, start, limit)
+            assert paths == want[:limit]
+            assert truncated == (limit is not None and len(want) > limit)
+            assert len({id(c) for cells, _ in paths for c in cells}) \
+                == len({c for cells, _ in paths for c in cells})
+
+
 def test_front_csv():
     assert render_front_csv(FRONT_2X3) == "f1,f2\n20,5\n28,0\n"
     assert render_front_csv(()) == "f1,f2\n"
