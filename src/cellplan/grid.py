@@ -249,11 +249,16 @@ def free_cells(grid: GridMap) -> list[Cell]:
     return [(int(r), int(c)) for r, c in np.argwhere(~grid.obstacle)]
 
 
+def max_free_terrain(grid: GridMap) -> int:
+    """The largest terrain cost of a free cell, 0 on a map with none."""
+    free = grid.terrain[~grid.obstacle]
+    return int(free.max()) if free.size else 0
+
+
 def overflow_risk(grid: GridMap) -> bool:
     """True when a worst-case simple-path cost sum could exceed MAX_COMPONENT."""
     n = int(grid.terrain.size)
-    free = grid.terrain[~grid.obstacle]
-    mt = int(free.max()) if free.size else 0
+    mt = max_free_terrain(grid)
     return mt * n > MAX_COMPONENT or DIAGONAL_STEP * n > MAX_COMPONENT
 
 

@@ -9,21 +9,31 @@ survives.
 The heuristic is exact per objective: two backward Dijkstras from the goal
 cells give the shortest path length and the least terrain cost to go. Both
 are consistent, so the open list pops labels in lexicographically
-non-decreasing f = g + h order (ties: row-major cell, then insertion order).
-At a cell, a later pop then has a g1 no smaller than every earlier one, so a
-single `g2_min` per cell decides dominance: a popped label whose g2 is not
-below it is dominated. A label whose (cell, g) already exists is never
-pruned: its parent is merged into the existing label, expanded or not, and
-only strictly worse vectors are cut. Solutions are pruned against the
-latest, lowest-g2 solution, keeping equal vectors at other goal cells.
+non-decreasing f = g + h order (ties: row-major cell). At a cell, a later
+pop then has a g1 no smaller than every earlier one, so a single `g2_min`
+per cell decides dominance: a popped label whose g2 is not below it is
+dominated. A child whose (cell, g) already exists is merged into that label,
+as a further parent, and only strictly worse vectors are cut. Solutions are
+pruned against the latest, lowest-g2 solution, keeping equal vectors at
+other goal cells.
+
+A label is one int, key = (f1 << (cb + f2b)) | (f2 << cb) | cell, and
+g = f - h at its cell; the open list is a heap of keys, and a (cell, g)
+merges on sight, so no two entries tie. The widths hold because every label
+is a simple path: cells below n take cb bits, f2 <= 2 * n * max terrain
+takes f2b. A label a child would merge into was expanded only if every pop
+since has had the child's f, so two cuts come before the merge lookup:
+- g2 above its cell's g2_min: only a pop there with another g set that;
+- cut by the solution front: only a solution with another f tightened it.
 
 The heuristics never read the database, so MOA* stays an independent
 cross-check of it. They depend only on the map and the goal, so the module
 keeps a one-entry memo of the last ones built: the map (compared with `is`;
 a GridMap is read-only) and its sorted goal ids, with the move lists, the
-flat terrain and h1 and h2. Every start of one map and goal after the first
-skips both Dijkstras; a call on another map or goal replaces the entry, so
-the memo keeps one map's lists alive. A call that raises stores nothing.
+flat terrain, h1 and h2, and the key widths. Every start of one map and goal
+after the first skips both Dijkstras; a call on another map or goal replaces
+the entry, so the memo keeps one map's lists alive. A call that raises
+stores nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .grid import (
     Cell,
     GoalRegion,
     GridMap,
+    max_free_terrain,
     move_csr,
     overflow_risk,
     require_free,
@@ -78,8 +89,9 @@ _memo: list = [None]
 
 
 def _heuristics(grid: GridMap, region: GoalRegion):
-    """move_csr as lists, flat terrain, goal ids and both cost-to-go lists, h1
-    and h2, from the memo when it holds this map (by identity) and goal.
+    """move_csr as lists, flat terrain, goal ids, both cost-to-go lists, h1
+    and h2, and moa_star's key widths (cell bits, f2 bits), from the memo
+    when it holds this map (by identity) and goal.
 
     Callers validate first, so a call that raises stores nothing. The entry
     is shared: callers must not change the lists.
@@ -93,7 +105,12 @@ def _heuristics(grid: GridMap, region: GoalRegion):
     terr = grid.terrain.ravel().tolist()
     h1 = _cost_to_go(*moves, goal_ids)
     h2 = _cost_to_go(*moves, goal_ids, terr)
-    entry = (moves, terr, goal_ids, h1, h2)
+    # Key field widths: cell ids below n, and f2 = g2 + h2 <= 2 * n * mt, as
+    # each is a simple path's terrain cost; overflow_risk reads the same mt.
+    n = len(terr)
+    cb = (n - 1).bit_length()
+    f2b = (2 * n * max_free_terrain(grid)).bit_length()
+    entry = (moves, terr, goal_ids, h1, h2, cb, f2b)
     _memo[0] = (grid, goal_ids, entry)
     return entry
 
@@ -111,20 +128,11 @@ def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
     cell = tuple(cell)
     require_free(grid, cell)
     region.validate_on(grid)
-    _moves, _terr, _goal_ids, h1, h2 = _heuristics(grid, region)
+    _moves, _terr, _goal_ids, h1, h2, _cb, _f2b = _heuristics(grid, region)
     i = cell[0] * grid.n_cols + cell[1]
     if h1[i] == math.inf:
         return None
     return (h1[i], h2[i])
-
-
-class _Label:
-    __slots__ = ("cell", "g", "parents")
-
-    def __init__(self, cell: int, g: Vector):
-        self.cell = cell
-        self.g = g
-        self.parents: list[_Label] = []
 
 
 def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
@@ -142,75 +150,97 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols
-    (offsets, ids, steps), terr, goal_ids, h1, h2 = _heuristics(grid, region)
+    (offsets, ids, steps), terr, goal_ids, h1, h2, cb, f2b = _heuristics(grid, region)
     goal_set = set(goal_ids)
     start_id = start[0] * cols + start[1]
     if h1[start_id] == math.inf:
         return (), []
 
-    g2_min = [math.inf] * len(terr)
-    start_label = _Label(start_id, (0, 0))
-    labels: dict[tuple[int, Vector], _Label] = {(start_id, (0, 0)): start_label}
-    sol_labels: list[_Label] = []
+    # A label is its key (f1 << sh1) | (f2 << cb) | cell, and g = f - h.
+    sh1 = cb + f2b
+    cmask = (1 << cb) - 1
+    f2mask = (1 << f2b) - 1
+    top = 1 << f2b  # above every f2, so above every g2
+    g2_min = [top] * len(terr)
+    start_key = (h1[start_id] << sh1) | (h2[start_id] << cb) | start_id
+    # The first parent of each label (-1 for the start), and any merged later.
+    creator = {start_key: -1}
+    more: dict[int, list[int]] = {}
+    sols: list[int] = []
     # The latest solution has the lowest g2 found so far; pops are lex-ordered.
-    sol_f1, sol_g2 = math.inf, math.inf
-    seq = 0
-    heap = [(h1[start_id], h2[start_id], start_id, seq, start_label)]
+    sol_f1, sol_g2 = -1, top
+    heap = [start_key]
     while heap:
-        f1, f2, cell, _s, lab = heappop(heap)
-        g1, g2 = lab.g
-        if g2 >= g2_min[cell] or f2 > sol_g2 or (f2 == sol_g2 and f1 != sol_f1):
+        key = heappop(heap)
+        cell = key & cmask
+        f2 = (key >> cb) & f2mask
+        g2 = f2 - h2[cell]
+        if g2 >= g2_min[cell]:
+            continue
+        f1 = key >> sh1
+        if f2 > sol_g2 or (f2 == sol_g2 and f1 != sol_f1):
             continue
         g2_min[cell] = g2
         if cell in goal_set:
-            # h is 0 here, so g == f and this vector is final. Equal-vector
+            # h is 0 here, so f == g and this vector is final. Equal-vector
             # solutions at other goal cells each keep their own label.
-            sol_labels.append(lab)
-            sol_f1, sol_g2 = g1, g2
+            sols.append(key)
+            sol_f1, sol_g2 = f1, f2
             continue
+        g1 = f1 - h1[cell]
         ng2 = g2 + terr[cell]
         for k in range(offsets[cell], offsets[cell + 1]):
             j = ids[k]
-            ng = (g1 + steps[k], ng2)
-            child = labels.get((j, ng))
-            if child is not None:
-                child.parents.append(lab)
+            # Both cuts come before the lookup (see the module docstring).
+            if ng2 > g2_min[j]:
                 continue
-            nf1 = ng[0] + h1[j]
+            nf1 = g1 + steps[k] + h1[j]
             nf2 = ng2 + h2[j]
-            if ng2 >= g2_min[j] or nf2 > sol_g2 or (nf2 == sol_g2 and nf1 != sol_f1):
+            if nf2 > sol_g2 or (nf2 == sol_g2 and nf1 != sol_f1):
                 continue
-            child = _Label(j, ng)
-            child.parents.append(lab)
-            labels[(j, ng)] = child
-            seq += 1
-            heappush(heap, (nf1, nf2, j, seq, child))
+            child = (nf1 << sh1) | (nf2 << cb) | j
+            if child in creator:
+                more.setdefault(child, []).append(key)
+            elif ng2 < g2_min[j]:
+                creator[child] = key
+                heappush(heap, child)
 
     # Pop order makes the solution vectors canonical once equal ones merge.
-    front = tuple(dict.fromkeys(lab.g for lab in sol_labels))
+    front = tuple(dict.fromkeys((key >> sh1, (key >> cb) & f2mask) for key in sols))
     paths: list[tuple[Path, Vector]] = []
     if collect_paths:
-        for lab in sorted(sol_labels, key=lambda l: (l.g, l.cell)):
-            for path in _expand_paths(lab):
-                paths.append((tuple(divmod(i, cols) for i in path), lab.g))
+        # At a goal cell f == g, so key order is (g, cell) order.
+        for key in sorted(sols):
+            g = (key >> sh1, (key >> cb) & f2mask)
+            for path in _expand_paths(key, creator, more, cmask):
+                paths.append((tuple(divmod(i, cols) for i in path), g))
     return front, paths
 
 
-def _expand_paths(lab: _Label):
-    """All paths recorded by a solution label as flat ids, via back-pointer DFS."""
-    if not lab.parents:
-        yield (lab.cell,)
+def _expand_paths(key: int, creator: dict, more: dict, cmask: int):
+    """All paths recorded by a solution key as flat ids, via back-pointer
+    DFS over each label's first parent, then its merged ones in order."""
+    def parents(k):
+        first = creator[k]
+        if first < 0:
+            return None
+        return iter([first, *more.get(k, ())])
+
+    chain = [key & cmask]
+    up = parents(key)
+    if up is None:
+        yield tuple(chain)
         return
-    chain = [lab.cell]
-    stack = [iter(lab.parents)]
+    stack = [up]
     while stack:
         parent = next(stack[-1], None)
         if parent is None:
             stack.pop()
             chain.pop()
             continue
-        if not parent.parents:
-            yield tuple(reversed(chain + [parent.cell]))
+        up = parents(parent)
+        if up is None:
+            yield tuple(reversed(chain + [parent & cmask]))
         else:
-            chain.append(parent.cell)
-            stack.append(iter(parent.parents))
+            chain.append(parent & cmask)
+            stack.append(up)

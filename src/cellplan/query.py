@@ -127,6 +127,10 @@ class _Step:
         # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]).
         self.delta = (shift * self.stride - step).astype(self.key.dtype)
         self.terrain = grid.terrain.ravel()
+        # _successor_graph's 1 + position of each label id, 0 between calls;
+        # positions fit the key's dtype. Zeroed pages are mapped only when
+        # a graph first writes them, so a step used once pays for few.
+        self.pos = np.zeros(self.f1.size, dtype=self.key.dtype)
 
     def __call__(self, ids: np.ndarray, cells: np.ndarray):
         f1, f2, key = self.f1, self.f2, self.key
@@ -203,29 +207,36 @@ def _successor_graph(db: Database, step: _Step, start: Cell) -> _Graph:
     i = start[0] * step.n_cols + start[1]
     ids = np.arange(*db.offsets[i:i + 2].tolist())
     cells = np.full(ids.size, i)
-    # Position of each reached label id; positions fit the key's dtype.
-    pos = np.full(db.f1.size, -1, dtype=step.key.dtype)
-    pos[ids] = np.arange(ids.size)
-    reached = ids.size
-    id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
-    while ids.size:
-        degree, dst = step(ids, cells)
-        # The next frontier: each new label id once, where its last scatter won.
-        fresh = dst[pos[dst] < 0]
-        mark = np.arange(reached, reached + fresh.size)
-        pos[fresh] = mark
-        ids = fresh[pos[fresh] == mark]
-        cells = step.cells(ids)
-        pos[ids] = np.arange(reached, reached + ids.size)
-        reached += ids.size
-        degree_parts.append(degree)
-        succ_parts.append(pos[dst])
-        id_parts.append(ids)
-        cell_parts.append(cells)
+    # The step's position buffer: every id set here is reset on the way out,
+    # so a graph build that raises leaves it all 0 too.
+    pos = step.pos
+    touched = [ids]
+    try:
+        pos[ids] = np.arange(1, ids.size + 1)
+        reached = ids.size
+        id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
+        while ids.size:
+            degree, dst = step(ids, cells)
+            # The next frontier: each new label id once, where its last scatter won.
+            fresh = dst[pos[dst] == 0]
+            touched.append(fresh)
+            mark = np.arange(reached + 1, reached + 1 + fresh.size)
+            pos[fresh] = mark
+            ids = fresh[pos[fresh] == mark]
+            cells = step.cells(ids)
+            pos[ids] = np.arange(reached + 1, reached + 1 + ids.size)
+            reached += ids.size
+            degree_parts.append(degree)
+            succ_parts.append(pos[dst])
+            id_parts.append(ids)
+            cell_parts.append(cells)
+    finally:
+        pos[np.concatenate(touched)] = 0
+    succ = np.concatenate(succ_parts)
+    succ -= 1
     offsets = np.zeros(reached + 1, dtype=np.int64)
     np.cumsum(np.concatenate(degree_parts), out=offsets[1:])
-    return _Graph(np.concatenate(id_parts), np.concatenate(cell_parts), offsets,
-                  np.concatenate(succ_parts))
+    return _Graph(np.concatenate(id_parts), np.concatenate(cell_parts), offsets, succ)
 
 
 def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:

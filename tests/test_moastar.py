@@ -1,11 +1,15 @@
 """MOA* baseline tests: exact heuristics, hand examples, equivalence with
-the database on random maps, and the heuristics memo."""
+the database on random maps and with a label-object reference search, and
+the heuristics memo."""
 
 import heapq
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cellplan.moastar as moastar
 from cellplan import (
@@ -280,3 +284,137 @@ def test_memo_answers_equal_cold_runs(dijkstra_calls, seed, dims):
         assert moa_star(g, s, goals[k]) == cold[(s, k)]
     switches = 1 + sum(a[1] != b[1] for a, b in zip(order, order[1:]))
     assert len(dijkstra_calls) == 2 * switches
+
+
+class _Label:
+    __slots__ = ("cell", "g", "parents")
+
+    def __init__(self, cell, g):
+        self.cell = cell
+        self.g = g
+        self.parents = []
+
+
+def reference_moa_star(grid, start, goal):
+    """moa_star as it was written with one object per label and a tie
+    counter in each heap entry: the same search, pruning and path order."""
+    region = GoalRegion(goal)
+    cols = grid.n_cols
+    (offsets, ids, steps), terr, goal_ids, h1, h2, *_ = moastar._heuristics(grid, region)
+    goal_set = set(goal_ids)
+    start_id = start[0] * cols + start[1]
+    if h1[start_id] == math.inf:
+        return (), []
+    g2_min = [math.inf] * len(terr)
+    start_label = _Label(start_id, (0, 0))
+    labels = {(start_id, (0, 0)): start_label}
+    sol_labels = []
+    sol_f1, sol_g2 = math.inf, math.inf
+    seq = 0
+    heap = [(h1[start_id], h2[start_id], start_id, seq, start_label)]
+    while heap:
+        f1, f2, cell, _s, lab = heapq.heappop(heap)
+        g1, g2 = lab.g
+        if g2 >= g2_min[cell] or f2 > sol_g2 or (f2 == sol_g2 and f1 != sol_f1):
+            continue
+        g2_min[cell] = g2
+        if cell in goal_set:
+            sol_labels.append(lab)
+            sol_f1, sol_g2 = g1, g2
+            continue
+        ng2 = g2 + terr[cell]
+        for k in range(offsets[cell], offsets[cell + 1]):
+            j = ids[k]
+            ng = (g1 + steps[k], ng2)
+            child = labels.get((j, ng))
+            if child is not None:
+                child.parents.append(lab)
+                continue
+            nf1 = ng[0] + h1[j]
+            nf2 = ng2 + h2[j]
+            if ng2 >= g2_min[j] or nf2 > sol_g2 or (nf2 == sol_g2 and nf1 != sol_f1):
+                continue
+            child = _Label(j, ng)
+            child.parents.append(lab)
+            labels[(j, ng)] = child
+            seq += 1
+            heapq.heappush(heap, (nf1, nf2, j, seq, child))
+
+    front = tuple(dict.fromkeys(lab.g for lab in sol_labels))
+    paths = []
+    for lab in sorted(sol_labels, key=lambda l: (l.g, l.cell)):
+        for path in _reference_expand(lab):
+            paths.append((tuple(divmod(i, cols) for i in path), lab.g))
+    return front, paths
+
+
+def _reference_expand(lab):
+    if not lab.parents:
+        yield (lab.cell,)
+        return
+    chain = [lab.cell]
+    stack = [iter(lab.parents)]
+    while stack:
+        parent = next(stack[-1], None)
+        if parent is None:
+            stack.pop()
+            chain.pop()
+            continue
+        if not parent.parents:
+            yield tuple(reversed(chain + [parent.cell]))
+        else:
+            chain.append(parent.cell)
+            stack.append(iter(parent.parents))
+
+
+def assert_matches_reference(g, goal):
+    for start in free_cells(g):
+        assert moa_star(g, start, goal) == reference_moa_star(g, start, goal)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8),
+       st.sampled_from([0.0, 0.2, 0.35]), st.sampled_from([0, 1, 3, 9]),
+       st.booleans(), st.integers(1, 3))
+# Equal vectors at two goal cells, found in the opposite order to their
+# cell ids: the paths still come in (vector, cell) order.
+@example(seed=3, rows=3, cols=6, density=0.0, max_cost=0, corner_cut=True, n_goals=2)
+def test_matches_label_reference(seed, rows, cols, density, max_cost, corner_cut, n_goals):
+    """The same front and the same paths, in the same order, as the
+    reference search at every free start, those inside the goal included."""
+    g = random_map(seed, rows, cols, density, max_cost, allow_corner_cut=corner_cut)
+    cells = free_cells(g)
+    assert_matches_reference(g, random.Random(seed).sample(cells, min(n_goals, len(cells))))
+
+
+@pytest.mark.parametrize("goal", [[(2, 2)], [(0, 2), (2, 0)]])
+def test_matches_label_reference_when_cut_off(goal):
+    # (0, 0) is walled off from every other cell.
+    assert_matches_reference(parse_map("3 3\n0 # 0\n# # 0\n0 0 0\n"), goal)
+
+
+def test_keys_past_64_bits_match_database():
+    """Terrain near 2**52 makes a packed key wider than 64 bits; the fronts
+    stay those of the database at every start."""
+    base = random_map(7, 6, 6, 0.2, 9)
+    g = GridMap(base.terrain * 2**52 + 1, base.obstacle)
+    cells = free_cells(g)
+    goal = [cells[-1]]
+    db = build_database(g, goal)
+    _moves, _terr, _goal_ids, h1, _h2, cb, f2b = moastar._heuristics(g, GoalRegion(goal))
+    assert max(h for h in h1 if h != math.inf).bit_length() + f2b + cb > 64
+    for start in cells:
+        front, paths = moa_star(g, start, goal)
+        assert front == db.front(start)
+        assert sorted({v for _, v in paths}) == sorted(front)
+
+
+@pytest.mark.parametrize("start, size", [((0, 0), 77), ((58, 58), 39)])
+def test_reference_map_fronts(start, size):
+    """The 117x117 reference map: the front of the far corner and of the
+    centre, pinned by size and equal to the database's."""
+    g = random_map(9, 117, 117, 0.15, 9)
+    goal = [free_cells(g)[-1]]
+    front, _ = moa_star(g, start, goal, collect_paths=False)
+    assert len(front) == size
+    assert front == build_database(g, goal).front(start)

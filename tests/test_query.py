@@ -360,6 +360,24 @@ def test_successors_reuse_the_step(map_2x3, db_2x3, monkeypatch):
     assert len(steps) == 2
 
 
+def test_graph_builds_leave_the_position_buffer_clear():
+    # The step keeps one position buffer for every start. A graph build that
+    # raises two hops from its start, and one that succeeds, both leave it
+    # all 0, so later starts on the step answer as on a fresh database.
+    g = parse_map("2 4\n0 0 0 0\n0 0 0 0\n")
+    db = build_database(g, [(0, 3)])
+    bad = Database.from_labels({**db.labels, (0, 2): ((12, 0),)}, 2, 4, goal=db.goal,
+                               map_digest=db.map_digest, iterations=db.iterations)
+    step = query_module._memo_step(bad, g)
+    with pytest.raises(ValueError, match="has no decomposition"):
+        count_paths(bad, g, (0, 0))
+    assert not step.pos.any()
+    for start in ((1, 3), (1, 2), (0, 3)):
+        assert count_paths(bad, g, start) == count_paths(db, g, start)
+        assert not step.pos.any()
+    assert query_module._memo_step(bad, g) is step
+
+
 def test_query_rejects_other_map_shape(db_2x3):
     other = parse_map("3 2\n0 0\n0 0\n0 0\n")
     with pytest.raises(ValueError, match="does not match"):
