@@ -26,8 +26,13 @@ Two schedules compute the same fixed point:
   Each cell counts the labels it settles, which places every label in the
   (cell, f1) layout without a sort. It reports the identical `iterations`
   value, 1 + the largest hop count any stored vector needs, read off the
-  hop depth each entry carries. Its integers are int32 when the scratch key
-  (lane * n + cell, below 5n) and the largest f2 fit, else int64.
+  hop depth each entry carries. Each window keeps the least f2, and the
+  fewest hops among its ties, per (cell, lane) with one np.minimum.at over
+  packed values (f2 << sh) | depth in a one-row scratch. Its integers are
+  int32 when the scratch key (lane * n + cell, below 5n) and the largest f2
+  fit, else int64; the packed values are int32 when they fit too. Only near
+  the overflow bound, where they fit no int64, the scratch keeps f2 and
+  depth in two rows and takes two minima.
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
@@ -100,7 +105,8 @@ class Database:
     canonical form is loaded, verified or queried.
 
     The dtype rule: the constructor and from_labels copy what they are given
-    into int64 arrays. load_database keeps the file's arrays in place, as
+    into int64 arrays, and build_database stores the int64 arrays its build
+    makes without a copy. load_database keeps the file's arrays in place, as
     read-only views of its bytes in their stored widths: uint8, uint16 or
     uint32, and int64 for width 8 (every value is at most MAX_COMPONENT).
     `offsets` is int64 always. So arithmetic on counts, f1 and f2 takes its
@@ -129,9 +135,9 @@ class Database:
 
     @classmethod
     def _in_place(cls, counts, f1, f2, **meta) -> Database:
-        """A database over arrays no one can write, stored as they are: the
-        loader's read-only views of a bytes object. `meta` is every other
-        field."""
+        """A database over arrays no one else can write, stored as they are:
+        the loader's read-only views of a bytes object, or the int64 arrays a
+        build has just made. `meta` is every other field."""
         db = cls.__new__(cls)
         for name, value in {**meta, "_query_memo": [None]}.items():
             object.__setattr__(db, name, value)
@@ -271,10 +277,10 @@ class _LabelView(Mapping):
 
 
 def _pack(sets) -> tuple:
-    """(counts, f1, f2) arrays of a row-major list of label sets."""
-    counts = [len(ls) for ls in sets]
-    vecs = np.array([v for ls in sets for v in ls], dtype=np.int64).reshape(-1, 2)
-    return counts, vecs[:, 0], vecs[:, 1]
+    """(counts, f1, f2) int64 arrays of a row-major list of label sets."""
+    counts = np.array([len(ls) for ls in sets], dtype=np.int64)
+    f1, f2 = np.array([v for ls in sets for v in ls], dtype=np.int64).reshape(-1, 2).T.copy()
+    return counts, f1, f2
 
 
 def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
@@ -342,7 +348,18 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     earlier lanes, which starts at the cell's last settled f2: exactly what
     opening the window's path lengths one at a time would settle. The
     settled labels expand through the whole-map move table (grid.move_mask
-    as n rows of eight moves) into window w + 1 or w + 2, by the child's f1.
+    as n rows of eight moves); the children whose f2 beats the last one
+    settled at their cell go into window w + 1 or w + 2, by their f1.
+
+    The scratch is one row of packed values (f2 << sh) | depth, with
+    sh = n.bit_length() bits for a depth below n, so one np.minimum.at
+    keeps the least f2 and the fewest hops among its ties. Its dtype is the
+    entries' (below) when (f2_cap + 1) << sh fits it, else int64; an empty
+    slot holds (f2_cap + 1) << sh, which reads back as f2 = f2_cap + 1.
+    Near the overflow bound, where the packed value does not fit int64
+    either, the scratch is two rows, least f2 and least depth, and each
+    window takes two minima: the f2 one, then the depth one over the
+    entries that tie it. The map's size and terrain pick the form.
 
     `depth` is the hop count of the route that made the entry. All parents of
     a vector (f1, f2) are settled, each with its own least depth, before its
@@ -354,13 +371,13 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     offset plus its rank there. A window settles its labels lane by lane, so
     the f1 column is one run per (window, lane).
 
-    Cells, f2, depths and ranks are int32 when the map's bounds fit: scratch
-    keys below _LANES * n, f2 at most max terrain * n, depths below n, and
-    ranks below a front's size, at most max terrain * n + 1 as its f2 values
-    are distinct. Else they are int64. Label rows are int32 when the label
-    count fits. The sentinel that marks a cell or lane with no label is the
-    dtype's maximum: only a route that revisits a cell can reach it, and
-    such a route is dominated.
+    Entries, cells, f2, depths and ranks are int32 when the map's bounds fit:
+    scratch keys below _LANES * n, f2 at most f2_cap = max terrain * n,
+    depths below n, and ranks below a front's size, at most f2_cap + 1 as its
+    f2 values are distinct. Else they are int64. Label rows are int32 when
+    the label count fits. The sentinel that marks a cell with no label is
+    the dtype's maximum: only a route that revisits a cell can reach it, and
+    such a route is dominated. The returned counts, f1 and f2 are int64.
     """
     n = grid.terrain.size
     f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
@@ -375,9 +392,15 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     last_f2 = np.full(n + 1, unset, dtype=dtype)
     last_f2[n] = 0
     top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
-    # Least f2 and depth per (lane, cell) of the open window, reset after it.
-    scratch = np.full((2, _LANES * n), unset, dtype=dtype)
-    least_f2, least_depth = scratch
+    # The open window's least (f2, depth) per (lane, cell), reset after it.
+    sh = n.bit_length()
+    packed = next((t for t in (dtype, np.int64) if (f2_cap + 1) << sh <= np.iinfo(t).max), None)
+    if packed is not None:
+        blank, none = (f2_cap + 1) << sh, f2_cap + 1
+        scratch = np.full(_LANES * n, blank, dtype=packed)
+    else:
+        blank = none = unset
+        scratch = np.full((2, _LANES * n), unset, dtype=dtype)
     owner = np.empty(n, dtype=np.intp)  # scratch
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
     # Every mask is written into this one buffer. A window holds the children
@@ -406,40 +429,59 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         chunks = windows.pop(w)
         entries = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
         del chunks
-        entries = entries.compress(mask(np.less, entries[1], last_f2[entries[2]]), axis=1)
+        entries = entries.compress(mask(np.less, entries[1], last_f2.take(entries[2])), axis=1)
         if not entries.shape[1]:
             continue
         depth, f2, cell, key = entries
         key *= n  # the lane row becomes the scratch key
         key += cell
-        np.minimum.at(least_f2, key, f2)
-        tie = mask(np.equal, f2, least_f2[key])
-        np.minimum.at(least_depth, key, np.where(tie, depth, unset))
+        if packed is not None:
+            v = f2 if packed is dtype else f2.astype(packed)  # the f2 row becomes v
+            v <<= sh
+            v |= depth
+            np.minimum.at(scratch, key, v)
+            del v
+        else:
+            least_f2, least_depth = scratch
+            np.minimum.at(least_f2, key, f2)
+            tie = mask(np.equal, f2, least_f2.take(key))
+            np.minimum.at(least_depth, key, np.where(tie, depth, unset))
         # The window's cells, once each: whichever entry wins the `owner` write.
         first = np.arange(len(cell))
         owner[cell] = first
-        cells = cell.compress(mask(np.equal, owner[cell], first))
+        cells = cell.compress(mask(np.equal, owner.take(cell), first))
 
         # One column per cell, one row per lane: cell, rank, f2, depth, lane.
         m = len(cells)
         table = np.empty((5, _LANES, m), dtype=dtype)
-        scratch.reshape(2 * _LANES, n).take(cells, axis=1, out=table[2:4].reshape(2 * _LANES, m))
-        scratch[:, key] = unset
+        if packed is not None:
+            v = scratch.reshape(_LANES, n).take(cells, axis=1)
+            np.right_shift(v, sh, out=table[2])
+            np.bitwise_and(v, (1 << sh) - 1, out=table[3])
+            del v
+        else:
+            scratch.reshape(2 * _LANES, n).take(cells, axis=1,
+                                                out=table[2:4].reshape(2 * _LANES, m))
+        scratch[..., key] = blank
         # Freed as soon as they are spent: in a process that builds again and
         # again, holding a window's arrays into the next allocations raised
         # peak RSS by about 1.5 MB on the 117x117 reference map.
         del entries, depth, f2, cell, key, first
         # Every f2 here is below its cell's last_f2, so a lane settles where
-        # the running minimum down the column falls.
+        # the running minimum down the column falls. Running sums and minima
+        # go lane by lane: ufunc.accumulate down the short axis 0 took ten
+        # times as long.
         run = table[2]
-        np.minimum.accumulate(run, axis=0, out=run)
+        for lane in range(1, _LANES):
+            np.minimum(run[lane], run[lane - 1], out=run[lane])
         keep = flags[:run.size].reshape(run.shape)
-        np.not_equal(run[0], unset, out=keep[0])
+        np.not_equal(run[0], none, out=keep[0])
         np.less(run[1:], run[:-1], out=keep[1:])
         last_f2[cells] = run[-1]
         rank = table[1]
-        np.add.accumulate(keep.view(np.uint8), axis=0, dtype=dtype, out=rank)
-        rank += top_rank[cells]
+        np.add(top_rank.take(cells), keep[0], out=rank[0])
+        for lane in range(1, _LANES):
+            np.add(rank[lane - 1], keep[lane], out=rank[lane])
         top_rank[cells] = rank[-1]
         table[0] = cells
         table[4] = lane_of
@@ -450,17 +492,20 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         cell, _rank, f2, depth, lane = labels
         max_depth = max(max_depth, int(depth.max()))
 
-        # Children, eight per label, of which the live ones go on: a child
-        # lane past the window's last belongs to window w + 2.
-        child = np.empty((4, len(cell), 8), dtype=dtype)
-        np.add(depth[:, None], 1, out=child[0])
-        move_f2.take(cell, axis=0, out=child[1])
-        child[1] += f2[:, None]
-        moves.take(cell, axis=0, out=child[2])
-        np.add(lane[:, None], move_lanes, out=child[3])
-        del labels, cell, f2, depth, lane
-        child = child.reshape(4, -1)
-        child = child.compress(mask(np.less, child[1], last_f2[child[2]]), axis=1)
+        # Children, eight per label: only those whose f2 beats the last one
+        # settled at their cell go on, and a child lane past the window's
+        # last belongs to window w + 2.
+        child_f2 = move_f2.take(cell, axis=0)
+        child_f2 += f2[:, None]
+        child_cell = moves.take(cell, axis=0)
+        live = np.flatnonzero(mask(np.less, child_f2, last_f2.take(child_cell)))
+        parent, move = live >> 3, live & 7  # eight moves per label
+        child = np.empty((4, len(live)), dtype=dtype)
+        np.add(depth.take(parent), 1, out=child[0])
+        child_f2.take(live, out=child[1])
+        child_cell.take(live, out=child[2])
+        np.add(lane.take(parent), move_lanes.take(move), out=child[3])
+        del labels, cell, f2, depth, lane, child_f2, child_cell, live, parent, move
         near = mask(np.less, child[3], _LANES)
         push(w + 1, child.compress(near, axis=1))
         child = child.compress(np.logical_not(near, out=near), axis=1)
@@ -468,7 +513,8 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         push(w + 2, child)
 
     # Counting placement: a label's row is its cell's offset plus its rank.
-    counts = top_rank + 1
+    counts = top_rank.astype(np.int64)
+    counts += 1
     total = int(counts.sum())
     pos_type = dtype if total <= np.iinfo(dtype).max else np.int64
     starts = np.zeros(n, dtype=pos_type)
@@ -476,13 +522,13 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     cell, pos, f2 = (np.concatenate([c[k] for c in settled]) for k in range(3))
     del settled
     pos = pos.astype(pos_type, copy=False)
-    pos += starts[cell]
+    pos += starts.take(cell)
     del starts, cell
     f1 = np.empty(total, dtype=np.int64)
     f1[pos] = np.repeat(
         (STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None] + 2 * np.arange(_LANES)).ravel(),
         np.concatenate([k for _, k in runs]))
-    f2_out = np.empty(total, dtype=dtype)
+    f2_out = np.empty(total, dtype=np.int64)
     f2_out[pos] = f2
     return (counts, f1, f2_out), max_depth + 1
 
@@ -502,9 +548,10 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
     rows, cols = grid.n_rows, grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
     build = _build_sweep if schedule == "sweep" else _build_buckets
-    arrays, iterations = build(grid, goal_ids)
-    return Database(*arrays, n_rows=rows, n_cols=cols, goal=region,
-                    map_digest=map_digest(grid), iterations=iterations)
+    arrays, iterations = build(grid, goal_ids)  # fresh int64 arrays, stored as they are
+    return Database._in_place(*arrays, n_rows=rows, n_cols=cols, goal=region,
+                              map_digest=map_digest(grid), iterations=iterations,
+                              convention_tag=CONVENTION_TAG)
 
 
 def verify_database(db: Database, grid: GridMap) -> bool:
@@ -530,12 +577,15 @@ def verify_database(db: Database, grid: GridMap) -> bool:
         key, stride = db.label_key
     except ValueError:
         return False
-    counts, offsets, f1, f2 = db.counts, db.offsets, db.f1, db.f2
+    counts, offsets = db.counts, db.offsets
+    # A loaded database's narrow views, read as int64 once: every gather
+    # below mixes them with int64 indices and terrain.
+    f1, f2 = (a.astype(np.int64, copy=False) for a in (db.f1, db.f2))
     if counts[grid.obstacle.ravel()].any():
         return False
     supported = np.zeros(f1.size, dtype=bool)
     supported[offsets[[db.index(g) for g in db.goal.cells]]] = True  # goal seeds, (0, 0)
-    cell = np.repeat(np.arange(counts.size), counts)
+    cell = np.repeat(np.arange(counts.size, dtype=key.dtype), counts)  # int32 when it fits
     allowed, shift, step = move_mask(grid)
     for d in range(len(shift)):
         k = np.flatnonzero(allowed[cell, d])

@@ -233,11 +233,16 @@ def test_depth_tie_settles_fewest_hops(t, iterations):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9), st.floats(0, 0.4),
-       st.sampled_from([0, 1, 9, 50]), st.booleans(),
+       st.sampled_from([0, 1, 9, 50, 10**6, 2**24, 2**50]), st.booleans(),
        st.lists(st.integers(0, 80), min_size=1, max_size=3))
 def test_schedules_agree_on_random_maps(seed, rows, cols, density, max_terrain, corner_cut,
                                         picks):
-    """Sweep and worklist builds are byte-identical on random small maps."""
+    """Sweep and worklist builds are byte-identical on random small maps. The
+    kernel's (f2, depth) scratch is packed into int32 for small terrain, into
+    int64 for terrain 10**6 (34 bits on a 9x9 map), and does not pack for
+    2**50 on the larger maps (64 bits on a 9x9 map), so all three meet it.
+    At 2**24 the entries stay int32 while a packed f2 of two hops already
+    passes 31 bits, so the int64 scratch is needed, not only chosen."""
     g = random_map(seed, rows, cols, density, max_terrain, allow_corner_cut=corner_cut)
     fc = free_cells(g)
     goal = sorted({fc[k % len(fc)] for k in picks})
@@ -277,6 +282,17 @@ def test_schedules_agree_near_overflow_bound(name, corner_cut):
     sweep = build_database(g, goal, schedule="sweep")
     assert max(f2 for ls in sweep.labels.values() for _, f2 in ls) > 2**32
     assert save_database(sweep) == save_database(build_database(g, goal, schedule="worklist"))
+
+
+def test_reference_build_is_pinned():
+    """The criterion-6 reference map, too large for the sweep, keeps the
+    bytes that the kernel with two scratch rows and two minima built. Its
+    packed (f2, depth) values fill int32 to within about 6%."""
+    g = random_map(9, 117, 117, 0.15, 9)
+    db = build_database(g, [free_cells(g)[-1]])
+    assert (db.f1.size, int(db.counts.max()), db.iterations) == (430_123, 85, 187)
+    assert (hashlib.sha256(save_database(db)).hexdigest()
+            == "1cdc6d9e8f62c523b6bb1e9786ca84db3116e6bd4b2415330b3805a0578cdc6a")
 
 
 @pytest.mark.parametrize("seed", range(8))
