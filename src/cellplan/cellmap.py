@@ -40,8 +40,9 @@ cost, so only simple paths contribute and both schedules terminate.
 Database.label_key is the one check of canonical form (f1 strictly rising
 and f2 strictly falling in each cell, no path longer than the longest route,
 exactly (0, 0) at each goal cell): load_database, verify_database and the
-queries all read it. verify_database checks a database without a build: one
-whole-array pass per move direction over grid.move_mask and that key.
+queries all read it. _Step is the one check of a database against its map
+and the one label match over that key, for the query's expansion step and
+for verify_database, which checks a database without a build.
 
 One layout holds a database, in memory and on disk: a label count for every
 cell of the map in row-major order (0 for obstacles and unreachable cells)
@@ -192,17 +193,12 @@ class Database:
             return r * self.n_cols + c
         return None
 
-    def segment(self, i: int):
-        """The (f1, f2) slices of the row-major cell i's label set."""
-        lo, hi = self.offsets[i:i + 2].tolist()
-        return self.f1[lo:hi], self.f2[lo:hi]
-
     def front(self, cell: Cell) -> LabelSet:
         i = self.index(cell)
         if i is None:
             return ()
-        f1, f2 = self.segment(i)
-        return tuple(zip(f1.tolist(), f2.tolist()))
+        lo, hi = self.offsets[i:i + 2].tolist()
+        return tuple(zip(self.f1[lo:hi].tolist(), self.f2[lo:hi].tolist()))
 
     @cached_property
     def label_key(self) -> tuple[np.ndarray, int]:
@@ -554,6 +550,77 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
                               convention_tag=CONVENTION_TAG)
 
 
+class _Step:
+    """The one check of a database against its map, and the one label match
+    over Database.label_key, for the queries and verify_database alike.
+
+    Making a step raises DigestMismatchError when the database was built
+    from another map, and ValueError when its shape differs or it is out of
+    canonical form. step(ids, cells) maps a frontier of label ids at their
+    row-major cells to its successor edges (degree, dst): the number of
+    successors of each frontier state, and their label ids, grouped by
+    frontier state in row-major move order. Each allowed move of a state
+    (c, F) matches the key of its candidate (j, F[0] - step) and keeps it
+    when the label found has F[1] - terrain(c). A goal state's one label is
+    (0, 0), so its candidates fall in the headroom of the cell before j and
+    it has no successor; any other state without one raises ValueError.
+    """
+
+    def __init__(self, db: Database, grid: GridMap):
+        if db.map_digest != map_digest(grid):
+            raise DigestMismatchError("database digest does not match this map")
+        if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
+            raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
+                             f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
+        # The query memo holds the step, so it holds the database's arrays
+        # but not the database: no reference cycle keeps either alive.
+        self.f1, self.f2, self.n_cols = db.f1, db.f2, grid.n_cols
+        self.key, self.stride = db.label_key
+        self.allowed, self.shift, self.step = move_mask(grid)
+        self.terrain = grid.terrain.ravel()
+        self.goal = np.zeros(self.terrain.size, dtype=bool)
+        self.goal[[r * grid.n_cols + c for r, c in db.goal.cells]] = True
+        # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]).
+        self.delta = (self.shift * self.stride - self.step).astype(self.key.dtype)
+
+    def match(self, rows: np.ndarray, delta):
+        """(at, equal): the row of the largest key at or below key[rows] +
+        delta (-1 below the first) and whether it equals that sum, which
+        stays in the key's dtype: an allowed move's candidate lies in its
+        cell's keys or their headroom."""
+        q = self.key[rows]
+        q += delta
+        at = self.key.searchsorted(q, side="right")
+        at -= 1
+        return at, self.key[at] == q
+
+    def __call__(self, ids: np.ndarray, cells: np.ndarray):
+        f1, f2 = self.f1, self.f2
+        src, d = np.nonzero(self.allowed[cells])
+        at, hit = self.match(ids[src], self.delta[d])
+        hit &= f2[at] == (f2[ids] - self.terrain[cells])[src]
+        degree = np.bincount(src[hit], minlength=ids.size)
+        if not degree.all():
+            stuck = np.flatnonzero((degree == 0) & ~self.goal[cells])
+            if stuck.size:
+                s = stuck[0]
+                raise ValueError(
+                    f"label {(int(f1[ids[s]]), int(f2[ids[s]]))} at "
+                    f"{divmod(int(cells[s]), self.n_cols)} has no decomposition; "
+                    "database does not match this map")
+        return degree, at[hit]
+
+    def cells(self, ids: np.ndarray) -> np.ndarray:
+        """Row-major cells of label ids, read off their keys."""
+        return self.key[ids] // self.stride
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """_successor_graph's 1 + position of each label id, 0 between graph
+        builds; made on first use, its zeroed pages mapped as a graph writes."""
+        return np.zeros(self.key.size, dtype=self.key.dtype)
+
+
 def verify_database(db: Database, grid: GridMap) -> bool:
     """Check that `db` is exactly the fixed point for `grid`: the map's
     shape, canonical form (Database.label_key raises for none of it), no
@@ -563,40 +630,36 @@ def verify_database(db: Database, grid: GridMap) -> bool:
 
     Moves are symmetric, so each label k at a cell that may move in
     direction d gives j = cell + shift[d] the candidate (f1[k] + step[d],
-    f2[k] + terrain[j]), keyed key[k] + shift[d] * stride + step[d]. These
-    keys rise with k, and one searchsorted per direction finds the label at
+    f2[k] + terrain[j]). One _Step.match per direction finds the label at
     j with the largest f1 not above the candidate's, which has the least f2
     of those as f2 falls within a cell. That f2 may not exceed the
     candidate's (else a better vector is missing at j), an equal candidate
-    supports the label, and every non-goal label needs support."""
-    if db.map_digest != map_digest(grid):
-        raise DigestMismatchError("database digest does not match this map")
-    if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
-        return False
+    supports the label, and every non-goal label needs support. The equal
+    candidates are the query's successor edges, reversed."""
     try:
-        key, stride = db.label_key
+        hops = _Step(db, grid)
+    except DigestMismatchError:
+        raise
     except ValueError:
         return False
     counts, offsets = db.counts, db.offsets
-    # A loaded database's narrow views, read as int64 once: every gather
-    # below mixes them with int64 indices and terrain.
-    f1, f2 = (a.astype(np.int64, copy=False) for a in (db.f1, db.f2))
     if counts[grid.obstacle.ravel()].any():
         return False
-    supported = np.zeros(f1.size, dtype=bool)
-    supported[offsets[[db.index(g) for g in db.goal.cells]]] = True  # goal seeds, (0, 0)
-    cell = np.repeat(np.arange(counts.size, dtype=key.dtype), counts)  # int32 when it fits
-    allowed, shift, step = move_mask(grid)
-    for d in range(len(shift)):
-        k = np.flatnonzero(allowed[cell, d])
-        j = cell[k] + shift[d]
-        at = key.searchsorted(key[k] + (shift[d] * stride + step[d]), side="right") - 1
+    # A loaded database's narrow f2 view, read as int64 once: every gather
+    # below mixes it with int64 terrain.
+    f2 = db.f2.astype(np.int64, copy=False)
+    cell = np.repeat(np.arange(counts.size, dtype=hops.key.dtype), counts)  # int32 when it fits
+    supported = hops.goal[cell]  # goal seeds, (0, 0)
+    for d in range(len(hops.shift)):
+        k = np.flatnonzero(hops.allowed[cell, d])
+        j = cell[k] + hops.shift[d]
+        at, equal = hops.match(k, hops.shift[d] * hops.stride + hops.step[d])
         if (at < offsets[j]).any():  # no label at j with f1 <= f1[k] + step[d]
             return False
-        back = f2[at] - grid.terrain.ravel()[j]  # compared with f2[k]: no sum to overflow
+        back = f2[at] - hops.terrain[j]  # compared with f2[k]: no sum to overflow
         if (back > f2[k]).any():
             return False
-        supported[at[(f1[at] == f1[k] + step[d]) & (back == f2[k])]] = True
+        supported[at[equal & (back == f2[k])]] = True
     return bool(supported.all())
 
 

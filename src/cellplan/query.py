@@ -6,12 +6,12 @@ label ids: row k of the database's f1 and f2 arrays is the state (c, F) with
 F = (f1[k], f2[k]) in the label set of cell c. A state (c, F) steps to
 (j, F') when F = F' + hop_cost(c, j). Path length strictly decreases along
 every edge, so the graph is acyclic, every walked path is simple, and
-counting is a plain DP. One private step expands a whole hop-frontier of
-states in numpy, for the graph and for `successors` alike: it reads the move
-rule's direction mask (grid.move_mask) and finds every candidate successor
-with one searchsorted over the database's sorted (cell, f1) key
-(Database.label_key). The graph is the reached label ids plus CSR successor
-lists (an offsets array and a flat array of successor positions).
+counting is a plain DP. One step, cellmap._Step, expands a whole
+hop-frontier of states in numpy, for the graph and for `successors` alike;
+verify_database runs on the same step and its one label match over the
+database's sorted (cell, f1) key. The graph is the reached label ids plus
+CSR successor lists (an offsets array and a flat array of successor
+positions).
 enumerate_paths walks that graph depth-first one single-successor run at a
 time (most states have exactly one successor): each run is made once, as a
 tuple of cells, and a path is its branch prefix joined with a run that ends
@@ -21,11 +21,10 @@ A database keeps a one-entry memo of its last query: the map (compared with
 `is`; a GridMap is read-only) with its step, and the last start's graph. So
 count_paths, coverage and enumerate_paths at one start build the graph once,
 and successors builds the step once per map. Every query entry point but
-pareto_front_at starts from the step, and making it checks the database
-against the map: the map digest (cached on the map), the shape and the
-canonical form (Database.label_key); a memo hit checks nothing again. A
-step or graph that raises is never stored, so a query on a database that
-does not match its map raises every time.
+pareto_front_at starts from the step, whose making is the one check of a
+database against its map; a memo hit checks nothing again. A step or graph
+that raises is never stored, so a query on a database that does not match
+its map raises every time.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cellmap import Database, DigestMismatchError
-from .grid import Cell, GridMap, map_digest, move_mask, require_free
+from .cellmap import Database, _Step
+from .grid import Cell, GridMap, require_free
 from .pareto import LabelSet, Vector
 
 Path = tuple[Cell, ...]
@@ -79,81 +78,16 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     step = _memo_step(db, grid)
     cell = tuple(cell)
     vector = tuple(vector)
-    i = db.index(cell)
-    k = -1
-    if i is not None:
-        f1, f2 = db.segment(i)
-        k = int(f1.searchsorted(vector[0]))
-        if k == f1.size or (f1[k], f2[k]) != vector:
-            k = -1
-    if k < 0:
+    front = db.front(cell)
+    if vector not in front:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
         return []
     require_free(grid, cell)
-    _degree, dst = step(np.array([db.offsets[i] + k]), np.array([i]))
+    i = db.index(cell)
+    _degree, dst = step(np.array([db.offsets[i] + front.index(vector)]), np.array([i]))
     return list(zip(_decode(step.cells(dst), grid.n_cols),
                     zip(db.f1[dst].tolist(), db.f2[dst].tolist())))
-
-
-class _Step:
-    """The one expansion step behind successors() and the successor graph.
-
-    step(ids, cells) maps a frontier of label ids at their row-major cells
-    to its successor edges (degree, dst): the number of successors of each
-    frontier state, and their label ids, grouped by frontier state in
-    row-major move order. Each allowed move of a state (c, F) forms the key
-    of its candidate (j, F[0] - step) and keeps it when the label found
-    there has F[1] - terrain(c). Goal-cell states have no successors; any
-    other state without one raises ValueError. Making a step raises
-    DigestMismatchError when the database was built from another map.
-    """
-
-    def __init__(self, db: Database, grid: GridMap):
-        if db.map_digest != map_digest(grid):
-            raise DigestMismatchError("database digest does not match this map")
-        if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
-            raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
-                             f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
-        # The step lives in the database's memo, so it holds the database's
-        # arrays but not the database: no reference cycle keeps either alive.
-        self.f1, self.f2, self.n_cols = db.f1, db.f2, grid.n_cols
-        self.key, self.stride = db.label_key
-        allowed, shift, step = move_mask(grid)
-        self.goal = np.zeros(allowed.shape[0], dtype=bool)
-        self.goal[[r * grid.n_cols + c for r, c in db.goal.cells]] = True
-        allowed[self.goal] = False
-        self.allowed = allowed
-        # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]).
-        self.delta = (shift * self.stride - step).astype(self.key.dtype)
-        self.terrain = grid.terrain.ravel()
-        # _successor_graph's 1 + position of each label id, 0 between calls;
-        # positions fit the key's dtype. Zeroed pages are mapped only when
-        # a graph first writes them, so a step used once pays for few.
-        self.pos = np.zeros(self.f1.size, dtype=self.key.dtype)
-
-    def __call__(self, ids: np.ndarray, cells: np.ndarray):
-        f1, f2, key = self.f1, self.f2, self.key
-        src, d = np.nonzero(self.allowed[cells])
-        q = key[ids[src]] + self.delta[d]
-        pos = key.searchsorted(q)
-        np.minimum(pos, key.size - 1, out=pos)
-        hit = key[pos] == q
-        hit &= f2[pos] == (f2[ids] - self.terrain[cells])[src]
-        degree = np.bincount(src[hit], minlength=ids.size)
-        if not degree.all():
-            stuck = np.flatnonzero((degree == 0) & ~self.goal[cells])
-            if stuck.size:
-                s = stuck[0]
-                raise ValueError(
-                    f"label {(int(f1[ids[s]]), int(f2[ids[s]]))} at "
-                    f"{divmod(int(cells[s]), self.n_cols)} has no decomposition; "
-                    "database does not match this map")
-        return degree, pos[hit]
-
-    def cells(self, ids: np.ndarray) -> np.ndarray:
-        """Row-major cells of label ids, read off their keys."""
-        return self.key[ids] // self.stride
 
 
 class _Graph(NamedTuple):

@@ -31,6 +31,7 @@ from cellplan import (
     successors,
     verify_database,
 )
+from cellplan.cellmap import _Step
 from cellplan.grid import STRAIGHT_STEP, overflow_risk
 from cellplan.pareto import MAX_COMPONENT
 from conftest import (
@@ -454,6 +455,34 @@ def test_verify_accepts_exactly_the_build(data):
             load_database(save_database(mutant))
     else:
         assert load_database(save_database(mutant)) == mutant
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_step_matches_are_the_reversed_successor_edges(data):
+    """The fact verify_database and the queries share one step on: moves are
+    symmetric, so the equal +step matches of every label (label `at` at j is
+    the candidate of label k) are exactly the step's successor edges
+    at -> k, and every goal state, its moves included, has no successor."""
+    draw = data.draw
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    g = random_map(draw(st.integers(0, 2**16)), rows, cols, draw(st.floats(0, 0.4)),
+                   draw(st.sampled_from((0, 3, 50))), allow_corner_cut=draw(st.booleans()))
+    goal = draw(st.lists(st.sampled_from(free_cells(g)), min_size=1, max_size=3, unique=True))
+    db = build_database(g, goal)
+    step = _Step(db, g)
+    ids = np.arange(db.f1.size)
+    cells = step.cells(ids)
+    degree, dst = step(ids, cells)
+    edges = sorted(zip(np.repeat(ids, degree).tolist(), dst.tolist()))
+    assert not degree[step.goal[cells]].any()
+    reversed_matches = []
+    for d in range(len(step.shift)):
+        k = np.flatnonzero(step.allowed[cells, d])
+        at, equal = step.match(k, step.shift[d] * step.stride + step.step[d])
+        equal &= db.f2[at] - step.terrain[cells[k] + step.shift[d]] == db.f2[k]
+        reversed_matches += zip(at[equal].tolist(), k[equal].tolist())
+    assert sorted(reversed_matches) == edges
 
 
 def test_save_load_roundtrip(map_2x3, db_2x3):

@@ -27,6 +27,7 @@ from cellplan import (
     enumerate_paths,
     free_cells,
     hop_cost,
+    load_database,
     neighbors,
     parse_map,
     pareto_front_at,
@@ -35,6 +36,7 @@ from cellplan import (
     render_coverage_pgm,
     render_front_csv,
     render_report_json,
+    save_database,
     successors,
 )
 from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3
@@ -66,9 +68,27 @@ def test_successors_example(map_2x3, db_2x3):
     assert successors(db_2x3, map_2x3, (0, 0), (28, 0)) == [((1, 1), (14, 0))]
 
 
-def test_successors_rejects_unknown_vector(map_2x3, db_2x3):
+# Vectors at (0, 0) of the 2x3 map that no label holds, by the key stride.
+# (0, 1) is the next cell and holds (10, 5): stride + 10 is its key's f1
+# part seen from (0, 0), which a key-based lookup would alias.
+_HOSTILE_VECTORS = [
+    pytest.param(lambda stride: (99, 99), id="absent"),
+    pytest.param(lambda stride: (-20, 5), id="negative-f1"),
+    pytest.param(lambda stride: (stride + 10, 5), id="next-cell-key"),
+    pytest.param(lambda stride: (2**63, 0), id="f1-2**63"),
+    pytest.param(lambda stride: (2**64 + 20, 5), id="f1-past-uint64"),
+    pytest.param(lambda stride: (20.5, 5), id="float-f1"),
+    pytest.param(lambda stride: (20, 5.5), id="float-f2"),
+]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("vector", _HOSTILE_VECTORS)
+def test_successors_rejects_unknown_vector(map_2x3, db_2x3, loaded, vector):
+    db = load_database(save_database(db_2x3)) if loaded else db_2x3
+    assert db.f1.dtype == (np.uint8 if loaded else np.int64)
     with pytest.raises(ValueError, match="not in the label set"):
-        successors(db_2x3, map_2x3, (0, 0), (99, 99))
+        successors(db, map_2x3, (0, 0), vector(db.label_key[1]))
 
 
 def test_successors_at_goal(map_2x3, db_2x3):
