@@ -49,7 +49,8 @@ cell of the map in row-major order (0 for obstacles and unreachable cells)
 and flat f1 and f2 arrays in (cell, f1) order, so each cell's set is one
 slice. A saved database is one canonical JSON header line followed by the
 three arrays as raw little-endian unsigned integers, each in the narrowest
-of 1, 2, 4 or 8 bytes that holds its largest value.
+of 1, 2, 4 or 8 bytes that holds its largest value; in memory each array is
+held in that width too.
 """
 
 from __future__ import annotations
@@ -105,14 +106,17 @@ class Database:
     loader, the verifier and the queries all read it, so no database out of
     canonical form is loaded, verified or queried.
 
-    The dtype rule: the constructor and from_labels copy what they are given
-    into int64 arrays, and build_database stores the int64 arrays its build
-    makes without a copy. load_database keeps the file's arrays in place, as
-    read-only views of its bytes in their stored widths: uint8, uint16 or
-    uint32, and int64 for width 8 (every value is at most MAX_COMPONENT).
-    `offsets` is int64 always. So arithmetic on counts, f1 and f2 takes its
-    dtype from an int64 or label-key operand, never from a bare Python int:
-    a uint16 array plus 14 stays uint16 and wraps.
+    The dtype rule, one for every database (_stored_dtype): counts, f1 and
+    f2 are each held in their stored width, the narrowest of _WIDTHS that
+    holds the array's largest value, as uint8, uint16 or uint32, and as
+    int64 for width 8 (every value is at most MAX_COMPONENT). The
+    constructor and from_labels copy what they are given into those widths,
+    build_database places its labels straight into them, and load_database
+    keeps the file's arrays in place, as read-only views of its bytes.
+    save_database writes the arrays as they are. `offsets` is int64 always.
+    So arithmetic on counts, f1 and f2 takes its dtype from an int64 or
+    label-key operand, never from a bare Python int: a uint16 array plus 14
+    stays uint16 and wraps.
     `_query_memo` is the query layer's one-entry memo of its last map and
     start (query._Memo); it holds only data derived from the read-only arrays
     and a read-only map, and == ignores it.
@@ -136,9 +140,10 @@ class Database:
 
     @classmethod
     def _in_place(cls, counts, f1, f2, **meta) -> Database:
-        """A database over arrays no one else can write, stored as they are:
-        the loader's read-only views of a bytes object, or the int64 arrays a
-        build has just made. `meta` is every other field."""
+        """A database over arrays no one else can write, stored as they are
+        when in their stored widths: the loader's read-only views of a bytes
+        object, or the arrays a build has just made. `meta` is every other
+        field."""
         db = cls.__new__(cls)
         for name, value in {**meta, "_query_memo": [None]}.items():
             object.__setattr__(db, name, value)
@@ -147,13 +152,17 @@ class Database:
 
     def _store(self, counts, f1, f2) -> None:
         """Check the arrays' shapes and signs, derive offsets, and store all
-        four read-only."""
+        four read-only, counts, f1 and f2 in their stored widths."""
         if counts.shape != (self.n_rows * self.n_cols,):
             raise ValueError("counts must hold one entry per cell of the map")
         if f1.ndim != 1 or f1.shape != f2.shape or int(counts.sum()) != f1.size:
             raise ValueError("f1 and f2 must hold exactly the counted labels")
-        if any(a.size and a.min() < 0 for a in (counts, f1, f2)):
+        if any(a.dtype.kind == "i" and a.size and a.min() < 0 for a in (counts, f1, f2)):
             raise ValueError("counts and cost components must be non-negative")
+        # The loader's views and the kernel's arrays come in their widths; int64
+        # arrays (the constructor's copies, the sweep's) are narrowed here.
+        counts, f1, f2 = (a.astype(_stored_dtype(_top(a)), copy=False) if a.dtype == np.int64
+                          else a for a in (counts, f1, f2))
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, dtype=np.int64, out=offsets[1:])
         for name, a in (("counts", counts), ("f1", f1), ("f2", f2), ("offsets", offsets)):
@@ -364,8 +373,14 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
 
     Labels are placed by counting, not sorted: every cell counts the labels
     it has settled, so a label's row in the (cell, f1) layout is its cell's
-    offset plus its rank there. A window settles its labels lane by lane, so
-    the f1 column is one run per (window, lane).
+    offset plus its rank there. Each window writes its settled (cell, rank,
+    f2) columns after the last window's in a block of at least 4n columns,
+    and opens a new block when they do not fit, so no settled column is
+    copied again before placement. A window settles its labels lane by
+    lane, so the f1 column is one run per (window, lane). Placement turns
+    each rank row into label rows in place and scatters f1 and f2 straight
+    into arrays of their stored widths (_stored_dtype), f1's taken from the
+    largest settled path length.
 
     Entries, cells, f2, depths and ranks are int32 when the map's bounds fit:
     scratch keys below _LANES * n, f2 at most f2_cap = max terrain * n,
@@ -373,7 +388,8 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     f2 values are distinct. Else they are int64. Label rows are int32 when
     the label count fits. The sentinel that marks a cell with no label is
     the dtype's maximum: only a route that revisits a cell can reach it, and
-    such a route is dominated. The returned counts, f1 and f2 are int64.
+    such a route is dominated. The returned counts, f1 and f2 are in their
+    stored widths.
     """
     n = grid.terrain.size
     f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
@@ -417,7 +433,10 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     seed = np.zeros((4, len(goal_ids)), dtype=dtype)
     seed[2] = goal_ids
     push(0, seed)
-    settled = []  # (cell, rank, f2) rows per window, in increasing w
+    # The settled (cell, rank, f2) columns in increasing w, as [block,
+    # columns filled] pairs; a window that does not fit the last block's
+    # room opens a new block.
+    blocks = [[np.empty((3, 4 * n), dtype=dtype), 0]]
     runs = []  # (w, labels settled per lane) per window
     max_depth = 0
     while windows:
@@ -484,7 +503,13 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         labels = table.reshape(5, -1).compress(keep.ravel(), axis=1)
         runs.append((w, keep.sum(axis=1)))
         del table, run, rank, cells
-        settled.append(labels[:3].copy())
+        k = labels.shape[1]
+        block, fill = blocks[-1]
+        if fill + k > block.shape[1]:
+            block, fill = np.empty((3, max(k, 4 * n)), dtype=dtype), 0
+            blocks.append([block, 0])
+        block[:, fill:fill + k] = labels[:3]
+        blocks[-1][1] = fill + k
         cell, _rank, f2, depth, lane = labels
         max_depth = max(max_depth, int(depth.max()))
 
@@ -507,26 +532,33 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         child = child.compress(np.logical_not(near, out=near), axis=1)
         child[3] -= _LANES
         push(w + 2, child)
+    del moves, move_f2, last_f2, scratch, owner, flags  # the search's tables, spent
 
-    # Counting placement: a label's row is its cell's offset plus its rank.
-    counts = top_rank.astype(np.int64)
-    counts += 1
-    total = int(counts.sum())
-    pos_type = dtype if total <= np.iinfo(dtype).max else np.int64
-    starts = np.zeros(n, dtype=pos_type)
-    np.cumsum(counts[:-1], out=starts[1:])
-    cell, pos, f2 = (np.concatenate([c[k] for c in settled]) for k in range(3))
-    del settled
-    pos = pos.astype(pos_type, copy=False)
-    pos += starts.take(cell)
-    del starts, cell
-    f1 = np.empty(total, dtype=np.int64)
-    f1[pos] = np.repeat(
-        (STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None] + 2 * np.arange(_LANES)).ravel(),
-        np.concatenate([k for _, k in runs]))
-    f2_out = np.empty(total, dtype=np.int64)
-    f2_out[pos] = f2
-    return (counts, f1, f2_out), max_depth + 1
+    # Counting placement: a label's row is its cell's offset plus its rank,
+    # which replaces the rank in its block. Indexing by the int32 cells and
+    # rows casts them in small buffers, where take would cast a full intp copy.
+    top_rank += 1  # each cell's label count
+    counts = top_rank.astype(_stored_dtype(_top(top_rank)))
+    total = int(top_rank.sum())
+    starts = np.zeros(n, dtype=dtype if total <= np.iinfo(dtype).max else np.int64)
+    np.cumsum(top_rank[:-1], out=starts[1:])
+    # f1 is one run per (window, lane), rising; the last non-empty run's is the largest.
+    run_f1 = (STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None]
+              + 2 * np.arange(_LANES)).ravel()
+    run_len = np.concatenate([k for _, k in runs])
+    run_f1 = run_f1.astype(_stored_dtype(int(run_f1[np.flatnonzero(run_len)[-1]])))
+    f1_settled = np.repeat(run_f1, run_len)  # in settled order
+    f1 = np.empty(total, dtype=run_f1.dtype)
+    f2 = np.empty(total, dtype=_stored_dtype(max(_top(b[2, :fill]) for b, fill in blocks)))
+    done = 0
+    for block, fill in blocks:
+        cell, pos, f2_settled = block[:, :fill]
+        pos = pos.astype(starts.dtype, copy=False)
+        pos += starts[cell]
+        f1[pos] = f1_settled[done:done + fill]
+        f2[pos] = f2_settled
+        done += fill
+    return (counts, f1, f2), max_depth + 1
 
 
 def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:
@@ -544,7 +576,7 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
     rows, cols = grid.n_rows, grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
     build = _build_sweep if schedule == "sweep" else _build_buckets
-    arrays, iterations = build(grid, goal_ids)  # fresh int64 arrays, stored as they are
+    arrays, iterations = build(grid, goal_ids)  # fresh; _store narrows the sweep's int64
     return Database._in_place(*arrays, n_rows=rows, n_cols=cols, goal=region,
                               map_digest=map_digest(grid), iterations=iterations,
                               convention_tag=CONVENTION_TAG)
@@ -645,8 +677,8 @@ def verify_database(db: Database, grid: GridMap) -> bool:
     counts, offsets = db.counts, db.offsets
     if counts[grid.obstacle.ravel()].any():
         return False
-    # A loaded database's narrow f2 view, read as int64 once: every gather
-    # below mixes it with int64 terrain.
+    # f2 in its stored width, read as int64 once: every gather below mixes
+    # it with int64 terrain.
     f2 = db.f2.astype(np.int64, copy=False)
     cell = np.repeat(np.arange(counts.size, dtype=hops.key.dtype), counts)  # int32 when it fits
     supported = hops.goal[cell]  # goal seeds, (0, 0)
@@ -668,11 +700,14 @@ def save_database(db: Database) -> bytes:
 
     A canonical JSON header line (see _HEADER_KEYS), then the counts, f1 and
     f2 arrays as raw little-endian unsigned integers, each in the narrowest
-    width of _WIDTHS that holds its largest value.
+    width of _WIDTHS that holds its largest value: the width the database
+    holds it in, so each is written as it is.
     """
-    arrays = [a.astype(f"<u{_width(_top(a))}", copy=False) for a in (db.counts, db.f1, db.f2)]
-    payload = b"".join(arrays)
-    return _header_bytes({
+    arrays = (db.counts, db.f1, db.f2)  # in their stored widths already
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
+    header = _header_bytes({
         "version": DB_VERSION,
         "map_digest": db.map_digest,
         "convention_tag": db.convention_tag,
@@ -682,8 +717,9 @@ def save_database(db: Database) -> bytes:
         "n_cols": db.n_cols,
         "widths": [a.itemsize for a in arrays],
         "labels": int(db.f1.size),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }) + payload
+        "sha256": digest.hexdigest(),
+    })
+    return b"".join((header, *arrays))
 
 
 # Header fields in file order. "widths" lists the byte widths of the counts,
@@ -711,6 +747,16 @@ def _top(a: np.ndarray) -> int:
 def _width(top: int) -> int:
     """The narrowest byte width in _WIDTHS that holds the values up to `top`."""
     return next(w for w in _WIDTHS if top < 1 << (8 * w))
+
+
+def _stored_dtype(top: int) -> np.dtype:
+    """The dtype of an array whose largest value is `top`, in memory and on
+    disk: little-endian unsigned in the narrowest width of _WIDTHS that
+    holds `top`, but int64 for width 8, which holds every value up to
+    MAX_COMPONENT; numpy would make float64 of uint64 mixed with the int64
+    of offsets and the map."""
+    width = _width(top)
+    return np.dtype("<i8" if width == 8 else f"<u{width}")
 
 
 def _is_int(x) -> bool:
@@ -798,9 +844,7 @@ def load_database(raw: bytes) -> Database:
         raise ValueError(f"label counts do not sum to the {n_labels} labels")
     if max(tops[1:]) > MAX_COMPONENT:
         raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
-    # Width 8 is read as int64, which now holds every value: numpy would make
-    # float64 of uint64 mixed with the int64 of offsets and the map.
-    counts, f1, f2 = (a.view("<i8") if a.itemsize == 8 else a for a in (counts, f1, f2))
+    counts, f1, f2 = (a.view(_stored_dtype(top)) for a, top in zip((counts, f1, f2), tops))
     db = Database._in_place(counts, f1, f2, n_rows=rows, n_cols=cols,
                             goal=GoalRegion(map(tuple, goal_raw)), map_digest=header["map_digest"],
                             iterations=header["iterations"], convention_tag=header["convention_tag"])

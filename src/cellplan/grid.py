@@ -246,7 +246,8 @@ def step_length(a: Cell, b: Cell) -> int:
 
 def free_cells(grid: GridMap) -> list[Cell]:
     """All free cells in row-major order."""
-    return [(int(r), int(c)) for r, c in np.argwhere(~grid.obstacle)]
+    rows, cols = np.nonzero(~grid.obstacle)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def max_free_terrain(grid: GridMap) -> int:
@@ -373,14 +374,13 @@ def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,
     if max_cost * n_rows * n_cols > MAX_COMPONENT:
         raise ValueError("max_cost is large enough to overflow a path sum")
     rng = random.Random(seed)
-    terrain = np.zeros((n_rows, n_cols), dtype=np.int64)
-    obstacle = np.zeros((n_rows, n_cols), dtype=bool)
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if rng.random() < obstacle_density:
-                obstacle[r, c] = True
-            else:
-                terrain[r, c] = rng.randint(0, max_cost)
+    blocked, costs = [], []  # row-major draws: each cell's obstacle roll, then its cost
+    for _ in range(n_rows * n_cols):
+        wall = rng.random() < obstacle_density
+        blocked.append(wall)
+        costs.append(0 if wall else rng.randint(0, max_cost))
+    terrain = np.array(costs, dtype=np.int64).reshape(n_rows, n_cols)
+    obstacle = np.array(blocked, dtype=bool).reshape(n_rows, n_cols)
     if obstacle.all():
         obstacle[0, 0] = False
         terrain[0, 0] = 0

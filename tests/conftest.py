@@ -7,7 +7,7 @@ import pytest
 
 import cellplan.moastar as moastar
 import cellplan.query as query
-from cellplan import GoalRegion, build_database, parse_map
+from cellplan import Database, GoalRegion, GridMap, build_database, map_digest, parse_map
 
 # 6-cell map with one expensive cell. From (0,0) to the goal (0,2) there are
 # exactly two non-dominated routes: straight through the cost-5 cell, or the
@@ -190,6 +190,18 @@ TEXT_1X3 = "1 3\n0 0 0\n"
 
 # 3x3 with the centre blocked; the two ways around (2,2) tie at (34, 0).
 TEXT_3X3_RING = "3 3\n0 0 0\n0 # 0\n0 0 0\n"
+
+
+def big_terrain():
+    """(map, database) of a 1x2 map whose terrain is 2**62 + 1: its fixed
+    point, made by hand as the build refuses the map. f2 reaches 2**62 + 1,
+    so the database holds f2 in width 8, as int64; a hop sum into the goal,
+    (20, 2 * (2**62 + 1)), would wrap as an int64 sum."""
+    big = 2**62 + 1
+    g = GridMap([[big, big]], [[False, False]])
+    db = Database([1, 1], [10, 0], [big, 0], n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
+                  map_digest=map_digest(g), iterations=2)
+    return g, db
 
 
 @pytest.fixture

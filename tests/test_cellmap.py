@@ -4,6 +4,7 @@ equivalence, verification, and serialization round-trips."""
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cellplan import (
     successors,
     verify_database,
 )
-from cellplan.cellmap import _Step
+from cellplan.cellmap import _build_buckets, _Step
 from cellplan.grid import STRAIGHT_STEP, overflow_risk
 from cellplan.pareto import MAX_COMPONENT
 from conftest import (
@@ -42,6 +43,7 @@ from conftest import (
     ORDER_EDITS_2X3,
     TEXT_1X2,
     TEXT_2X3,
+    big_terrain,
     split_db,
     with_labels,
 )
@@ -358,13 +360,9 @@ def test_verify_rejects_database_of_another_shape():
 
 
 def test_verify_compares_without_int64_sums():
-    """The fixed point of a map whose hop sums pass int64 (the build refuses
-    the map, so the database is made by hand): the candidate from (0,0) into
-    the goal, (20, 2 * big), would wrap as an int64 sum."""
-    big = 2**62 + 1
-    g = GridMap([[big, big]], [[False, False]])
-    db = Database([1, 1], [10, 0], [big, 0], n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
-                  map_digest=map_digest(g), iterations=2)
+    """The fixed point of a map whose hop sums pass int64 (conftest's
+    big_terrain): the candidate from (0,0) into the goal would wrap."""
+    g, db = big_terrain()
     assert verify_database(db, g) is True
 
 
@@ -429,7 +427,9 @@ def test_verify_accepts_exactly_the_build(data):
                    draw(st.sampled_from((0, 3, 50))), allow_corner_cut=draw(st.booleans()))
     goal = draw(st.lists(st.sampled_from(free_cells(g)), min_size=1, max_size=3, unique=True))
     db = build_database(g, goal)
-    counts, f1, f2 = (np.array(a) for a in (db.counts, db.f1, db.f2))
+    # Edited as int64: the database's own widths can hold neither a
+    # negative step nor an inserted value past their largest.
+    counts, f1, f2 = (np.array(a, dtype=np.int64) for a in (db.counts, db.f1, db.f2))
     edit = draw(st.sampled_from(_EDITS))
     if edit in ("f1", "f2"):
         a = f1 if edit == "f1" else f2
@@ -619,12 +619,8 @@ def _built(g, goal):
 
 
 def _big_terrain():
-    """The database of test_verify_compares_without_int64_sums, f2 up to 2**62 + 1."""
-    big = 2**62 + 1
-    g = GridMap([[big, big]], [[False, False]])
-    db = Database([1, 1], [10, 0], [big, 0], n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
-                  map_digest=map_digest(g), iterations=2)
-    return g, db, [(0, 0), (0, 1)]
+    """conftest's big_terrain database, f2 up to 2**62 + 1."""
+    return *big_terrain(), [(0, 0), (0, 1)]
 
 
 def _wide_front(labels: int, n: int):
@@ -675,20 +671,28 @@ def _answers(db, g, starts):
     return out
 
 
+_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
+
+
+def _assert_widths(db, widths):
+    """`db` holds counts, f1 and f2 read-only in the dtypes of `widths`."""
+    for name, width in zip(("counts", "f1", "f2"), widths):
+        array = getattr(db, name)
+        assert array.dtype == _DTYPES[width] and not array.flags.writeable, name
+    assert db.offsets.dtype == np.int64
+
+
 @pytest.mark.parametrize("widths, case", _WIDTH_CASES)
 def test_loaded_arrays_keep_their_widths(widths, case):
     """A loaded database reads its arrays in place, in their stored widths,
-    and answers every query as the database it was saved from does."""
+    the widths the database it was saved from holds them in, and answers
+    every query as that database does."""
     g, db, starts = case()
     raw = save_database(db)
     assert split_db(raw)[0]["widths"] == widths
     loaded = load_database(raw)
-    dtypes = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
-    for name, width in zip(("counts", "f1", "f2"), widths):
-        array = getattr(loaded, name)
-        assert array.dtype == dtypes[width] and not array.flags.writeable
-        assert getattr(db, name).dtype == np.int64
-    assert loaded.offsets.dtype == np.int64
+    _assert_widths(loaded, widths)
+    _assert_widths(db, widths)
     assert loaded == db
     assert save_database(loaded) == raw
     assert _answers(loaded, g, starts) == _answers(db, g, starts)
@@ -698,6 +702,68 @@ def test_loaded_arrays_keep_their_widths(widths, case):
     from_buf = load_database(buf)
     buf[-len(buf) // 2:] = bytes(len(buf) - len(buf) // 2)
     assert from_buf == db and save_database(from_buf) == raw
+
+
+@pytest.mark.parametrize("widths, case", _WIDTH_CASES)
+def test_every_producer_keeps_the_stored_widths(widths, case):
+    """One dtype rule for every database: the worklist and sweep builds, the
+    constructor, from_labels and the loader all hold counts, f1 and f2 in
+    the widths save_database writes, and agree on the database."""
+    g, db, _starts = case()
+    meta = {"goal": db.goal, "map_digest": db.map_digest, "iterations": db.iterations}
+    made = {
+        "constructor": Database(db.counts, db.f1, db.f2, n_rows=db.n_rows, n_cols=db.n_cols,
+                                **meta),
+        "from_labels": Database.from_labels(db.labels, db.n_rows, db.n_cols, **meta),
+        "load": load_database(save_database(db)),
+    }
+    if not overflow_risk(g) and verify_database(db, g):  # all but the hand-made cases
+        for schedule in ("worklist", "sweep"):
+            made[schedule] = build_database(g, db.goal, schedule=schedule)
+        # The kernel makes them in those widths itself, so none is copied to fit.
+        arrays, _ = _build_buckets(g, sorted(r * g.n_cols + c for r, c in db.goal.cells))
+        assert [a.dtype for a in arrays] == [_DTYPES[w] for w in widths]
+    for name, other in made.items():
+        _assert_widths(other, widths)
+        assert other == db, name
+
+
+@pytest.mark.parametrize("counts, f1, f2", [
+    ([-1, 3], [10, 0], [5, 0]),
+    ([1, 1], [10, -2], [5, 0]),
+    ([1, 1], [10, 0], [-5, 0]),
+], ids=["counts", "f1", "f2"])
+def test_constructor_rejects_negative_values(counts, f1, f2):
+    """Checked before the arrays take their unsigned stored widths, in which
+    a negative value would wrap."""
+    with pytest.raises(ValueError, match="non-negative"):
+        Database(counts, f1, f2, n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
+                 map_digest="0" * 64, iterations=1)
+
+
+def test_reference_build_memory_is_pinned():
+    """The build places its labels in their stored widths without another
+    copy of them, and save_database writes the arrays as they are. Traced by
+    tracemalloc, whose counts repeat exactly for one input: the reference
+    build peaks at about 21 B per stored label, where one more copy of the
+    settled labels or int64 output arrays reach 30, and a save at about its
+    payload, where a cast copy of each array reaches three times it."""
+    g = random_map(9, 117, 117, 0.15, 9)
+    goal = [free_cells(g)[-1]]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        db = build_database(g, goal)
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        raw = save_database(db)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    payload = len(raw) - raw.index(b"\n") - 1
+    assert build_peak < 25 * db.f1.size
+    assert save_peak < 2 * payload
 
 
 def test_database_is_read_only(db_2x3):

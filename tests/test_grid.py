@@ -333,6 +333,21 @@ def test_free_cells_row_major():
     assert free_cells(g) == [(0, 0), (1, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("grid", [
+    *(random_map(seed, rows, cols, 0.3, 5)
+      for seed, (rows, cols) in enumerate([(1, 1), (1, 9), (9, 1), (7, 13), (30, 30)])),
+    random_map(1, 1, 1, 0.0, 5),
+    random_map(2, 6, 4, 0.0, 5),
+], ids=["1x1", "1x9", "9x1", "7x13", "30x30", "1x1-open", "6x4-open"])
+def test_free_cells_match_argwhere(grid):
+    """The free cells as np.argwhere lists them, row-major, as tuples of
+    plain ints."""
+    cells = free_cells(grid)
+    assert cells == [tuple(rc) for rc in np.argwhere(~grid.obstacle).tolist()]
+    assert all(type(cell) is tuple and type(cell[0]) is int and type(cell[1]) is int
+               for cell in cells)
+
+
 def test_random_map_deterministic():
     a = random_map(7, 4, 4, 0.25, 2)
     b = random_map(7, 4, 4, 0.25, 2)

@@ -39,7 +39,7 @@ from cellplan import (
     save_database,
     successors,
 )
-from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3
+from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3, big_terrain
 
 
 def test_front_at_goal(db_2x3):
@@ -82,13 +82,19 @@ _HOSTILE_VECTORS = [
 ]
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("form", ["built", "loaded", "width-8"])
 @pytest.mark.parametrize("vector", _HOSTILE_VECTORS)
-def test_successors_rejects_unknown_vector(map_2x3, db_2x3, loaded, vector):
-    db = load_database(save_database(db_2x3)) if loaded else db_2x3
-    assert db.f1.dtype == (np.uint8 if loaded else np.int64)
+def test_successors_rejects_unknown_vector(map_2x3, db_2x3, form, vector):
+    """Built and loaded, the 2x3 database holds f1 and f2 as uint8; the
+    width-8 one is conftest's big_terrain, whose f2 is int64."""
+    g, db = map_2x3, db_2x3
+    if form == "loaded":
+        db = load_database(save_database(db_2x3))
+    elif form == "width-8":
+        g, db = big_terrain()
+    assert (db.f1.dtype, db.f2.dtype) == (np.uint8, np.int64 if form == "width-8" else np.uint8)
     with pytest.raises(ValueError, match="not in the label set"):
-        successors(db, map_2x3, (0, 0), vector(db.label_key[1]))
+        successors(db, g, (0, 0), vector(db.label_key[1]))
 
 
 def test_successors_at_goal(map_2x3, db_2x3):
