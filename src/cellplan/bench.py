@@ -13,7 +13,7 @@ import random
 import statistics
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .cellmap import build_database
@@ -77,16 +77,6 @@ class BenchConfig:
         except (KeyError, TypeError) as e:
             raise ValueError(f"bad bench config: {e}") from e
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_maps": self.n_maps,
-            "dims": [list(d) for d in self.dims],
-            "obstacle_density": self.obstacle_density,
-            "max_cost": self.max_cost,
-            "starts_per_map": self.starts_per_map,
-        }
-
 
 @dataclass
 class MapRecord:
@@ -100,26 +90,13 @@ class MapRecord:
     build_time: float
     moa_time_single_start: float
 
-    def to_dict(self) -> dict:
-        return {
-            "map_id": self.map_id,
-            "dims": list(self.dims),
-            "seed": self.seed,
-            "regenerated": self.regenerated,
-            "n_free_cells": self.n_free_cells,
-            "front_size": self.front_size,
-            "fronts_equal": self.fronts_equal,
-            "build_time": self.build_time,
-            "moa_time_single_start": self.moa_time_single_start,
-        }
-
 
 # Timing keys, named here so report consumers can mask them when comparing
 # runs for determinism.
 TIMING_FIELDS = ("build_time", "moa_time_single_start", "time_ratio_stats")
 
-_CSV_COLUMNS = ("map_id", "rows", "cols", "seed", "regenerated", "n_free_cells",
-                "front_size", "fronts_equal", "build_time", "moa_time_single_start")
+# A record's fields in order, its dims split into rows and cols.
+_CSV_COLUMNS = ("map_id", "rows", "cols", *(f.name for f in fields(MapRecord)[2:]))
 
 
 @dataclass
@@ -136,8 +113,8 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
-            "records": [r.to_dict() for r in self.records],
+            "config": asdict(self.config),
+            "records": [asdict(r) for r in self.records],
             "aggregate": {
                 "maps_passed": self.maps_passed,
                 "total": self.total,
@@ -151,17 +128,23 @@ class BenchReport:
     def to_csv_str(self) -> str:
         lines = [",".join(_CSV_COLUMNS)]
         for r in self.records:
-            lines.append(",".join(str(x) for x in (
-                r.map_id, r.dims[0], r.dims[1], r.seed, r.regenerated,
-                r.n_free_cells, r.front_size, r.fronts_equal,
-                r.build_time, r.moa_time_single_start)))
+            map_id, dims, *rest = astuple(r)
+            lines.append(",".join(map(str, (map_id, *dims, *rest))))
         return "\n".join(lines) + "\n"
 
 
-def _cold_copy(grid: GridMap) -> GridMap:
-    """An equal map that moastar's memo does not hold, so a timed MOA* run
-    pays for its heuristics as a lone single-start query would."""
-    return GridMap(grid.terrain, grid.obstacle, grid.allow_corner_cut)
+def _cold_moa(grid: GridMap, starts, region: GoalRegion):
+    """MOA*'s front at each start and the time it took. Each run is cold, on
+    an equal map made outside the timer that moastar's memo does not hold,
+    so it pays for its heuristics as a lone single-start query would."""
+    fronts, times = [], []
+    for s in starts:
+        cold = GridMap(grid.terrain, grid.obstacle, grid.allow_corner_cut)
+        t0 = time.perf_counter()
+        front, _ = moa_star(cold, s, region, collect_paths=False)
+        times.append(time.perf_counter() - t0)
+        fronts.append(front)
+    return fronts, times
 
 
 def _pick_starts_and_goal(cfg: BenchConfig, map_id: int, cells: list):
@@ -175,8 +158,8 @@ def _pick_starts_and_goal(cfg: BenchConfig, map_id: int, cells: list):
 def run_campaign(cfg: BenchConfig, *, reproducer_dir=None) -> BenchReport:
     """Run the full campaign: build once per map, MOA* once per start.
 
-    Each start is timed cold, on its own copy of the map made outside the
-    timer, so `moa_time_single_start` includes the heuristics.
+    Each start is timed cold (_cold_moa), so `moa_time_single_start`
+    includes the heuristics.
 
     Each map gets a derived sub-seed; maps with fewer than two free cells are
     regenerated under a further derived seed (the attempt count is recorded).
@@ -201,15 +184,9 @@ def run_campaign(cfg: BenchConfig, *, reproducer_dir=None) -> BenchReport:
         db = build_database(grid, region)
         build_time = time.perf_counter() - t0
 
+        fronts, moa_times = _cold_moa(grid, starts, region)
         equal = True
-        front_size = 0
-        moa_times = []
-        for s in starts:
-            cold = _cold_copy(grid)
-            t0 = time.perf_counter()
-            front, _ = moa_star(cold, s, region, collect_paths=False)
-            moa_times.append(time.perf_counter() - t0)
-            front_size = max(front_size, len(front))
+        for s, front in zip(starts, fronts):
             if front != db.front(s):
                 equal = False
                 if reproducer_dir is not None:
@@ -220,7 +197,7 @@ def run_campaign(cfg: BenchConfig, *, reproducer_dir=None) -> BenchReport:
             seed=seed,
             regenerated=attempt,
             n_free_cells=len(cells),
-            front_size=front_size,
+            front_size=max(map(len, fronts)),
             fronts_equal=equal,
             build_time=build_time,
             moa_time_single_start=sum(moa_times) / len(moa_times),
@@ -251,7 +228,7 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     MOA* and front-lookup times are measured on `sample_starts` starts taken
     evenly across the free non-goal cells (clamped with a warning if the map
     has fewer), then extrapolated linearly to n_starts in {1, 10, 100, all}.
-    Each start is timed cold, on its own copy of the map, as in run_campaign.
+    Each start is timed cold (_cold_moa), as in run_campaign.
     """
     region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     region.validate_on(grid)
@@ -277,12 +254,7 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     db = build_database(grid, region)
     build_time = time.perf_counter() - t0
 
-    moa_times = []
-    for s in picked:
-        cold = _cold_copy(grid)
-        t0 = time.perf_counter()
-        moa_star(cold, s, region, collect_paths=False)
-        moa_times.append(time.perf_counter() - t0)
+    moa_times = _cold_moa(grid, picked, region)[1]
     mean_moa = sum(moa_times) / len(moa_times)
 
     # Front lookups are near-instant; time a batch for resolution.

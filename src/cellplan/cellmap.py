@@ -85,8 +85,8 @@ from .pareto import (
 
 DB_VERSION = 2
 
-# Identifies the cost accounting the database was built under, so readers can
-# reject a file whose vectors mean something else.
+# Identifies the cost accounting the database was built under; _Step rejects
+# a database whose vectors mean something else.
 CONVENTION_TAG = "len10-14/terrain-of-departed-cell/goal-zero"
 
 
@@ -587,11 +587,12 @@ class _Step:
     over Database.label_key, for the queries and verify_database alike.
 
     Making a step raises DigestMismatchError when the database was built
-    from another map, and ValueError when its shape differs or it is out of
-    canonical form. step(ids, cells) maps a frontier of label ids at their
-    row-major cells to its successor edges (degree, dst): the number of
-    successors of each frontier state, and their label ids, grouped by
-    frontier state in row-major move order. Each allowed move of a state
+    from another map, and ValueError when its shape differs, its
+    convention_tag is not CONVENTION_TAG or it is out of canonical form.
+    step(ids, cells) maps a frontier of label ids at their row-major cells
+    to its successor edges (degree, dst): the number of successors of each
+    frontier state, and their label ids, grouped by frontier state in
+    row-major move order. Each allowed move of a state
     (c, F) matches the key of its candidate (j, F[0] - step) and keeps it
     when the label found has F[1] - terrain(c). A goal state's one label is
     (0, 0), so its candidates fall in the headroom of the cell before j and
@@ -604,6 +605,9 @@ class _Step:
         if (db.n_rows, db.n_cols) != (grid.n_rows, grid.n_cols):
             raise ValueError(f"database covers {db.n_rows}x{db.n_cols} cells, the map "
                              f"{grid.n_rows}x{grid.n_cols}; database does not match this map")
+        if db.convention_tag != CONVENTION_TAG:
+            raise ValueError(f"database was built under convention {db.convention_tag!r}, "
+                             f"not {CONVENTION_TAG!r}")
         # The query memo holds the step, so it holds the database's arrays
         # but not the database: no reference cycle keeps either alive.
         self.f1, self.f2, self.n_cols = db.f1, db.f2, grid.n_cols
@@ -655,10 +659,10 @@ class _Step:
 
 def verify_database(db: Database, grid: GridMap) -> bool:
     """Check that `db` is exactly the fixed point for `grid`: the map's
-    shape, canonical form (Database.label_key raises for none of it), no
-    label on an obstacle, and no change from one more sweep. False for a
-    wrong database, and DigestMismatchError when `grid` is not the map it
-    was built from.
+    shape, the convention tag, canonical form (Database.label_key raises
+    for none of it), no label on an obstacle, and no change from one more
+    sweep. False for a wrong database, and DigestMismatchError when `grid`
+    is not the map it was built from.
 
     Moves are symmetric, so each label k at a cell that may move in
     direction d gives j = cell + shift[d] the candidate (f1[k] + step[d],
@@ -775,8 +779,9 @@ def load_database(raw: bytes) -> Database:
     goal cell outside the map or not holding exactly (0, 0), and a path
     length beyond the longest route; the key stays cached for queries.
     Every field is then determined, so save_database(load_database(raw))
-    == raw whenever this returns. Whether the sets fit the map and each
-    other is left to verify_database, which needs the map.
+    == raw whenever this returns. Any convention tag loads; a foreign one is
+    refused with the map, by _Step, and whether the sets fit the map and
+    each other is left to verify_database.
 
     The database's arrays are read-only views of the file's bytes in their
     stored widths (see Database). A `raw` that is not a bytes object, such

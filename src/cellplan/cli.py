@@ -27,13 +27,14 @@ from .grid import (
     GridMap,
     MapFormatError,
     free_cells,  # unused here; the benchmark's traced runs wrap cli.free_cells by name
-    map_digest,
+    map_digest,  # unused here; the benchmark's traced runs wrap cli.map_digest by name
     parse_map,
     random_map,
     serialize_map,
 )
 from .moastar import moa_star
 from .query import (
+    _checked_front,
     count_paths,
     coverage,
     enumerate_paths,
@@ -119,12 +120,8 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     db = _read_db(args.db)
     grid = _read_map(args.map, not args.no_corner_cut)
-    if db.map_digest != map_digest(grid):
-        raise DigestMismatchError("database digest does not match this map")
     start = _parse_cell(args.start)
-    if not grid.is_free(start):
-        raise ValueError(f"start cell {start} is not a free cell")
-    front = db.front(start)
+    front = _checked_front(db, grid, start)
 
     want_cov = args.coverage or args.format in ("ascii", "pgm")
     covered = coverage(db, grid, start) if (want_cov and front) else frozenset()
@@ -157,18 +154,12 @@ def cmd_compare(args) -> int:
     grid = _read_map(args.map, not args.no_corner_cut)
     region = _parse_goal_args(args.goal, grid)
     start = _parse_cell(args.start)
-    if not grid.is_free(start):
-        raise ValueError(f"start cell {start} is not a free cell")
-    if args.db:
-        db = _read_db(args.db)
-        if db.map_digest != map_digest(grid):
-            raise DigestMismatchError("database digest does not match this map")
-        if db.goal != region:
-            raise ValueError("database goal region does not match --goal")
-    else:
-        db = build_database(grid, region)
-    db_front = db.front(start)
+    # MOA* checks the start and the goal before a database is built or read.
     moa_front, moa_paths = moa_star(grid, start, region, collect_paths=args.paths)
+    db = _read_db(args.db) if args.db else build_database(grid, region)
+    db_front = _checked_front(db, grid, start)
+    if db.goal != region:
+        raise ValueError("database goal region does not match --goal")
     diff = {
         "start": list(start),
         "front_db": [list(v) for v in db_front],

@@ -21,10 +21,11 @@ A database keeps a one-entry memo of its last query: the map (compared with
 `is`; a GridMap is read-only) with its step, and the last start's graph. So
 count_paths, coverage and enumerate_paths at one start build the graph once,
 and successors builds the step once per map. Every query entry point but
-pareto_front_at starts from the step, whose making is the one check of a
-database against its map; a memo hit checks nothing again. A step or graph
-that raises is never stored, so a query on a database that does not match
-its map raises every time.
+pareto_front_at, the CLI's too, starts with _checked_front: the step, whose
+making is the one check of a database against its map (a memo hit checks
+nothing again), then the start. A step or graph that raises is never
+stored, so a query on a database that does not match its map raises every
+time.
 """
 
 from __future__ import annotations
@@ -75,15 +76,14 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     the label set of j. Non-empty for every non-goal vector of a consistent
     database (ValueError otherwise); goal cells have no successors.
     """
-    step = _memo_step(db, grid)
     cell = tuple(cell)
     vector = tuple(vector)
-    front = db.front(cell)
+    front = _checked_front(db, grid, cell)
     if vector not in front:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
         return []
-    require_free(grid, cell)
+    step = db._query_memo[0].step
     i = db.index(cell)
     _degree, dst = step(np.array([db.offsets[i] + front.index(vector)]), np.array([i]))
     return list(zip(_decode(step.cells(dst), grid.n_cols),
@@ -122,13 +122,22 @@ def _memo_step(db: Database, grid: GridMap) -> _Step:
     return step
 
 
-def _memo_graph(db: Database, step: _Step, start: Cell) -> _Graph:
-    """The successor graph of `start` under `step`, which _memo_step has
+def _checked_front(db: Database, grid: GridMap, start: Cell) -> LabelSet:
+    """The front at `start`, once the database's memo holds the step of
+    `grid` (made, and so checked, unless the memo holds this map already)
+    and `start` is a free cell of it: every query's first step."""
+    _memo_step(db, grid)
+    require_free(grid, start)
+    return db.front(start)
+
+
+def _memo_graph(db: Database, start: Cell) -> _Graph:
+    """The successor graph of `start` under the step _checked_front has
     just put in the database's memo: from the memo when it holds this start;
     otherwise built, and stored once it is."""
     memo = db._query_memo[0]
     if memo.start != start:
-        memo = memo._replace(start=start, graph=_successor_graph(db, step, start))
+        memo = memo._replace(start=start, graph=_successor_graph(db, memo.step, start))
         db._query_memo[0] = memo
     return memo.graph
 
@@ -179,13 +188,11 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
     A DP over the states in increasing path length, in Python ints; nothing
     is enumerated, so counts may be astronomically large.
     """
-    step = _memo_step(db, grid)
     start = tuple(start)
-    require_free(grid, start)
-    front = db.front(start)
+    front = _checked_front(db, grid, start)
     if not front:
         return QueryResult(start=start, front=(), counts={}, total_paths=0)
-    graph = _memo_graph(db, step, start)
+    graph = _memo_graph(db, start)
     off, succ = graph.offsets.tolist(), graph.succ.tolist()
     counts = [1] * len(graph.ids)  # goal states keep their one path
     for s in np.argsort(db.f1[graph.ids], kind="stable").tolist():
@@ -201,12 +208,10 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
 
 def coverage(db: Database, grid: GridMap, start: Cell) -> frozenset[Cell]:
     """Cells lying on at least one optimal path from `start`."""
-    step = _memo_step(db, grid)
     start = tuple(start)
-    require_free(grid, start)
-    if not db.front(start):
+    if not _checked_front(db, grid, start):
         raise ValueError(f"start {start} cannot reach the goal")
-    graph = _memo_graph(db, step, start)
+    graph = _memo_graph(db, start)
     return frozenset(_decode(np.unique(graph.cells), grid.n_cols))
 
 
@@ -224,15 +229,13 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     are returned and the flag is False; otherwise at most `limit` paths are
     returned and the flag tells whether more exist.
     """
-    step = _memo_step(db, grid)
     start = tuple(start)
-    require_free(grid, start)
+    front = _checked_front(db, grid, start)
     if limit is not None and limit < 1:
         raise ValueError("limit must be a positive integer")
-    front = db.front(start)
     if not front:
         return [], False
-    gen = _walk_paths(_memo_graph(db, step, start), grid.n_cols, front)
+    gen = _walk_paths(_memo_graph(db, start), grid.n_cols, front)
     if limit is None:
         return list(gen), False
     out = list(islice(gen, limit))

@@ -2,6 +2,7 @@
 reproducer dumps on failure, and the amortization table."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -34,7 +35,7 @@ def test_config_validation(kw):
 
 def test_config_dict_roundtrip():
     cfg = small_cfg(dims=((8, 8), (4, 12)))
-    assert BenchConfig.from_dict(cfg.to_dict()) == cfg
+    assert BenchConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         BenchConfig.from_dict({"seed": 1})
 

@@ -15,7 +15,9 @@ from cellplan import (
     random_map,
     save_database,
     serialize_map,
+    verify_database,
 )
+from cellplan.cellmap import CONVENTION_TAG, _header_bytes
 from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3, with_labels
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -245,6 +247,56 @@ def test_query_digest_mismatch(tmp_path, db_file, capsys):
     assert "digest" in capsys.readouterr().err
 
 
+@pytest.fixture
+def transposed_db(tmp_path, map_file, capsys):
+    """The 2x3 map's database for goal (0,0), its header claiming 3x2 cells.
+    The checksum covers only the payload, so the file loads."""
+    p = tmp_path / "t.db"
+    assert cli.main(["build", "-m", str(map_file), "--goal", "0,0", "-o", str(p)]) == 0
+    capsys.readouterr()
+    blob = p.read_bytes()
+    end = blob.index(b"\n")
+    header = json.loads(blob[:end])
+    p.write_bytes(_header_bytes({**header, "n_rows": 3, "n_cols": 2}) + blob[end + 1:])
+    load_database(p.read_bytes())
+    return p
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["query", "--start", "1,0"], id="query-json"),  # read (0,2)'s front
+    pytest.param(["query", "--start", "1,2"], id="query-json-off-database"),  # empty
+    pytest.param(["query", "--start", "1,0", "--format", "csv"], id="query-csv"),
+    # An empty front: no coverage to compute, so no query step either.
+    pytest.param(["query", "--start", "1,2", "--format", "ascii"], id="query-ascii"),
+    pytest.param(["query", "--start", "1,2", "--format", "pgm", "-o", "OUT"], id="query-pgm"),
+    # Off the map but inside the claimed 3x2: the database is refused before the start.
+    pytest.param(["query", "--start", "2,0", "--count"], id="query-count"),
+    pytest.param(["compare", "--goal", "0,0", "--start", "1,0"], id="compare-db"),
+])
+def test_database_of_another_shape_is_refused(argv, map_file, transposed_db, tmp_path, capsys):
+    command, *rest = argv
+    out = tmp_path / "out"
+    rest = [str(out) if a == "OUT" else a for a in rest]
+    db_flag = "-d" if command == "query" else "--db"
+    rc = cli.main([command, "-m", str(map_file), db_flag, str(transposed_db), *rest])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "database covers 3x2 cells, the map 2x3" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_database_of_another_convention_is_refused(map_file, db_file, capsys):
+    tag = CONVENTION_TAG.encode()
+    db_file.write_bytes(db_file.read_bytes().replace(
+        tag, b"len1-1/terrain-of-entered-cell/goal-zero"))
+    db = load_database(db_file.read_bytes())
+    assert verify_database(db, parse_map(map_file.read_bytes())) is False
+    rc = cli.main(["query", "-d", str(db_file), "-m", str(map_file),
+                   "--start", "0,0", "--count"])
+    assert rc == 2
+    assert "convention" in capsys.readouterr().err
+
+
 def test_query_rejects_obstacle_start(tmp_path, capsys):
     m = tmp_path / "m.map"
     m.write_text("2 2\n0 #\n0 0\n")
@@ -290,6 +342,24 @@ def test_compare_db_goal_must_match(map_file, db_file):
     rc = cli.main(["compare", "-m", str(map_file), "--goal", "0,0",
                    "--start", "1,2", "--db", str(db_file)])
     assert rc == 2
+
+
+def test_compare_refuses_a_bad_start_before_building(tmp_path, monkeypatch, capsys):
+    m = tmp_path / "m.map"
+    m.write_text("2 2\n0 #\n0 0\n")
+    built = []
+    monkeypatch.setattr(cli, "build_database", lambda *a: built.append(a))
+    for start in ("0,1", "5,5"):  # an obstacle, a cell off the map
+        assert cli.main(["compare", "-m", str(m), "--goal", "0,0", "--start", start]) == 2
+    assert not built
+
+
+def test_compare_db_map_is_checked_before_its_goal(tmp_path, db_file):
+    other = tmp_path / "other.map"
+    other.write_text("2 3\n0 4 0\n0 0 0\n")
+    rc = cli.main(["compare", "-m", str(other), "--goal", "0,0",
+                   "--start", "1,2", "--db", str(db_file)])
+    assert rc == 4
 
 
 def test_compare_unreachable_start(tmp_path, capsys):

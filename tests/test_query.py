@@ -704,7 +704,8 @@ def test_walk_matches_reference_walk(size, limits, seed, shape, corner_cut, max_
     db = build_database(g, [free_cells(g)[seed % len(free_cells(g))]])
     enough = None if None in limits else max(limits) + 1
     for start, front in db.labels.items():
-        graph = query_module._memo_graph(db, query_module._memo_step(db, g), start)
+        query_module._checked_front(db, g, start)
+        graph = query_module._memo_graph(db, start)
         want = list(itertools.islice(_reference_walk(graph, g.n_cols, front), enough))
         for limit in limits:
             paths, truncated = enumerate_paths(db, g, start, limit)

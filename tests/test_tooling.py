@@ -1,6 +1,7 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
-so keep those names alive; the package imports only what it declares; the
-pytest settings must survive a failing test; and every demo runs."""
+so keep those names alive; the package imports only what it declares, and
+uses every name it imports; the pytest settings must survive a failing test;
+and every demo runs."""
 
 import ast
 import importlib
@@ -20,14 +21,20 @@ PACKAGE = ROOT / "src" / "cellplan"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_trace_points_resolve(monkeypatch):
-    # Read the benchmark's module from its file without writing bytecode next to it.
+@pytest.fixture
+def trace_points(monkeypatch):
+    """The benchmark's TRACE_POINTS, read from its file without writing
+    bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_common", COMMON)
     common = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(common)
-    assert common.TRACE_POINTS
-    for mod_name, attr, layer in common.TRACE_POINTS:
+    return common.TRACE_POINTS
+
+
+def test_trace_points_resolve(trace_points):
+    assert trace_points
+    for mod_name, attr, layer in trace_points:
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), \
             f"{mod_name}.{attr} is gone"
         assert hasattr(importlib.import_module(f"cellplan.{layer}"), attr), \
@@ -55,6 +62,28 @@ def test_runtime_imports_are_declared():
     declared = _declared_dependencies()
     assert "numpy" in declared
     assert third_party <= declared, f"undeclared imports: {sorted(third_party - declared)}"
+
+
+def test_imported_names_are_used(trace_points):
+    # __init__.py re-exports what it imports, and a name the traced runs
+    # wrap in a module is kept there for them.
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        wrapped = {attr for mod, attr, _ in trace_points if mod == f"cellplan.{path.stem}"}
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                 if name not in used | wrapped]
+    assert not dead, f"imported but unused: {dead}"
 
 
 FAILING_PAIR = '''
