@@ -242,13 +242,7 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
             f"sample_starts clamped from {sample_starts} to {len(cells)}",
             stacklevel=2)
         sample_starts = len(cells)
-    picked = []
-    seen = set()
-    for i in range(sample_starts):
-        idx = i * len(cells) // sample_starts
-        if idx not in seen:
-            seen.add(idx)
-            picked.append(cells[idx])
+    picked = [cells[i * len(cells) // sample_starts] for i in range(sample_starts)]
 
     t0 = time.perf_counter()
     db = build_database(grid, region)

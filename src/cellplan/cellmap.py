@@ -28,11 +28,10 @@ Two schedules compute the same fixed point:
   value, 1 + the largest hop count any stored vector needs, read off the
   hop depth each entry carries. Each window keeps the least f2, and the
   fewest hops among its ties, per (cell, lane) with one np.minimum.at over
-  packed values (f2 << sh) | depth in a one-row scratch. Its integers are
-  int32 when the scratch key (lane * n + cell, below 5n) and the largest f2
-  fit, else int64; the packed values are int32 when they fit too. Only near
-  the overflow bound, where they fit no int64, the scratch keeps f2 and
-  depth in two rows and takes two minima.
+  packed values (f2 << sh) | depth. Its integers are int32 when the scratch
+  key (lane * n + cell, below 5n) and the largest f2 fit, else int64; the
+  packed values are int32 or int64 when they fit, and Python ints near the
+  overflow bound.
 
 Every cyclic detour strictly increases path length without lowering terrain
 cost, so only simple paths contribute and both schedules terminate.
@@ -70,6 +69,7 @@ from .grid import (
     GoalRegion,
     GridMap,
     map_digest,
+    max_free_terrain,
     move_csr,
     move_mask,
     overflow_risk,
@@ -356,15 +356,15 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     as n rows of eight moves); the children whose f2 beats the last one
     settled at their cell go into window w + 1 or w + 2, by their f1.
 
-    The scratch is one row of packed values (f2 << sh) | depth, with
+    The scratch holds packed values (f2 << sh) | depth, with
     sh = n.bit_length() bits for a depth below n, so one np.minimum.at
-    keeps the least f2 and the fewest hops among its ties. Its dtype is the
-    entries' (below) when (f2_cap + 1) << sh fits it, else int64; an empty
-    slot holds (f2_cap + 1) << sh, which reads back as f2 = f2_cap + 1.
-    Near the overflow bound, where the packed value does not fit int64
-    either, the scratch is two rows, least f2 and least depth, and each
-    window takes two minima: the f2 one, then the depth one over the
-    entries that tie it. The map's size and terrain pick the form.
+    keeps the least f2 and the fewest hops among its ties. An empty slot
+    holds blank = none << sh, which reads back as f2 = none: f2_cap + 1, or
+    the entries' largest value on a map at the overflow limit, where
+    f2_cap + 1 is 2**63. Either is above every real f2, which sums at most
+    n - 1 terrains. The scratch's dtype is the narrowest of the entries'
+    (below), int64 and object (Python ints) that holds blank: the map's
+    size and terrain pick it.
 
     `depth` is the hop count of the route that made the entry. All parents of
     a vector (f1, f2) are settled, each with its own least depth, before its
@@ -392,7 +392,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     stored widths.
     """
     n = grid.terrain.size
-    f2_cap = int(grid.terrain[~grid.obstacle].max()) * n
+    f2_cap = max_free_terrain(grid) * n
     dtype = np.int32 if max(_LANES * n, f2_cap) < np.iinfo(np.int32).max else np.int64
     unset = np.iinfo(dtype).max
     # Move table, one row of eight per cell; a missing move leads to the extra
@@ -406,13 +406,10 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
     # The open window's least (f2, depth) per (lane, cell), reset after it.
     sh = n.bit_length()
-    packed = next((t for t in (dtype, np.int64) if (f2_cap + 1) << sh <= np.iinfo(t).max), None)
-    if packed is not None:
-        blank, none = (f2_cap + 1) << sh, f2_cap + 1
-        scratch = np.full(_LANES * n, blank, dtype=packed)
-    else:
-        blank = none = unset
-        scratch = np.full((2, _LANES * n), unset, dtype=dtype)
+    none = min(f2_cap + 1, unset)
+    blank = none << sh
+    packed = next((t for t in (dtype, np.int64) if blank <= np.iinfo(t).max), object)
+    scratch = np.full(_LANES * n, blank, dtype=packed)
     owner = np.empty(n, dtype=np.intp)  # scratch
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
     # Every mask is written into this one buffer. A window holds the children
@@ -450,34 +447,23 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         depth, f2, cell, key = entries
         key *= n  # the lane row becomes the scratch key
         key += cell
-        if packed is not None:
-            v = f2 if packed is dtype else f2.astype(packed)  # the f2 row becomes v
-            v <<= sh
-            v |= depth
-            np.minimum.at(scratch, key, v)
-            del v
-        else:
-            least_f2, least_depth = scratch
-            np.minimum.at(least_f2, key, f2)
-            tie = mask(np.equal, f2, least_f2.take(key))
-            np.minimum.at(least_depth, key, np.where(tie, depth, unset))
+        v = f2 if packed is dtype else f2.astype(packed)  # the f2 row becomes v
+        v <<= sh
+        v |= depth
+        np.minimum.at(scratch, key, v)
+        del v
         # The window's cells, once each: whichever entry wins the `owner` write.
         first = np.arange(len(cell))
         owner[cell] = first
         cells = cell.compress(mask(np.equal, owner.take(cell), first))
 
         # One column per cell, one row per lane: cell, rank, f2, depth, lane.
-        m = len(cells)
-        table = np.empty((5, _LANES, m), dtype=dtype)
-        if packed is not None:
-            v = scratch.reshape(_LANES, n).take(cells, axis=1)
-            np.right_shift(v, sh, out=table[2])
-            np.bitwise_and(v, (1 << sh) - 1, out=table[3])
-            del v
-        else:
-            scratch.reshape(2 * _LANES, n).take(cells, axis=1,
-                                                out=table[2:4].reshape(2 * _LANES, m))
-        scratch[..., key] = blank
+        table = np.empty((5, _LANES, len(cells)), dtype=dtype)
+        v = scratch.reshape(_LANES, n).take(cells, axis=1)
+        np.right_shift(v, sh, out=table[2], casting="unsafe")
+        np.bitwise_and(v, (1 << sh) - 1, out=table[3], casting="unsafe")
+        del v
+        scratch[key] = blank
         # Freed as soon as they are spent: in a process that builds again and
         # again, holding a window's arrays into the next allocations raised
         # peak RSS by about 1.5 MB on the 117x117 reference map.

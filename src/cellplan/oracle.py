@@ -35,13 +35,13 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
     require_free(grid, start)
     region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     region.validate_on(grid)
-    n_free = len(free_cells(grid))
-    if n_free > cell_budget:
+    free = free_cells(grid)
+    if len(free) > cell_budget:
         raise ValueError(
-            f"map has {n_free} free cells, exceeding the oracle budget of {cell_budget}")
+            f"map has {len(free)} free cells, exceeding the oracle budget of {cell_budget}")
 
     goal_cells = region.cells
-    nbr = {cell: neighbors(grid, cell) for cell in free_cells(grid)}
+    nbr = {cell: neighbors(grid, cell) for cell in free}
     terr = {cell: int(grid.terrain[cell]) for cell in nbr}
 
     hits: dict[Vector, int] = {}

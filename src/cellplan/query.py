@@ -64,7 +64,9 @@ class QueryResult:
 def pareto_front_at(db: Database, start: Cell) -> LabelSet:
     """The non-dominated cost vectors from `start`; empty if unreachable.
     Decodes one slice of the database's arrays, once Database.label_key has
-    found the database in canonical form (ValueError otherwise)."""
+    found the database in canonical form (ValueError otherwise). It takes no
+    map, so it cannot check the database against one; the CLI does not use
+    it. A caller who holds the map should read count_paths(...).front."""
     db.label_key  # the canonical-form check; cached after the first call
     return db.front(start)
 

@@ -242,7 +242,7 @@ def test_schedules_agree_on_random_maps(seed, rows, cols, density, max_terrain, 
                                         picks):
     """Sweep and worklist builds are byte-identical on random small maps. The
     kernel's (f2, depth) scratch is packed into int32 for small terrain, into
-    int64 for terrain 10**6 (34 bits on a 9x9 map), and does not pack for
+    int64 for terrain 10**6 (34 bits on a 9x9 map), and into Python ints for
     2**50 on the larger maps (64 bits on a 9x9 map), so all three meet it.
     At 2**24 the entries stay int32 while a packed f2 of two hops already
     passes 31 bits, so the int64 scratch is needed, not only chosen."""
@@ -277,10 +277,13 @@ _OVERFLOW_EDGE_MAPS = {
 @pytest.mark.parametrize("corner_cut", [True, False], ids=["corner-cut", "no-corner-cut"])
 @pytest.mark.parametrize("name", sorted(_OVERFLOW_EDGE_MAPS))
 def test_schedules_agree_near_overflow_bound(name, corner_cut):
-    """The kernel's fixed-width integers stay exact up to the overflow limit."""
+    """The kernel's integers stay exact up to the overflow limit, where its
+    packed (f2, depth) values outgrow int64 and are Python ints."""
     g = _OVERFLOW_EDGE_MAPS[name](corner_cut)
     assert not overflow_risk(g)
-    assert int(g.terrain[~g.obstacle].max()) * g.terrain.size > 2**62
+    n, max_terrain = g.terrain.size, int(g.terrain[~g.obstacle].max())
+    assert max_terrain * n > 2**62
+    assert (max_terrain * n + 1) << n.bit_length() > 2**63 - 1
     goal = [free_cells(g)[-1]]
     sweep = build_database(g, goal, schedule="sweep")
     assert max(f2 for ls in sweep.labels.values() for _, f2 in ls) > 2**32

@@ -1,7 +1,8 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
 so keep those names alive; the package imports only what it declares, and
-uses every name it imports; the pytest settings must survive a failing test;
-and every demo runs."""
+uses every name it imports; every source file parses as the oldest Python
+it supports; the pytest settings must survive a failing test; and every demo
+runs."""
 
 import ast
 import importlib
@@ -84,6 +85,18 @@ def test_imported_names_are_used(trace_points):
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
                  if name not in used | wrapped]
     assert not dead, f"imported but unused: {dead}"
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    """Every .py file of the package, the tests and the demos parses under
+    the grammar of the oldest Python that pyproject.toml allows. This catches
+    syntax from later versions only, not calls into a newer library."""
+    oldest = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text(), re.M)
+    version = (int(oldest.group(1)), int(oldest.group(2)))
+    paths = [p for d in (PACKAGE, ROOT / "tests", ROOT / "demos") for p in sorted(d.rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 FAILING_PAIR = '''
