@@ -364,7 +364,19 @@ def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,
     `obstacle_density`; free cells draw a terrain cost uniformly from
     [0, max_cost]. At least one free cell is guaranteed: if the draw leaves
     none, cell (0, 0) is cleared with terrain 0.
+
+    The draw rule is written here rather than borrowed from `randint`,
+    because Python promises only `random()`'s sequence across versions.
+    Cells are drawn in row-major order from `random.Random(seed)`: one
+    `random()` per cell is the obstacle roll, and a free cell's cost is
+    `getrandbits(k)` with `k = (max_cost + 1).bit_length()`, drawn again
+    while above `max_cost`. That is the word sequence `randint(0, max_cost)`
+    consumes on CPython 3.10 to 3.13, and equal arguments give equal maps on
+    every supported Python. `n_rows`, `n_cols` and `max_cost` must be ints,
+    not bools; anything else raises ValueError.
     """
+    if not all(type(x) is int for x in (n_rows, n_cols, max_cost)):  # shuts out bools and floats
+        raise ValueError("n_rows, n_cols and max_cost must be integers")
     if n_rows < 1 or n_cols < 1:
         raise ValueError("map dimensions must be positive")
     if not 0.0 <= obstacle_density < 1.0:
@@ -374,11 +386,19 @@ def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,
     if max_cost * n_rows * n_cols > MAX_COMPONENT:
         raise ValueError("max_cost is large enough to overflow a path sum")
     rng = random.Random(seed)
-    blocked, costs = [], []  # row-major draws: each cell's obstacle roll, then its cost
-    for _ in range(n_rows * n_cols):
-        wall = rng.random() < obstacle_density
-        blocked.append(wall)
-        costs.append(0 if wall else rng.randint(0, max_cost))
+    roll, bits = rng.random, rng.getrandbits
+    width = max_cost + 1
+    k = width.bit_length()
+    size = n_rows * n_cols
+    blocked, costs = [False] * size, [0] * size  # row-major: each cell's roll, then its cost
+    for i in range(size):
+        if roll() < obstacle_density:
+            blocked[i] = True
+        else:
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            costs[i] = r
     terrain = np.array(costs, dtype=np.int64).reshape(n_rows, n_cols)
     obstacle = np.array(blocked, dtype=bool).reshape(n_rows, n_cols)
     if obstacle.all():

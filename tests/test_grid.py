@@ -1,7 +1,9 @@
 """Grid model tests: map I/O round-trips, neighborhood geometry, random maps."""
 
 import copy
+import hashlib
 import pickle
+import random
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cellplan.bench import _derive_seed
 from cellplan.grid import (
     DIAGONAL_STEP,
     STRAIGHT_STEP,
@@ -375,9 +378,58 @@ def test_random_map_always_leaves_a_free_cell():
         assert len(free_cells(g)) >= 1
 
 
+def reference_random_map(seed, n_rows, n_cols, obstacle_density, max_cost, *,
+                         allow_corner_cut=True):
+    """random_map as it was written with one `randint` per free cell: the
+    draws whose stream random_map's own rule must reproduce."""
+    rng = random.Random(seed)
+    blocked, costs = [], []  # row-major draws: each cell's obstacle roll, then its cost
+    for _ in range(n_rows * n_cols):
+        wall = rng.random() < obstacle_density
+        blocked.append(wall)
+        costs.append(0 if wall else rng.randint(0, max_cost))
+    terrain = np.array(costs, dtype=np.int64).reshape(n_rows, n_cols)
+    obstacle = np.array(blocked, dtype=bool).reshape(n_rows, n_cols)
+    if obstacle.all():
+        obstacle[0, 0] = False
+        terrain[0, 0] = 0
+    return GridMap(terrain, obstacle, allow_corner_cut=allow_corner_cut)
+
+
+# Both sides of each power of two, where the width of the rejection draw changes.
+@pytest.mark.parametrize("max_cost", [0, 1, 2, 3, 7, 8, 9, 15, 16, 255, 2**20])
+def test_random_map_matches_the_randint_stream(max_cost):
+    seeds = [0, 1, -7, 2**32 + 5, _derive_seed(2024, 1, 3, 0)]
+    for seed in seeds:
+        for density in (0.0, 0.3, 0.99):  # a 2x2 map at 0.99 hits the all-obstacle fallback
+            for shape in ((1, 1), (2, 2), (3, 7), (9, 5)):
+                for corner_cut in (True, False):
+                    args = (seed, *shape, density, max_cost)
+                    got = random_map(*args, allow_corner_cut=corner_cut)
+                    assert got == reference_random_map(*args, allow_corner_cut=corner_cut), args
+
+
+def test_random_map_draws_without_randint(monkeypatch):
+    # Python promises only random()'s sequence across versions, so the cost
+    # draw must not lean on randint or randrange. The golden maps and the
+    # reference map's text come out the same without them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_map must not call randint or randrange")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    assert serialize_map(random_map(7, 4, 4, 0.25, 2)) == (GOLDEN / "seed7_4x4.map").read_bytes()
+    assert serialize_map(random_map(8, 4, 4, 0.25, 2)) == (GOLDEN / "seed8_4x4.map").read_bytes()
+    text = serialize_map(random_map(9, 117, 117, 0.15, 9))
+    assert hashlib.sha256(text).hexdigest() == (
+        "6b5b6011a39505ce720d8cfe2ebdfc8f0cfb08537db0434a4b784cfe3613a81d")
+
+
 @pytest.mark.parametrize("kw", [
     dict(n_rows=0), dict(n_cols=0), dict(obstacle_density=1.0),
     dict(obstacle_density=-0.1), dict(max_cost=-1),
+    dict(max_cost=2.0), dict(max_cost=2.5), dict(max_cost=True), dict(max_cost="3"),
+    dict(n_rows=3.0), dict(n_rows=True), dict(n_cols=2.5), dict(n_cols="3"),
 ])
 def test_random_map_validation(kw):
     args = dict(seed=1, n_rows=3, n_cols=3, obstacle_density=0.2, max_cost=2)
