@@ -65,14 +65,28 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchConfig":
+        """The config a JSON object names. Integer fields must hold ints, not
+        floats or bools, and obstacle_density a number, not a bool or a
+        string, so no value is silently truncated or coerced."""
+
+        def whole(name, x):
+            if type(x) is not int:  # shuts out bools and floats
+                raise ValueError(f"bad bench config: {name} must be an integer, not {x!r}")
+            return x
+
+        def number(name, x):
+            if type(x) not in (int, float):  # shuts out bools and strings
+                raise ValueError(f"bad bench config: {name} must be a number, not {x!r}")
+            return float(x)
+
         try:
             return cls(
-                seed=int(obj["seed"]),
-                n_maps=int(obj["n_maps"]),
-                dims=tuple((int(r), int(c)) for r, c in obj["dims"]),
-                obstacle_density=float(obj["obstacle_density"]),
-                max_cost=int(obj["max_cost"]),
-                starts_per_map=int(obj["starts_per_map"]),
+                seed=whole("seed", obj["seed"]),
+                n_maps=whole("n_maps", obj["n_maps"]),
+                dims=tuple((whole("dims", r), whole("dims", c)) for r, c in obj["dims"]),
+                obstacle_density=number("obstacle_density", obj["obstacle_density"]),
+                max_cost=whole("max_cost", obj["max_cost"]),
+                starts_per_map=whole("starts_per_map", obj["starts_per_map"]),
             )
         except (KeyError, TypeError) as e:
             raise ValueError(f"bad bench config: {e}") from e

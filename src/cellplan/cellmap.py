@@ -20,16 +20,17 @@ Two schedules compute the same fixed point:
   path lengths [10w, 10w + 10) at a time, with whole-array numpy steps over
   the whole-map move table of grid.move_mask; much faster. Every f1 is even,
   so a window has five lanes, one per path length. Every step is at least
-  10 long, so a window holds all of its entries by the time it is opened,
-  and each final vector is settled exactly once: a cell's lanes settle in
-  f1 order, each only if its least f2 beats the cell's last settled f2.
-  Each cell counts the labels it settles, which places every label in the
-  (cell, f1) layout without a sort. It reports the identical `iterations`
-  value, 1 + the largest hop count any stored vector needs, read off the
-  hop depth each entry carries. Each window keeps the least f2, and the
-  fewest hops among its ties, per (cell, lane) with one np.minimum.at over
-  packed values (f2 << sh) | depth. Its integers are int32 when the scratch
-  key (lane * n + cell, below 5n) and the largest f2 fit, else int64; the
+  10 long, so the children of window w fall in windows w + 1 and w + 2: the
+  queue is a ring of three window slabs, one packed (f2 << sh) | depth slot
+  per (lane, cell) plus a touched flag per slot, and one np.minimum.at
+  pushes a window's children into their slots. A cell's lanes settle in f1
+  order, each only if its least f2 beats the cell's last settled f2, so
+  each final vector is settled exactly once and a slot beaten since its
+  push never settles. Each cell counts the labels it settles, which places
+  every label in the (cell, f1) layout without a sort. It reports the
+  identical `iterations` value, 1 + the largest hop count any stored vector
+  needs, read off the hop depth each slot carries. Its integers are int32
+  when the ring key (below 15n) and the largest f2 fit, else int64; the
   packed values are int32 or int64 when they fit, and Python ints near the
   overflow bound.
 
@@ -341,35 +342,38 @@ _LANES = STRAIGHT_STEP // 2
 
 def _build_buckets(grid: GridMap, goal_ids: list[int]):
     """Label-setting in Dial's bucket queue, opened one window of path lengths
-    [10w, 10w + 10) at a time, in increasing w. An entry is a column (depth,
-    f2, cell, lane) with lane = (f1 - 10w) / 2, one of the window's _LANES.
+    [10w, 10w + 10) at a time, in increasing w. A window has _LANES lanes,
+    lane = (f1 - 10w) / 2.
 
-    Every step is at least STRAIGHT_STEP long, so every entry of window w
-    comes from a label settled in an earlier window: a window is complete
-    when it is opened. Entries whose f2 does not beat the last one settled at
-    their cell are dropped. Each (cell, lane) keeps its least f2, then the
-    least depth among those, in a scratch indexed by lane * n + cell. A lane
-    then settles where its f2 is below the running minimum over the cell's
-    earlier lanes, which starts at the cell's last settled f2: exactly what
-    opening the window's path lengths one at a time would settle. The
-    settled labels expand through the whole-map move table (grid.move_mask
-    as n rows of eight moves); the children whose f2 beats the last one
-    settled at their cell go into window w + 1 or w + 2, by their f1.
+    The queue is a ring of three slabs for windows w, w + 1 and w + 2: ring
+    lane (w % 3) * _LANES + lane holds a lane of window w, one slot per
+    cell, with a touched flag per slot. Every step is at least
+    STRAIGHT_STEP long, so the children of window w fall in windows w + 1
+    and w + 2, and a window is complete when it is opened. The settled
+    labels expand through the whole-map move table (grid.move_mask as n
+    rows of eight moves), and the children whose f2 beats the last one
+    settled at their cell go straight into their slots, with one
+    np.minimum.at. Opening window w gathers the _LANES slots of its touched
+    cells, in ascending order, and resets them. A lane settles where its f2
+    is below the running minimum over the cell's earlier lanes, started at
+    the cell's last settled f2: exactly what opening the window's path
+    lengths one at a time would settle. So a slot beaten at its cell since
+    its push never settles, and nothing is filtered when a window opens.
 
-    The scratch holds packed values (f2 << sh) | depth, with
-    sh = n.bit_length() bits for a depth below n, so one np.minimum.at
-    keeps the least f2 and the fewest hops among its ties. An empty slot
-    holds blank = none << sh, which reads back as f2 = none: f2_cap + 1, or
-    the entries' largest value on a map at the overflow limit, where
-    f2_cap + 1 is 2**63. Either is above every real f2, which sums at most
-    n - 1 terrains. The scratch's dtype is the narrowest of the entries'
-    (below), int64 and object (Python ints) that holds blank: the map's
-    size and terrain pick it.
+    A slot holds a packed value (f2 << sh) | depth, with sh = n.bit_length()
+    bits for a depth below n, so one np.minimum.at keeps the least f2 and
+    the fewest hops among its ties. An empty slot holds blank = none << sh,
+    which reads back as f2 = none: f2_cap + 1, or the int64 maximum on a
+    map at the overflow limit, where f2_cap + 1 is 2**63. Either is above
+    every real f2, which sums at most n - 1 terrains, and last_f2 starts at
+    none, so a blank slot never settles. The ring's dtype is the
+    narrowest of the kernel's integers' (below), int64 and object (Python
+    ints) that holds blank: the map's size and terrain pick it.
 
-    `depth` is the hop count of the route that made the entry. All parents of
-    a vector (f1, f2) are settled, each with its own least depth, before its
-    window opens, so the settled depth is the fewest hops the vector needs,
-    and `iterations` is 1 + the largest settled depth.
+    `depth` is the hop count of the route that made a slot's value. All
+    parents of a vector (f1, f2) are settled, each with its own least
+    depth, before its window opens, so the settled depth is the fewest hops
+    the vector needs, and `iterations` is 1 + the largest settled depth.
 
     Labels are placed by counting, not sorted: every cell counts the labels
     it has settled, so a label's row in the (cell, f1) layout is its cell's
@@ -382,101 +386,81 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     into arrays of their stored widths (_stored_dtype), f1's taken from the
     largest settled path length.
 
-    Entries, cells, f2, depths and ranks are int32 when the map's bounds fit:
-    scratch keys below _LANES * n, f2 at most f2_cap = max terrain * n,
-    depths below n, and ranks below a front's size, at most f2_cap + 1 as its
-    f2 values are distinct. Else they are int64. Label rows are int32 when
-    the label count fits. The sentinel that marks a cell with no label is
-    the dtype's maximum: only a route that revisits a cell can reach it, and
-    such a route is dominated. The returned counts, f1 and f2 are in their
+    Cells, f2, depths, ranks and ring keys are int32 when the map's bounds
+    fit: ring keys below 3 * _LANES * n, f2 at most f2_cap = max terrain *
+    n, depths below n, and ranks below a front's size, at most f2_cap + 1 as
+    its f2 values are distinct. Else they are int64. Label rows are int32
+    when the label count fits. The returned counts, f1 and f2 are in their
     stored widths.
     """
     n = grid.terrain.size
     f2_cap = max_free_terrain(grid) * n
-    dtype = np.int32 if max(_LANES * n, f2_cap) < np.iinfo(np.int32).max else np.int64
-    unset = np.iinfo(dtype).max
+    ring_lanes = 3 * _LANES
+    dtype = np.int32 if max(ring_lanes * n, f2_cap) < np.iinfo(np.int32).max else np.int64
     # Move table, one row of eight per cell; a missing move leads to the extra
     # cell n, whose last_f2 of 0 no child beats.
     allowed, shift, step = move_mask(grid)
     moves = np.where(allowed, np.arange(n)[:, None] + shift, n).astype(dtype)
     move_f2 = np.append(grid.terrain.ravel(), 0).astype(dtype)[moves]  # hop cost
-    move_lanes = ((step - STRAIGHT_STEP) // 2).astype(dtype)  # 0 straight, 2 diagonal
-    last_f2 = np.full(n + 1, unset, dtype=dtype)
-    last_f2[n] = 0
-    top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
-    # The open window's least (f2, depth) per (lane, cell), reset after it.
+    # next_key[r, d]: the first ring key of the lane a move in direction d
+    # leads to from ring lane r, one window and 0 (straight) or 2 (diagonal)
+    # lanes on.
+    next_lane = np.arange(ring_lanes)[:, None] + _LANES + (step - STRAIGHT_STEP) // 2
+    next_key = (next_lane % ring_lanes * n).astype(dtype)
     sh = n.bit_length()
-    none = min(f2_cap + 1, unset)
+    none = min(f2_cap + 1, np.iinfo(dtype).max)
     blank = none << sh
     packed = next((t for t in (dtype, np.int64) if blank <= np.iinfo(t).max), object)
-    scratch = np.full(_LANES * n, blank, dtype=packed)
-    owner = np.empty(n, dtype=np.intp)  # scratch
+    last_f2 = np.full(n + 1, none, dtype=dtype)
+    last_f2[n] = 0
+    top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
+    ring = np.full((ring_lanes, n), blank, dtype=packed)
+    touched = np.zeros((ring_lanes, n), dtype=bool)
+    ring_keys, touched_keys = ring.reshape(-1), touched.reshape(-1)  # views by ring key
+    ring[0, goal_ids] = 0  # the goal seeds: (f2, depth) = (0, 0) in lane 0 of window 0
+    touched[0, goal_ids] = True
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
-    # Every mask is written into this one buffer. A window holds the children
-    # of at most _LANES + 2 lanes per cell, eight moves each. numpy keeps
-    # freed buffers under 1 KiB for reuse by exact size, and a new mask of
-    # every window's size kept about 3 MB resident for the process's life.
-    flags = np.empty(8 * (_LANES + 2) * n + len(goal_ids), dtype=bool)
+    # Every mask is written into this one buffer: a window settles at most
+    # _LANES labels per cell, eight moves each. numpy keeps freed buffers
+    # under 1 KiB for reuse by exact size, and a new mask of every window's
+    # size kept about 3 MB resident for the process's life.
+    flags = np.empty(8 * _LANES * n, dtype=bool)
 
     def mask(ufunc, a, b):
         return ufunc(a, b, out=flags[:a.size].reshape(a.shape))
 
-    windows = {}  # w -> chunks of entries
-
-    def push(w, entries):
-        if entries.shape[1]:
-            windows.setdefault(w, []).append(entries)
-
-    seed = np.zeros((4, len(goal_ids)), dtype=dtype)
-    seed[2] = goal_ids
-    push(0, seed)
     # The settled (cell, rank, f2) columns in increasing w, as [block,
     # columns filled] pairs; a window that does not fit the last block's
     # room opens a new block.
     blocks = [[np.empty((3, 4 * n), dtype=dtype), 0]]
     runs = []  # (w, labels settled per lane) per window
     max_depth = 0
-    while windows:
-        w = min(windows)
-        chunks = windows.pop(w)
-        entries = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
-        del chunks
-        entries = entries.compress(mask(np.less, entries[1], last_f2.take(entries[2])), axis=1)
-        if not entries.shape[1]:
+    w, last_w = -1, 0  # last_w: the last window a child was pushed to
+    while w < last_w:
+        w += 1
+        lanes = slice(w % 3 * _LANES, w % 3 * _LANES + _LANES)
+        cells = np.flatnonzero(np.logical_or.reduce(touched[lanes], axis=0, out=flags[:n]))
+        if not cells.size:
             continue
-        depth, f2, cell, key = entries
-        key *= n  # the lane row becomes the scratch key
-        key += cell
-        v = f2 if packed is dtype else f2.astype(packed)  # the f2 row becomes v
-        v <<= sh
-        v |= depth
-        np.minimum.at(scratch, key, v)
-        del v
-        # The window's cells, once each: whichever entry wins the `owner` write.
-        first = np.arange(len(cell))
-        owner[cell] = first
-        cells = cell.compress(mask(np.equal, owner.take(cell), first))
-
-        # One column per cell, one row per lane: cell, rank, f2, depth, lane.
+        touched[lanes] = False
+        # One column per cell, one row per lane: cell, rank, f2, depth, ring lane.
         table = np.empty((5, _LANES, len(cells)), dtype=dtype)
-        v = scratch.reshape(_LANES, n).take(cells, axis=1)
+        v = ring[lanes].take(cells, axis=1)
+        ring[lanes, cells] = blank
         np.right_shift(v, sh, out=table[2], casting="unsafe")
         np.bitwise_and(v, (1 << sh) - 1, out=table[3], casting="unsafe")
         del v
-        scratch[key] = blank
-        # Freed as soon as they are spent: in a process that builds again and
-        # again, holding a window's arrays into the next allocations raised
-        # peak RSS by about 1.5 MB on the 117x117 reference map.
-        del entries, depth, f2, cell, key, first
-        # Every f2 here is below its cell's last_f2, so a lane settles where
-        # the running minimum down the column falls. Running sums and minima
-        # go lane by lane: ufunc.accumulate down the short axis 0 took ten
+        # A lane settles where the running minimum down the column, started
+        # at the cell's last settled f2, falls. Running sums and minima go
+        # lane by lane: ufunc.accumulate down the short axis 0 took ten
         # times as long.
         run = table[2]
+        prev = last_f2.take(cells)
+        keep = flags[:run.size].reshape(run.shape)
+        np.less(run[0], prev, out=keep[0])
+        np.minimum(run[0], prev, out=run[0])
         for lane in range(1, _LANES):
             np.minimum(run[lane], run[lane - 1], out=run[lane])
-        keep = flags[:run.size].reshape(run.shape)
-        np.not_equal(run[0], none, out=keep[0])
         np.less(run[1:], run[:-1], out=keep[1:])
         last_f2[cells] = run[-1]
         rank = table[1]
@@ -485,40 +469,47 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
             np.add(rank[lane - 1], keep[lane], out=rank[lane])
         top_rank[cells] = rank[-1]
         table[0] = cells
-        table[4] = lane_of
+        np.add(lane_of, lanes.start, out=table[4])
         labels = table.reshape(5, -1).compress(keep.ravel(), axis=1)
         runs.append((w, keep.sum(axis=1)))
-        del table, run, rank, cells
+        # Freed as soon as they are spent: in a process that builds again and
+        # again, holding a window's arrays into the next allocations raised
+        # peak RSS by about 1.5 MB on the 117x117 reference map.
+        del table, run, prev, rank, cells
         k = labels.shape[1]
+        if not k:  # every touched slot had gone stale
+            continue
         block, fill = blocks[-1]
         if fill + k > block.shape[1]:
             block, fill = np.empty((3, max(k, 4 * n)), dtype=dtype), 0
             blocks.append([block, 0])
         block[:, fill:fill + k] = labels[:3]
         blocks[-1][1] = fill + k
-        cell, _rank, f2, depth, lane = labels
+        cell, _rank, f2, depth, ring_lane = labels
         max_depth = max(max_depth, int(depth.max()))
 
         # Children, eight per label: only those whose f2 beats the last one
-        # settled at their cell go on, and a child lane past the window's
-        # last belongs to window w + 2.
+        # settled at their cell are pushed, each into its ring slot.
         child_f2 = move_f2.take(cell, axis=0)
         child_f2 += f2[:, None]
         child_cell = moves.take(cell, axis=0)
         live = np.flatnonzero(mask(np.less, child_f2, last_f2.take(child_cell)))
-        parent, move = live >> 3, live & 7  # eight moves per label
-        child = np.empty((4, len(live)), dtype=dtype)
-        np.add(depth.take(parent), 1, out=child[0])
-        child_f2.take(live, out=child[1])
-        child_cell.take(live, out=child[2])
-        np.add(lane.take(parent), move_lanes.take(move), out=child[3])
-        del labels, cell, f2, depth, lane, child_f2, child_cell, live, parent, move
-        near = mask(np.less, child[3], _LANES)
-        push(w + 1, child.compress(near, axis=1))
-        child = child.compress(np.logical_not(near, out=near), axis=1)
-        child[3] -= _LANES
-        push(w + 2, child)
-    del moves, move_f2, last_f2, scratch, owner, flags  # the search's tables, spent
+        if live.size:
+            key = next_key.take(ring_lane, axis=0)
+            key += child_cell
+            key = key.take(live)
+            v = child_f2.take(live)
+            if packed is not dtype:
+                v = v.astype(packed)
+            v <<= sh
+            depth += 1
+            v |= depth.take(live >> 3)  # eight moves per label
+            np.minimum.at(ring_keys, key, v)
+            touched_keys[key] = True
+            last_w = w + 2
+            del key, v
+        del labels, cell, f2, depth, ring_lane, child_f2, child_cell, live
+    del moves, move_f2, last_f2, ring, ring_keys, touched, touched_keys, flags  # spent
 
     # Counting placement: a label's row is its cell's offset plus its rank,
     # which replaces the rank in its block. Indexing by the int32 cells and

@@ -50,9 +50,9 @@ class GridMap:
     and `obstacle` into arrays that cannot be written (the caller's arrays
     stay writeable), and no attribute can be set afterwards, so a map can
     key a cache by identity. The one private slot, `_digest`, is the cache
-    map_digest fills on first use. `allow_corner_cut` controls whether a
-    diagonal move may pass between two diagonally touching obstacles
-    (allowed by default).
+    map_digest fills on first use, or parse_map from canonical text.
+    `allow_corner_cut` controls whether a diagonal move may pass between
+    two diagonally touching obstacles (allowed by default).
     """
 
     __slots__ = ("terrain", "obstacle", "allow_corner_cut", "_digest")
@@ -111,12 +111,15 @@ class GridMap:
 
 
 class GoalRegion:
-    """Non-empty set of goal cells; the region may be disconnected."""
+    """Non-empty set of goal cells; the region may be disconnected.
+
+    A cell's coordinates must be ints or numpy integers; a float or a bool
+    raises ValueError rather than naming the cell it would round to."""
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        cs = frozenset((int(r), int(c)) for r, c in cells)
+        cs = frozenset((_coordinate(r), _coordinate(c)) for r, c in cells)
         if not cs:
             raise ValueError("goal region must contain at least one cell")
         self.cells = cs
@@ -145,6 +148,12 @@ class GoalRegion:
 
     def __repr__(self):
         return f"GoalRegion({self.sorted_cells()})"
+
+
+def _coordinate(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"goal cell coordinates must be integers, not {x!r}")
+    return int(x)
 
 
 def require_free(grid: GridMap, cell: Cell) -> None:
@@ -272,14 +281,21 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     a missing trailing newline, or terrain large enough to risk overflowing
     path-cost sums (a cost beyond int64 included). The first error is the
     one a token-by-token reading in row-major order would meet.
+
+    Text in canonical form, the form serialize_map writes, also fills the
+    map's digest cache from the text read, so map_digest does not serialize
+    the map again. Canonical means the dimension line is exactly
+    "<n_rows> <n_cols>", each row is its tokens joined by single spaces,
+    and each token is "#" or the decimal form of its cost.
     """
     if isinstance(data, (bytes, bytearray)):
+        raw = bytes(data)
         try:
-            text = bytes(data).decode("utf-8")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as e:
             raise MapFormatError(f"map is not valid UTF-8: {e}") from e
     else:
-        text = data
+        text, raw = data, None
     if not text.endswith("\n"):
         raise MapFormatError("map text must end with a newline")
     lines = text.split("\n")
@@ -305,8 +321,11 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     values = {"#": -1}
     lookup = values.__getitem__
     too_big = False
+    canonical = lines[0] == f"{n_rows} {n_cols}"
     for r in range(n_rows):
-        toks = lines[r + 1].split()
+        line = lines[r + 1]
+        toks = line.split()
+        canonical = canonical and line == " ".join(toks)
         if len(toks) != n_cols:
             raise MapFormatError(f"row {r} has {len(toks)} tokens, expected {n_cols}")
         try:
@@ -328,6 +347,11 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     grid = GridMap(terrain, obstacle, allow_corner_cut=allow_corner_cut)
     if too_big or overflow_risk(grid):
         raise MapFormatError("terrain costs could overflow a path sum; rescale the map")
+    if canonical and all(tok == "#" or str(cost) == tok for tok, cost in values.items()):
+        # The text is serialize_map(grid), byte for byte.
+        digest = _text_digest(text.encode("utf-8") if raw is None else raw,
+                              grid.allow_corner_cut)
+        object.__setattr__(grid, "_digest", digest)
     return grid
 
 
@@ -349,11 +373,16 @@ def map_digest(grid: GridMap) -> str:
     Computed once per map object and cached on it; the map is read-only,
     so the cache cannot go stale."""
     if grid._digest is None:
-        h = hashlib.sha256()
-        h.update(serialize_map(grid))
-        h.update(b"corner-cut=%d" % int(grid.allow_corner_cut))
-        object.__setattr__(grid, "_digest", h.hexdigest())
+        object.__setattr__(grid, "_digest",
+                           _text_digest(serialize_map(grid), grid.allow_corner_cut))
     return grid._digest
+
+
+def _text_digest(text: bytes, allow_corner_cut: bool) -> str:
+    """map_digest of the map whose serialize_map bytes are `text`."""
+    h = hashlib.sha256(text)
+    h.update(b"corner-cut=%d" % int(allow_corner_cut))
+    return h.hexdigest()
 
 
 def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,

@@ -338,13 +338,13 @@ def render_report_json(start: Cell, front: LabelSet, *, counts=None,
 
 def _paths_text(paths) -> str:
     """The JSON text of the report's paths section, made in parts: each
-    distinct cell object (enumerate_paths shares one per map cell) encoded
+    distinct cell object (enumerate_paths shares one per map cell) written
     once, and each path's cells joined from those texts in C."""
     paths = [(tuple(cells), list(v)) for cells, v in paths]
     flat = list(chain.from_iterable(cells for cells, _ in paths))
     ids = list(map(id, flat))
     distinct = dict(zip(ids, flat))
-    encoded = dict(zip(distinct, map(_COMPACT.encode, map(list, distinct.values()))))
+    encoded = dict(zip(distinct, map(_cell_text, distinct.values())))
     texts = list(map(encoded.__getitem__, ids))
     out, a = [], 0
     for cells, v in paths:
@@ -352,6 +352,14 @@ def _paths_text(paths) -> str:
         out.append('{"cells":[' + ",".join(texts[a:b]) + '],"vector":' + _COMPACT.encode(v) + "}")
         a = b
     return "[" + ",".join(out) + "]"
+
+
+def _cell_text(cell) -> str:
+    """The JSON text of one cell: formatted directly when it is two exact
+    ints (a bool prints as true or false), else by the encoder."""
+    if len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int:
+        return "[%d,%d]" % (cell[0], cell[1])
+    return _COMPACT.encode(list(cell))
 
 
 def render_front_csv(front: LabelSet) -> str:

@@ -40,6 +40,26 @@ def test_config_dict_roundtrip():
         BenchConfig.from_dict({"seed": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.9), ("n_maps", 2.7), ("dims", [[4.5, 4]]), ("dims", [[4, True]]),
+    ("max_cost", True), ("starts_per_map", 3.0), ("seed", "1"),
+])
+def test_config_dict_refuses_non_int_fields(field, value):
+    """An integer field that holds a float, a bool or a string is refused,
+    not truncated into another campaign."""
+    obj = {**asdict(small_cfg()), field: value}
+    with pytest.raises(ValueError, match=f"bad bench config: {field} must be an integer"):
+        BenchConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize("value", [False, "0.2", None])
+def test_config_dict_refuses_a_density_that_is_not_a_number(value):
+    obj = {**asdict(small_cfg()), "obstacle_density": value}
+    with pytest.raises(ValueError, match="obstacle_density must be a number"):
+        BenchConfig.from_dict(obj)
+    assert BenchConfig.from_dict({**obj, "obstacle_density": 0}).obstacle_density == 0.0
+
+
 def strip_timing(report_dict):
     out = json.loads(json.dumps(report_dict))
     for rec in out["records"]:

@@ -241,11 +241,11 @@ def test_depth_tie_settles_fewest_hops(t, iterations):
 def test_schedules_agree_on_random_maps(seed, rows, cols, density, max_terrain, corner_cut,
                                         picks):
     """Sweep and worklist builds are byte-identical on random small maps. The
-    kernel's (f2, depth) scratch is packed into int32 for small terrain, into
+    kernel's (f2, depth) ring is packed into int32 for small terrain, into
     int64 for terrain 10**6 (34 bits on a 9x9 map), and into Python ints for
     2**50 on the larger maps (64 bits on a 9x9 map), so all three meet it.
-    At 2**24 the entries stay int32 while a packed f2 of two hops already
-    passes 31 bits, so the int64 scratch is needed, not only chosen."""
+    At 2**24 the kernel's integers stay int32 while a packed f2 of two hops
+    already passes 31 bits, so the int64 ring is needed, not only chosen."""
     g = random_map(seed, rows, cols, density, max_terrain, allow_corner_cut=corner_cut)
     fc = free_cells(g)
     goal = sorted({fc[k % len(fc)] for k in picks})
@@ -288,6 +288,47 @@ def test_schedules_agree_near_overflow_bound(name, corner_cut):
     sweep = build_database(g, goal, schedule="sweep")
     assert max(f2 for ls in sweep.labels.values() for _, f2 in ls) > 2**32
     assert save_database(sweep) == save_database(build_database(g, goal, schedule="worklist"))
+
+
+def _checkerboard(rows, cols):
+    """Free cells where r + c is even: with corner cutting every move is a
+    diagonal 14 long, so f1 = 14k and the windows 3, 6, 10, ... stay empty."""
+    r, c = np.indices((rows, cols))
+    return GridMap(random_map(rows, rows, cols, 0.0, 9).terrain, (r + c) % 2 == 1,
+                   allow_corner_cut=True)
+
+
+def _snake(rows, cols):
+    """A corridor winding through walls on every odd row, each wall open at
+    alternate ends; corner cutting lets diagonals cut its turns."""
+    r, c = np.indices((rows, cols))
+    gap = np.where(r % 4 == 1, cols - 1, 0)
+    return GridMap(random_map(rows, rows, cols, 0.0, 9).terrain, (r % 2 == 1) & (c != gap),
+                   allow_corner_cut=True)
+
+
+# (map, goal cells, windows no label may fall in). Each reaches past window
+# 30, so the three-window ring the kernel pushes into wraps ten times over.
+_RING_MAPS = {
+    "checkerboard-9x33": (_checkerboard(9, 33), [(0, 0), (2, 0)], {3, 6, 10, 13, 17}),
+    "checkerboard-5x45-three-goals": (_checkerboard(5, 45), [(0, 0), (4, 0), (2, 2)],
+                                      {3, 6, 10, 13, 17}),
+    "corridor-2x70": (random_map(2, 2, 70, 0.0, 9), [(0, 0), (1, 69)], set()),
+    "snake-13x15": (_snake(13, 15), [(0, 0), (0, 14), (12, 14)], set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RING_MAPS))
+def test_kernel_skips_empty_windows_and_wraps_its_ring(name):
+    """Sweep and worklist builds are byte-identical, `iterations` included,
+    where windows hold nothing and where the ring of window slabs wraps
+    many times."""
+    g, goal, empty = _RING_MAPS[name]
+    db = build_database(g, goal)
+    windows = set((db.f1 // STRAIGHT_STEP).tolist())
+    assert max(windows) >= 30
+    assert not windows & empty
+    assert save_database(db) == save_database(build_database(g, goal, schedule="sweep"))
 
 
 def test_reference_build_is_pinned():

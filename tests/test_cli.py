@@ -447,6 +447,14 @@ def test_bench_bad_config(tmp_path):
     assert cli.main(["bench", "-c", str(cfg)]) == 2
 
 
+def test_bench_config_with_a_float_field_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"seed": 1, "n_maps": 2.7, "dims": [[4, 4]],
+                               "obstacle_density": 0.2, "max_cost": 2, "starts_per_map": 1}))
+    assert cli.main(["bench", "-c", str(cfg)]) == 2
+    assert "n_maps must be an integer" in capsys.readouterr().err
+
+
 def test_no_corner_cut_flag(tmp_path, capsys):
     m = tmp_path / "pinch.map"
     m.write_text("2 2\n0 #\n# 0\n")

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellplan.bench import _derive_seed
+from cellplan.cellmap import build_database
 from cellplan.grid import (
     DIAGONAL_STEP,
     STRAIGHT_STEP,
@@ -29,6 +30,8 @@ from cellplan.grid import (
     serialize_map,
     step_length,
 )
+from cellplan.moastar import heuristic, moa_star
+from cellplan.oracle import brute_force
 from cellplan.pareto import MAX_COMPONENT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -533,6 +536,71 @@ def test_map_digest_pinned(args, corner_cut, digest):
     copy = GridMap(grid.terrain, grid.obstacle, grid.allow_corner_cut)
     assert map_digest(copy) == digest
     assert map_digest(parse_map(serialize_map(grid), grid.allow_corner_cut)) == digest
+
+
+_CANONICAL_TOKENS = ["#", "0", "1", "7", "10", "123"]
+_TEXT_EDITS = [None, "double space", "tab", "crlf", "leading zero", "trailing space"]
+
+
+@st.composite
+def _digest_texts(draw):
+    """(text, canonical): a map in serialize_map's form, or that map with one
+    edit parse_map accepts but serialize_map never writes."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [f"{n_rows} {n_cols}"] + [
+        " ".join(draw(st.sampled_from(_CANONICAL_TOKENS)) for _ in range(n_cols))
+        for _ in range(n_rows)]
+    edit = draw(st.sampled_from(_TEXT_EDITS))
+    r = draw(st.integers(0, n_rows))
+    if edit in ("double space", "tab"):
+        r = r if " " in lines[r] else 0  # the dimension line always holds a space
+        lines[r] = lines[r].replace(" ", "  " if edit == "double space" else "\t", 1)
+    elif edit == "crlf":
+        lines[r] += "\r"
+    elif edit == "leading zero":
+        toks = lines[r].split()
+        c = next((c for c, tok in enumerate(toks) if tok != "#"), None)
+        if c is None:
+            toks, r, c = lines[0].split(), 0, 0
+        toks[c] = "0" + toks[c]
+        lines[r] = " ".join(toks)
+    elif edit == "trailing space":
+        lines[r] += " "
+    return "\n".join(lines) + "\n", edit is None
+
+
+@given(_digest_texts(), st.booleans(), st.booleans())
+def test_parse_map_digest_is_the_serialized_maps(case, as_bytes, corner_cut):
+    """parse_map fills the digest from the text it read only when that text
+    is the map's serialize_map bytes, so the digest is always theirs."""
+    text, canonical = case
+    g = parse_map(text.encode("utf-8") if as_bytes else text, corner_cut)
+    assert (g._digest is not None) == canonical
+    assert map_digest(g) == map_digest(GridMap(g.terrain, g.obstacle, corner_cut))
+    assert (serialize_map(g) == text.encode("utf-8")) == canonical
+
+
+@pytest.mark.parametrize("cell", [(2.7, 1.2), (2.0, 1), (True, 0), (0, False),
+                                  (np.float64(1), 0), (np.bool_(True), 0), ("1", 0)])
+def test_goal_region_refuses_non_integer_cells(cell):
+    """A goal cell names its coordinates as ints or numpy integers; a float
+    or a bool is refused, not rounded to some other cell, by every entry
+    point that takes a goal."""
+    g = parse_map("3 3\n0 0 0\n0 0 0\n0 0 0\n")
+    with pytest.raises(ValueError, match="integers"):
+        GoalRegion([cell])
+    for call in (lambda: build_database(g, [cell]),
+                 lambda: moa_star(g, (0, 0), [cell]),
+                 lambda: heuristic(g, (0, 0), [cell]),
+                 lambda: brute_force(g, (0, 0), [cell])):
+        with pytest.raises(ValueError, match="integers"):
+            call()
+
+
+def test_goal_region_takes_numpy_integers():
+    region = GoalRegion([(np.int64(2), np.int32(1)), (np.uint8(0), 0)])
+    assert region.cells == {(2, 1), (0, 0)}
+    assert all(type(x) is int for cell in region.cells for x in cell)
 
 
 def test_map_digest_covers_corner_cut_flag():
