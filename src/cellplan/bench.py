@@ -244,8 +244,7 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     has fewer), then extrapolated linearly to n_starts in {1, 10, 100, all}.
     Each start is timed cold (_cold_moa), as in run_campaign.
     """
-    region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
-    region.validate_on(grid)
+    region = GoalRegion.on(grid, goal)
     if sample_starts < 1:
         raise ValueError("sample_starts must be at least 1")
     cells = [c for c in free_cells(grid) if c not in region.cells]

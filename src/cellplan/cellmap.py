@@ -22,8 +22,8 @@ Two schedules compute the same fixed point:
   so a window has five lanes, one per path length. Every step is at least
   10 long, so the children of window w fall in windows w + 1 and w + 2: the
   queue is a ring of three window slabs, one packed (f2 << sh) | depth slot
-  per (lane, cell) plus a touched flag per slot, and one np.minimum.at
-  pushes a window's children into their slots. A cell's lanes settle in f1
+  per (lane, cell), blank until pushed to, and one np.minimum.at pushes a
+  window's children into their slots. A cell's lanes settle in f1
   order, each only if its least f2 beats the cell's last settled f2, so
   each final vector is settled exactly once and a slot beaten since its
   push never settles. Each cell counts the labels it settles, which places
@@ -69,6 +69,7 @@ from .grid import (
     Cell,
     GoalRegion,
     GridMap,
+    _cell,
     map_digest,
     max_free_terrain,
     move_csr,
@@ -197,8 +198,9 @@ class Database:
         return _LabelView(self)
 
     def index(self, cell) -> int | None:
-        """Row-major index of `cell`, or None when it lies outside the map."""
-        r, c = cell
+        """Row-major index of `cell`, read by grid._cell, or None when it
+        lies outside the map."""
+        r, c = _cell(cell)
         if 0 <= r < self.n_rows and 0 <= c < self.n_cols:
             return r * self.n_cols + c
         return None
@@ -347,18 +349,18 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
 
     The queue is a ring of three slabs for windows w, w + 1 and w + 2: ring
     lane (w % 3) * _LANES + lane holds a lane of window w, one slot per
-    cell, with a touched flag per slot. Every step is at least
-    STRAIGHT_STEP long, so the children of window w fall in windows w + 1
-    and w + 2, and a window is complete when it is opened. The settled
-    labels expand through the whole-map move table (grid.move_mask as n
-    rows of eight moves), and the children whose f2 beats the last one
-    settled at their cell go straight into their slots, with one
-    np.minimum.at. Opening window w gathers the _LANES slots of its touched
-    cells, in ascending order, and resets them. A lane settles where its f2
-    is below the running minimum over the cell's earlier lanes, started at
-    the cell's last settled f2: exactly what opening the window's path
-    lengths one at a time would settle. So a slot beaten at its cell since
-    its push never settles, and nothing is filtered when a window opens.
+    cell. Every step is at least STRAIGHT_STEP long, so the children of
+    window w fall in windows w + 1 and w + 2, and a window is complete when
+    it is opened. The settled labels expand through the whole-map move
+    table (grid.move_mask as n rows of eight moves), and the children whose
+    f2 beats the last one settled at their cell go straight into their
+    slots, with one np.minimum.at. Opening window w gathers the _LANES
+    slots of the cells where any of them is below blank, in ascending
+    order, and resets them to blank. A lane settles where its f2 is below
+    the running minimum over the cell's earlier lanes, started at the
+    cell's last settled f2: exactly what opening the window's path lengths
+    one at a time would settle. So a slot beaten at its cell since its push
+    never settles, and nothing is filtered when a window opens.
 
     A slot holds a packed value (f2 << sh) | depth, with sh = n.bit_length()
     bits for a depth below n, so one np.minimum.at keeps the least f2 and
@@ -366,7 +368,9 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     which reads back as f2 = none: f2_cap + 1, or the int64 maximum on a
     map at the overflow limit, where f2_cap + 1 is 2**63. Either is above
     every real f2, which sums at most n - 1 terrains, and last_f2 starts at
-    none, so a blank slot never settles. The ring's dtype is the
+    none, so a blank slot never settles. A pushed value, its f2 below none
+    and its depth below 1 << sh, is below blank, so the cells with a slot
+    below blank are exactly those pushed to. The ring's dtype is the
     narrowest of the kernel's integers' (below), int64 and object (Python
     ints) that holds blank: the map's size and terrain pick it.
 
@@ -415,10 +419,8 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     last_f2[n] = 0
     top_rank = np.full(n, -1, dtype=dtype)  # rank of each cell's last settled label
     ring = np.full((ring_lanes, n), blank, dtype=packed)
-    touched = np.zeros((ring_lanes, n), dtype=bool)
-    ring_keys, touched_keys = ring.reshape(-1), touched.reshape(-1)  # views by ring key
+    ring_keys = ring.reshape(-1)  # a view by ring key
     ring[0, goal_ids] = 0  # the goal seeds: (f2, depth) = (0, 0) in lane 0 of window 0
-    touched[0, goal_ids] = True
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
     # Every mask is written into this one buffer: a window settles at most
     # _LANES labels per cell, eight moves each. numpy keeps freed buffers
@@ -439,10 +441,11 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     while w < last_w:
         w += 1
         lanes = slice(w % 3 * _LANES, w % 3 * _LANES + _LANES)
-        cells = np.flatnonzero(np.logical_or.reduce(touched[lanes], axis=0, out=flags[:n]))
+        # The window's cells: those with a slot below blank, pushed since the
+        # window's lanes were last reset.
+        cells = np.flatnonzero(mask(np.less, np.minimum.reduce(ring[lanes], axis=0), blank))
         if not cells.size:
             continue
-        touched[lanes] = False
         # One column per cell, one row per lane: cell, rank, f2, depth, ring lane.
         table = np.empty((5, _LANES, len(cells)), dtype=dtype)
         v = ring[lanes].take(cells, axis=1)
@@ -477,7 +480,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         # peak RSS by about 1.5 MB on the 117x117 reference map.
         del table, run, prev, rank, cells
         k = labels.shape[1]
-        if not k:  # every touched slot had gone stale
+        if not k:  # every pushed slot had gone stale
             continue
         block, fill = blocks[-1]
         if fill + k > block.shape[1]:
@@ -505,11 +508,10 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
             depth += 1
             v |= depth.take(live >> 3)  # eight moves per label
             np.minimum.at(ring_keys, key, v)
-            touched_keys[key] = True
             last_w = w + 2
             del key, v
         del labels, cell, f2, depth, ring_lane, child_f2, child_cell, live
-    del moves, move_f2, last_f2, ring, ring_keys, touched, touched_keys, flags  # spent
+    del moves, move_f2, last_f2, ring, ring_keys, flags  # spent
 
     # Counting placement: a label's row is its cell's offset plus its rank,
     # which replaces the rank in its block. Indexing by the int32 cells and
@@ -544,8 +546,7 @@ def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Databa
     One build serves any number of goal cells. Both schedules yield the
     identical database; "sweep" is the slow synchronous reference.
     """
-    region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
-    region.validate_on(grid)
+    region = GoalRegion.on(grid, goal)
     if schedule not in ("sweep", "worklist"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if overflow_risk(grid):
@@ -626,12 +627,6 @@ class _Step:
     def cells(self, ids: np.ndarray) -> np.ndarray:
         """Row-major cells of label ids, read off their keys."""
         return self.key[ids] // self.stride
-
-    @cached_property
-    def pos(self) -> np.ndarray:
-        """_successor_graph's 1 + position of each label id, 0 between graph
-        builds; made on first use, its zeroed pages mapped as a graph writes."""
-        return np.zeros(self.key.size, dtype=self.key.dtype)
 
 
 def verify_database(db: Database, grid: GridMap) -> bool:

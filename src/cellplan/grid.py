@@ -113,16 +113,23 @@ class GridMap:
 class GoalRegion:
     """Non-empty set of goal cells; the region may be disconnected.
 
-    A cell's coordinates must be ints or numpy integers; a float or a bool
-    raises ValueError rather than naming the cell it would round to."""
+    A cell's coordinates must be ints or numpy integers (see _cell)."""
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        cs = frozenset((_coordinate(r), _coordinate(c)) for r, c in cells)
+        cs = frozenset(map(_cell, cells))
         if not cs:
             raise ValueError("goal region must contain at least one cell")
         self.cells = cs
+
+    @classmethod
+    def on(cls, grid: GridMap, goal) -> GoalRegion:
+        """`goal`, a GoalRegion or an iterable of cells, as a region checked
+        free on `grid`: the one entry of every goal argument."""
+        region = goal if isinstance(goal, GoalRegion) else cls(goal)
+        region.validate_on(grid)
+        return region
 
     def validate_on(self, grid: GridMap) -> None:
         """Raise ValueError unless every goal cell is a free in-bounds cell."""
@@ -150,15 +157,24 @@ class GoalRegion:
         return f"GoalRegion({self.sorted_cells()})"
 
 
+def _cell(cell) -> Cell:
+    """`cell` as a (row, col) tuple of ints: the one coordinate rule for
+    goal and start cells. A coordinate must be an int or a numpy integer; a
+    float or a bool raises ValueError rather than naming the cell it would
+    round to."""
+    r, c = cell
+    return _coordinate(r), _coordinate(c)
+
+
 def _coordinate(x) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"goal cell coordinates must be integers, not {x!r}")
+        raise ValueError(f"cell coordinates must be integers, not {x!r}")
     return int(x)
 
 
 def require_free(grid: GridMap, cell: Cell) -> None:
-    """Raise ValueError unless `cell` is an in-bounds free cell."""
-    cell = tuple(cell)
+    """Raise ValueError unless `cell`, read by _cell, is an in-bounds free cell."""
+    cell = _cell(cell)
     if not grid.in_bounds(cell):
         raise ValueError(f"cell {cell} is out of bounds")
     if grid.obstacle[cell]:
@@ -173,7 +189,20 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
     squeeze between two diagonally touching obstacles.
     """
     require_free(grid, cell)
-    return _moves(grid.obstacle, grid.n_rows, grid.n_cols, grid.allow_corner_cut, *cell)
+    r, c = cell
+    obst, rows, cols = grid.obstacle, grid.n_rows, grid.n_cols
+    out = []
+    for dr, dc in NEIGHBOR_OFFSETS:
+        rr, cc = r + dr, c + dc
+        if not (0 <= rr < rows and 0 <= cc < cols) or obst[rr, cc]:
+            continue
+        if dr and dc:
+            if not grid.allow_corner_cut and (obst[r, cc] or obst[rr, c]):
+                continue
+            out.append(((rr, cc), DIAGONAL_STEP))
+        else:
+            out.append(((rr, cc), STRAIGHT_STEP))
+    return out
 
 
 def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,26 +251,6 @@ def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     offsets = np.zeros(allowed.shape[0] + 1, dtype=np.int64)
     np.cumsum(allowed.sum(axis=1), out=offsets[1:])
     return offsets, ids, steps
-
-
-def _moves(obst, n_rows: int, n_cols: int, corner_cut: bool, r: int, c: int):
-    """The move rule behind neighbors(), for the free cell (r, c) on the
-    obstacle mask `obst`: ((rr, cc), step) pairs in NEIGHBOR_OFFSETS order.
-
-    The one per-cell form: move_mask() and move_csr() are the same rule for
-    every cell at once, which costs more than this loop for one cell."""
-    out = []
-    for dr, dc in NEIGHBOR_OFFSETS:
-        rr, cc = r + dr, c + dc
-        if not (0 <= rr < n_rows and 0 <= cc < n_cols) or obst[rr, cc]:
-            continue
-        if dr and dc:
-            if not corner_cut and (obst[r, cc] or obst[rr, c]):
-                continue
-            out.append(((rr, cc), DIAGONAL_STEP))
-        else:
-            out.append(((rr, cc), STRAIGHT_STEP))
-    return out
 
 
 def step_length(a: Cell, b: Cell) -> int:

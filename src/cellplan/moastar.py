@@ -124,10 +124,9 @@ def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
     pair of backward Dijkstras. Returns None when `cell` cannot reach the
     goal.
     """
-    region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
     cell = tuple(cell)
     require_free(grid, cell)
-    region.validate_on(grid)
+    region = GoalRegion.on(grid, goal)
     _moves, _terr, _goal_ids, h1, h2, _cb, _f2b = _heuristics(grid, region)
     i = cell[0] * grid.n_cols + cell[1]
     if h1[i] == math.inf:
@@ -145,8 +144,7 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     """
     start = tuple(start)
     require_free(grid, start)
-    region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
-    region.validate_on(grid)
+    region = GoalRegion.on(grid, goal)
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     cols = grid.n_cols

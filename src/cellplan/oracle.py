@@ -33,8 +33,7 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
     """
     start = tuple(start)
     require_free(grid, start)
-    region = goal if isinstance(goal, GoalRegion) else GoalRegion(goal)
-    region.validate_on(grid)
+    region = GoalRegion.on(grid, goal)
     free = free_cells(grid)
     if len(free) > cell_budget:
         raise ValueError(

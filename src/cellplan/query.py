@@ -25,7 +25,9 @@ pareto_front_at, the CLI's too, starts with _checked_front: the step, whose
 making is the one check of a database against its map (a memo hit checks
 nothing again), then the start. A step or graph that raises is never
 stored, so a query on a database that does not match its map raises every
-time.
+time. The memo entry is a query's only shared state: it is replaced whole,
+never written after it is made, and every graph build makes its own
+scratch, so threads may query one database at once.
 """
 
 from __future__ import annotations
@@ -148,35 +150,29 @@ def _successor_graph(db: Database, step: _Step, start: Cell) -> _Graph:
     """The successor graph of every state reachable from (start, F), F in
     the front at `start`, found breadth-first one hop-frontier at a time.
     States are numbered as they are found and expanded in that order, so
-    the edges come out grouped by state."""
+    the edges come out grouped by state. `pos` is this build's own: a
+    zeroed array, mapped page by page as the build writes it."""
     i = start[0] * step.n_cols + start[1]
     ids = np.arange(*db.offsets[i:i + 2].tolist())
     cells = np.full(ids.size, i)
-    # The step's position buffer: every id set here is reset on the way out,
-    # so a graph build that raises leaves it all 0 too.
-    pos = step.pos
-    touched = [ids]
-    try:
-        pos[ids] = np.arange(1, ids.size + 1)
-        reached = ids.size
-        id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
-        while ids.size:
-            degree, dst = step(ids, cells)
-            # The next frontier: each new label id once, where its last scatter won.
-            fresh = dst[pos[dst] == 0]
-            touched.append(fresh)
-            mark = np.arange(reached + 1, reached + 1 + fresh.size)
-            pos[fresh] = mark
-            ids = fresh[pos[fresh] == mark]
-            cells = step.cells(ids)
-            pos[ids] = np.arange(reached + 1, reached + 1 + ids.size)
-            reached += ids.size
-            degree_parts.append(degree)
-            succ_parts.append(pos[dst])
-            id_parts.append(ids)
-            cell_parts.append(cells)
-    finally:
-        pos[np.concatenate(touched)] = 0
+    pos = np.zeros(step.key.size, dtype=step.key.dtype)  # 1 + position of each reached id
+    pos[ids] = np.arange(1, ids.size + 1)
+    reached = ids.size
+    id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
+    while ids.size:
+        degree, dst = step(ids, cells)
+        # The next frontier: each new label id once, where its last scatter won.
+        fresh = dst[pos[dst] == 0]
+        mark = np.arange(reached + 1, reached + 1 + fresh.size)
+        pos[fresh] = mark
+        ids = fresh[pos[fresh] == mark]
+        cells = step.cells(ids)
+        pos[ids] = np.arange(reached + 1, reached + 1 + ids.size)
+        reached += ids.size
+        degree_parts.append(degree)
+        succ_parts.append(pos[dst])
+        id_parts.append(ids)
+        cell_parts.append(cells)
     succ = np.concatenate(succ_parts)
     succ -= 1
     offsets = np.zeros(reached + 1, dtype=np.int64)

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -21,13 +23,16 @@ from cellplan import (
     DigestMismatchError,
     GoalRegion,
     GridMap,
+    brute_force,
     build_database,
     count_paths,
     coverage,
     enumerate_paths,
     free_cells,
+    heuristic,
     hop_cost,
     load_database,
+    moa_star,
     neighbors,
     parse_map,
     pareto_front_at,
@@ -301,6 +306,30 @@ def test_count_rejects_bad_start(db_2x3, map_2x3):
         count_paths(db_2x3, map_2x3, (9, 9))
 
 
+_START_QUERIES = {
+    "count_paths": lambda db, g, start: count_paths(db, g, start),
+    "moa_star": lambda db, g, start: moa_star(g, start, [GOAL_2X3]),
+    "heuristic": lambda db, g, start: heuristic(g, start, [GOAL_2X3]),
+    "brute_force": lambda db, g, start: brute_force(g, start, [GOAL_2X3]),
+    "successors": lambda db, g, start: successors(db, g, start, (24, 0)),
+    "pareto_front_at": lambda db, g, start: pareto_front_at(db, start),
+}
+
+
+@pytest.mark.parametrize("start", [(True, 0), (1.0, 0), (1, np.float64(0))],
+                         ids=["bool", "float", "numpy-float"])
+@pytest.mark.parametrize("query", sorted(_START_QUERIES))
+def test_start_coordinates_must_be_integers(map_2x3, db_2x3, query, start):
+    # One coordinate rule for start and goal cells: a bool or a float is
+    # refused, not read as the cell it would round to; numpy integers pass.
+    run = _START_QUERIES[query]
+    with pytest.raises(ValueError, match="must be integers"):
+        run(db_2x3, map_2x3, start)
+    assert run(db_2x3, map_2x3, (np.int64(1), np.int32(0))) == run(db_2x3, map_2x3, (1, 0))
+    with pytest.raises(KeyError):
+        db_2x3.labels[start]
+
+
 @pytest.mark.parametrize("query", [count_paths, coverage, enumerate_paths],
                          ids=["count_paths", "coverage", "enumerate_paths"])
 def test_count_mismatched_database(map_2x3, db_2x3, query):
@@ -389,10 +418,9 @@ def test_successors_reuse_the_step(map_2x3, db_2x3, monkeypatch):
     assert len(steps) == 2
 
 
-def test_graph_builds_leave_the_position_buffer_clear():
-    # The step keeps one position buffer for every start. A graph build that
-    # raises two hops from its start, and one that succeeds, both leave it
-    # all 0, so later starts on the step answer as on a fresh database.
+def test_a_graph_build_that_raises_leaves_later_starts_right():
+    # A graph build that raises two hops from its start keeps the memo's
+    # step, and later starts on that step answer as on the true database.
     g = parse_map("2 4\n0 0 0 0\n0 0 0 0\n")
     db = build_database(g, [(0, 3)])
     bad = Database.from_labels({**db.labels, (0, 2): ((12, 0),)}, 2, 4, goal=db.goal,
@@ -400,11 +428,75 @@ def test_graph_builds_leave_the_position_buffer_clear():
     step = query_module._memo_step(bad, g)
     with pytest.raises(ValueError, match="has no decomposition"):
         count_paths(bad, g, (0, 0))
-    assert not step.pos.any()
     for start in ((1, 3), (1, 2), (0, 3)):
         assert count_paths(bad, g, start) == count_paths(db, g, start)
-        assert not step.pos.any()
     assert query_module._memo_step(bad, g) is step
+
+
+@pytest.fixture
+def fast_thread_switches():
+    """Threads switch every microsecond, so they interleave inside queries."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def _answers(db, g, start):
+    return (count_paths(db, g, start).counts, coverage(db, g, start),
+            enumerate_paths(db, g, start, limit=20))
+
+
+class _LineBudget:
+    """A trace function that raises once its thread has run `left` more
+    lines of Python. A query that walks a corrupt graph can loop, or copy
+    ever longer paths, without end; under a budget it fails its test
+    instead, having spent little memory."""
+
+    def __init__(self, left: int):
+        self.left = left
+
+    def __call__(self, frame, event, arg):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("a query ran past its line budget")
+        return self
+
+
+def test_threads_querying_one_database_get_single_thread_answers(fast_thread_switches):
+    # Threads querying one database share its memo and nothing else: each
+    # graph build has its own scratch, so every answer is the one a single
+    # thread gets. What a thread raises is asserted on in the main thread.
+    g = random_map(3, 30, 30, 0.15, 9)
+    cells = free_cells(g)
+    db = build_database(g, [cells[-1]])
+    starts = cells[::len(cells) // 8][:8]
+    want = {start: _answers(build_database(g, [cells[-1]]), g, start) for start in starts}
+    wrong, errors = [], []
+    barrier = threading.Barrier(2)
+
+    def work(t):
+        budget = _LineBudget(10**4)
+        sys.settrace(budget)
+        try:
+            barrier.wait()
+            for _ in range(4):
+                for start in starts[t::2] + starts[1 - t::2]:
+                    budget.left = 5 * 10**4  # the three queries at one start run under 6,000
+                    if _answers(db, g, start) != want[start]:
+                        wrong.append(start)
+        except BaseException as e:
+            errors.append(e)
+        finally:
+            sys.settrace(None)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert wrong == []
 
 
 def test_query_rejects_other_map_shape(db_2x3):
