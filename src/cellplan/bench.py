@@ -3,7 +3,7 @@ MOA* on seeded random maps, plus a build-cost amortization table.
 
 Everything except wall-clock readings is a pure function of the config, so
 two runs of the same campaign agree byte for byte once timing fields are set
-aside. Builds use the default worklist schedule.
+aside. Builds run build_database, the one build kernel.
 """
 
 from __future__ import annotations

@@ -12,30 +12,27 @@ terrain of the cell being departed. Unrolled along a path this counts the
 terrain of every cell except the final goal cell (the start included), and it
 pins goal label sets to exactly {(0, 0)}.
 
-Two schedules compute the same fixed point:
-
-* "sweep": synchronous full sweeps from empty sets until one changes nothing.
-  `iterations` counts the sweeps that changed at least one label set.
-* "worklist": label-setting over Dial's bucket queue, opened one window of
-  path lengths [10w, 10w + 10) at a time, with whole-array numpy steps over
-  the whole-map move table of grid.move_mask; much faster. Every f1 is even,
-  so a window has five lanes, one per path length. Every step is at least
-  10 long, so the children of window w fall in windows w + 1 and w + 2: the
-  queue is a ring of three window slabs, one packed (f2 << sh) | depth slot
-  per (lane, cell), blank until pushed to, and one np.minimum.at pushes a
-  window's children into their slots. A cell's lanes settle in f1
-  order, each only if its least f2 beats the cell's last settled f2, so
-  each final vector is settled exactly once and a slot beaten since its
-  push never settles. Each cell counts the labels it settles, which places
-  every label in the (cell, f1) layout without a sort. It reports the
-  identical `iterations` value, 1 + the largest hop count any stored vector
-  needs, read off the hop depth each slot carries. Its integers are int32
-  when the ring key (below 15n) and the largest f2 fit, else int64; the
-  packed values are int32 or int64 when they fit, and Python ints near the
-  overflow bound.
+One kernel computes it: label-setting over Dial's bucket queue, opened one
+window of path lengths [10w, 10w + 10) at a time, with whole-array numpy
+steps over the whole-map move table of grid.move_mask. Every f1 is even, so
+a window has five lanes, one per path length. Every step is at least 10
+long, so the children of window w fall in windows w + 1 and w + 2: the
+queue is a ring of three window slabs, one packed (f2 << sh) | depth slot
+per (lane, cell), blank until pushed to, and one np.minimum.at pushes a
+window's children into their slots. A cell's lanes settle in f1 order, each
+only if its least f2 beats the cell's last settled f2, so each final vector
+is settled exactly once and a slot beaten since its push never settles.
+Each cell counts the labels it settles, which places every label in the
+(cell, f1) layout without a sort. `iterations` is the number of
+synchronous sweeps from empty sets that change a label set, 1 + the largest
+hop count any stored vector needs, read off the hop depth each slot
+carries. Its integers are int32 when the ring key (below 15n) and the
+largest f2 fit, else int64; the packed values are int32 or int64 when they
+fit, and Python ints near the overflow bound. The tests keep the
+synchronous sweep as the reference it must equal byte for byte.
 
 Every cyclic detour strictly increases path length without lowering terrain
-cost, so only simple paths contribute and both schedules terminate.
+cost, so only simple paths contribute and the build terminates.
 
 Database.label_key is the one check of canonical form (f1 strictly rising
 and f2 strictly falling in each cell, no path longer than the longest route,
@@ -72,7 +69,6 @@ from .grid import (
     _cell,
     map_digest,
     max_free_terrain,
-    move_csr,
     move_mask,
     overflow_risk,
     step_length,
@@ -82,7 +78,6 @@ from .pareto import (
     CostOverflowError,
     LabelSet,
     Vector,
-    skyline,
 )
 
 DB_VERSION = 2
@@ -161,8 +156,8 @@ class Database:
             raise ValueError("f1 and f2 must hold exactly the counted labels")
         if any(a.dtype.kind == "i" and a.size and a.min() < 0 for a in (counts, f1, f2)):
             raise ValueError("counts and cost components must be non-negative")
-        # The loader's views and the kernel's arrays come in their widths; int64
-        # arrays (the constructor's copies, the sweep's) are narrowed here.
+        # The loader's views and the kernel's arrays come in their widths; the
+        # constructor's int64 copies are narrowed here.
         counts, f1, f2 = (a.astype(_stored_dtype(_top(a)), copy=False) if a.dtype == np.int64
                           else a for a in (counts, f1, f2))
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
@@ -180,7 +175,10 @@ class Database:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"cell {(r, c)} lies outside the map")
             sets[r * n_cols + c] = ls
-        return cls(*_pack(sets), n_rows=n_rows, n_cols=n_cols, **meta)
+        counts = [len(ls) for ls in sets]
+        f1 = [a for ls in sets for a, _ in ls]
+        f2 = [b for ls in sets for _, b in ls]
+        return cls(counts, f1, f2, n_rows=n_rows, n_cols=n_cols, **meta)
 
     def __eq__(self, other):
         if not isinstance(other, Database):
@@ -284,13 +282,6 @@ class _LabelView(Mapping):
         return int(np.count_nonzero(self._db.counts))
 
 
-def _pack(sets) -> tuple:
-    """(counts, f1, f2) int64 arrays of a row-major list of label sets."""
-    counts = np.array([len(ls) for ls in sets], dtype=np.int64)
-    f1, f2 = np.array([v for ls in sets for v in ls], dtype=np.int64).reshape(-1, 2).T.copy()
-    return counts, f1, f2
-
-
 def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
     """Objective increment for the hop src -> dst: (step length, terrain(src))."""
     src = tuple(src)
@@ -298,43 +289,6 @@ def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
     if not grid.is_free(src) or not grid.is_free(dst):
         raise ValueError("hop endpoints must be free in-bounds cells")
     return (step_length(src, dst), int(grid.terrain[src]))
-
-
-def _build_sweep(grid: GridMap, goal_ids: list[int]):
-    """Synchronous Jacobi sweeps until nothing changes.
-
-    Cells are only recomputed when a neighbor changed in the previous sweep;
-    unchanged inputs provably reproduce the old value, so the sweep sequence
-    is identical to the naive full recomputation.
-    """
-    terr = grid.terrain.ravel().tolist()
-    offsets, ids, steps = (a.tolist() for a in move_csr(grid))
-    goal_set = set(goal_ids)
-    labels: list[LabelSet] = [()] * len(terr)
-    recompute = np.flatnonzero(~grid.obstacle.ravel()).tolist()
-    iterations = 0
-
-    while recompute:
-        changed = []
-        for i in recompute:  # the per-cell update of the module docstring
-            ti = terr[i]
-            cands = [(0, 0)] if i in goal_set else []
-            for k in range(offsets[i], offsets[i + 1]):
-                dz = steps[k]
-                for a, b in labels[ids[k]]:
-                    cands.append((a + dz, b + ti))
-            ls = skyline(cands)
-            if ls != labels[i]:
-                changed.append((i, ls))
-        if not changed:
-            break
-        iterations += 1
-        nxt = set()
-        for i, ls in changed:
-            labels[i] = ls
-            nxt.update(ids[offsets[i]:offsets[i + 1]])
-        recompute = sorted(nxt)
-    return _pack(labels), iterations
 
 
 # Path lengths per window of the bucket queue: a window spans one
@@ -540,21 +494,16 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     return (counts, f1, f2), max_depth + 1
 
 
-def build_database(grid: GridMap, goal, *, schedule: str = "worklist") -> Database:
-    """Build the cost-to-go database for `goal` over `grid`.
-
-    One build serves any number of goal cells. Both schedules yield the
-    identical database; "sweep" is the slow synchronous reference.
+def build_database(grid: GridMap, goal) -> Database:
+    """Build the cost-to-go database for `goal` over `grid` with the bucket
+    kernel, _build_buckets. One build serves any number of goal cells.
     """
     region = GoalRegion.on(grid, goal)
-    if schedule not in ("sweep", "worklist"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")
     rows, cols = grid.n_rows, grid.n_cols
     goal_ids = sorted(r * cols + c for r, c in region.cells)
-    build = _build_sweep if schedule == "sweep" else _build_buckets
-    arrays, iterations = build(grid, goal_ids)  # fresh; _store narrows the sweep's int64
+    arrays, iterations = _build_buckets(grid, goal_ids)  # fresh, in their stored widths
     return Database._in_place(*arrays, n_rows=rows, n_cols=cols, goal=region,
                               map_digest=map_digest(grid), iterations=iterations,
                               convention_tag=CONVENTION_TAG)

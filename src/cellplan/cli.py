@@ -120,8 +120,7 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     db = _read_db(args.db)
     grid = _read_map(args.map, not args.no_corner_cut)
-    start = _parse_cell(args.start)
-    front = _checked_front(db, grid, start)
+    start, front = _checked_front(db, grid, _parse_cell(args.start))
 
     want_cov = args.coverage or args.format in ("ascii", "pgm")
     covered = coverage(db, grid, start) if (want_cov and front) else frozenset()
@@ -157,7 +156,7 @@ def cmd_compare(args) -> int:
     # MOA* checks the start and the goal before a database is built or read.
     moa_front, moa_paths = moa_star(grid, start, region, collect_paths=args.paths)
     db = _read_db(args.db) if args.db else build_database(grid, region)
-    db_front = _checked_front(db, grid, start)
+    _start, db_front = _checked_front(db, grid, start)
     if db.goal != region:
         raise ValueError("database goal region does not match --goal")
     diff = {

@@ -172,13 +172,16 @@ def _coordinate(x) -> int:
     return int(x)
 
 
-def require_free(grid: GridMap, cell: Cell) -> None:
-    """Raise ValueError unless `cell`, read by _cell, is an in-bounds free cell."""
+def require_free(grid: GridMap, cell: Cell) -> Cell:
+    """`cell` read by _cell, a (row, col) tuple of Python ints, once it is
+    found an in-bounds free cell (ValueError otherwise): the one start check,
+    whose tuple every caller keeps."""
     cell = _cell(cell)
     if not grid.in_bounds(cell):
         raise ValueError(f"cell {cell} is out of bounds")
     if grid.obstacle[cell]:
         raise ValueError(f"cell {cell} is an obstacle")
+    return cell
 
 
 def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
@@ -188,8 +191,7 @@ def neighbors(grid: GridMap, cell: Cell) -> list[tuple[Cell, int]]:
     two orthogonal cells it shares with `cell` is an obstacle, so paths cannot
     squeeze between two diagonally touching obstacles.
     """
-    require_free(grid, cell)
-    r, c = cell
+    r, c = require_free(grid, cell)
     obst, rows, cols = grid.obstacle, grid.n_rows, grid.n_cols
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
@@ -242,8 +244,8 @@ def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
     lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
     rows of obstacles are empty. The arrays are the allowed entries of
-    move_mask(grid), the other whole-map form; MOA* and the sweep read them
-    as Python lists. Not cached on the map.
+    move_mask(grid), the other whole-map form; MOA* reads them as Python
+    lists. Not cached on the map.
     """
     allowed, shift, step = move_mask(grid)
     ids = (np.arange(allowed.shape[0])[:, None] + shift)[allowed]

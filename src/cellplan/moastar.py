@@ -124,8 +124,7 @@ def heuristic(grid: GridMap, cell: Cell, goal) -> Vector | None:
     pair of backward Dijkstras. Returns None when `cell` cannot reach the
     goal.
     """
-    cell = tuple(cell)
-    require_free(grid, cell)
+    cell = require_free(grid, cell)
     region = GoalRegion.on(grid, goal)
     _moves, _terr, _goal_ids, h1, h2, _cb, _f2b = _heuristics(grid, region)
     i = cell[0] * grid.n_cols + cell[1]
@@ -142,8 +141,7 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     database front at `start`, and on by-hand-checkable maps the path
     multiset matches enumerate_paths.
     """
-    start = tuple(start)
-    require_free(grid, start)
+    start = require_free(grid, start)
     region = GoalRegion.on(grid, goal)
     if overflow_risk(grid):
         raise CostOverflowError("terrain costs could overflow a path sum; rescale the map")

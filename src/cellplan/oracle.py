@@ -31,8 +31,7 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
     than `cell_budget`. The result only depends on the set of paths, never on
     the order they are visited in.
     """
-    start = tuple(start)
-    require_free(grid, start)
+    start = require_free(grid, start)
     region = GoalRegion.on(grid, goal)
     free = free_cells(grid)
     if len(free) > cell_budget:

@@ -7,9 +7,10 @@ is a deduplicated, mutually non-dominated collection kept in lexicographic
 order: first components strictly increasing, second components strictly
 decreasing.
 
-This module is the only 2-D Pareto code: `skyline` reduces a batch (the
-build's sweep uses it). MOA* needs no front per cell: its pop order lets
-one best g2 per cell stand in for one.
+This module is the only 2-D Pareto code: `nondominated` reduces a batch.
+The build kernel and MOA* need no batch reduction: the kernel settles each
+cell's lanes in f1 order against the cell's last f2, and MOA*'s pop order
+lets one best g2 per cell stand in for a front.
 """
 
 from __future__ import annotations
@@ -36,31 +37,23 @@ def dominates(a: Vector, b: Vector) -> bool:
     return a != b and all(x <= y for x, y in zip(a, b))
 
 
-def skyline(cands: list[Vector]) -> LabelSet:
-    """Non-dominated subset of the 2-vectors in `cands`, in canonical order.
-
-    Sorts `cands` in place. Lex order makes this a single scan: keep a vector
-    iff its second component beats everything already kept, which also drops
-    duplicates.
-    """
-    cands.sort()
-    out = []
-    best = None
-    for v in cands:
-        if best is None or v[1] < best:
-            out.append(v)
-            best = v[1]
-    return tuple(out)
-
-
 def nondominated(vectors: Iterable[Vector]) -> LabelSet:
     """Reduce `vectors` to their non-dominated subset, deduplicated and sorted.
 
     Idempotent and insensitive to input order. Every discarded vector is
     dominated by (or equal to) some retained one. Raises ValueError unless
-    every vector has two components.
+    every vector has two components. Lex order makes this a single scan:
+    keep a vector iff its second component beats everything already kept,
+    which also drops duplicates.
     """
     vs = [tuple(v) for v in vectors]
     if any(len(v) != 2 for v in vs):
         raise ValueError("vectors must have two components")
-    return skyline(vs)
+    vs.sort()
+    out = []
+    best = None
+    for v in vs:
+        if best is None or v[1] < best:
+            out.append(v)
+            best = v[1]
+    return tuple(out)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -80,9 +80,8 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     the label set of j. Non-empty for every non-goal vector of a consistent
     database (ValueError otherwise); goal cells have no successors.
     """
-    cell = tuple(cell)
     vector = tuple(vector)
-    front = _checked_front(db, grid, cell)
+    cell, front = _checked_front(db, grid, cell)
     if vector not in front:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:
@@ -126,13 +125,14 @@ def _memo_step(db: Database, grid: GridMap) -> _Step:
     return step
 
 
-def _checked_front(db: Database, grid: GridMap, start: Cell) -> LabelSet:
-    """The front at `start`, once the database's memo holds the step of
-    `grid` (made, and so checked, unless the memo holds this map already)
-    and `start` is a free cell of it: every query's first step."""
+def _checked_front(db: Database, grid: GridMap, start: Cell) -> tuple[Cell, LabelSet]:
+    """`start` as require_free reads it, a tuple of Python ints, and its
+    front, once the database's memo holds the step of `grid` (made, and so
+    checked, unless the memo holds this map already) and `start` is a free
+    cell of it: every query's first step."""
     _memo_step(db, grid)
-    require_free(grid, start)
-    return db.front(start)
+    start = require_free(grid, start)
+    return start, db.front(start)
 
 
 def _memo_graph(db: Database, start: Cell) -> _Graph:
@@ -186,8 +186,7 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
     A DP over the states in increasing path length, in Python ints; nothing
     is enumerated, so counts may be astronomically large.
     """
-    start = tuple(start)
-    front = _checked_front(db, grid, start)
+    start, front = _checked_front(db, grid, start)
     if not front:
         return QueryResult(start=start, front=(), counts={}, total_paths=0)
     graph = _memo_graph(db, start)
@@ -206,8 +205,8 @@ def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:
 
 def coverage(db: Database, grid: GridMap, start: Cell) -> frozenset[Cell]:
     """Cells lying on at least one optimal path from `start`."""
-    start = tuple(start)
-    if not _checked_front(db, grid, start):
+    start, front = _checked_front(db, grid, start)
+    if not front:
         raise ValueError(f"start {start} cannot reach the goal")
     graph = _memo_graph(db, start)
     return frozenset(_decode(np.unique(graph.cells), grid.n_cols))
@@ -227,8 +226,7 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     are returned and the flag is False; otherwise at most `limit` paths are
     returned and the flag tells whether more exist.
     """
-    start = tuple(start)
-    front = _checked_front(db, grid, start)
+    start, front = _checked_front(db, grid, start)
     if limit is not None and limit < 1:
         raise ValueError("limit must be a positive integer")
     if not front:
@@ -335,18 +333,18 @@ def render_report_json(start: Cell, front: LabelSet, *, counts=None,
 def _paths_text(paths) -> str:
     """The JSON text of the report's paths section, made in parts: each
     distinct cell object (enumerate_paths shares one per map cell) written
-    once, and each path's cells joined from those texts in C."""
+    once, into a table by identity, and each path's cells joined from it in
+    C. The paths are held as tuples throughout, so no id is reused."""
     paths = [(tuple(cells), list(v)) for cells, v in paths]
-    flat = list(chain.from_iterable(cells for cells, _ in paths))
-    ids = list(map(id, flat))
-    distinct = dict(zip(ids, flat))
-    encoded = dict(zip(distinct, map(_cell_text, distinct.values())))
-    texts = list(map(encoded.__getitem__, ids))
-    out, a = [], 0
+    texts: dict[int, str] = {}
+    out = []
     for cells, v in paths:
-        b = a + len(cells)
-        out.append('{"cells":[' + ",".join(texts[a:b]) + '],"vector":' + _COMPACT.encode(v) + "}")
-        a = b
+        try:
+            part = ",".join(map(texts.__getitem__, map(id, cells)))
+        except KeyError:
+            texts.update((id(c), _cell_text(c)) for c in cells if id(c) not in texts)
+            part = ",".join(map(texts.__getitem__, map(id, cells)))
+        out.append('{"cells":[' + part + '],"vector":' + _COMPACT.encode(v) + "}")
     return "[" + ",".join(out) + "]"
 
 

@@ -7,7 +7,17 @@ import pytest
 
 import cellplan.moastar as moastar
 import cellplan.query as query
-from cellplan import Database, GoalRegion, GridMap, build_database, map_digest, parse_map
+from cellplan import (
+    Database,
+    GoalRegion,
+    GridMap,
+    build_database,
+    free_cells,
+    map_digest,
+    neighbors,
+    nondominated,
+    parse_map,
+)
 
 # 6-cell map with one expensive cell. From (0,0) to the goal (0,2) there are
 # exactly two non-dominated routes: straight through the cost-5 cell, or the
@@ -257,5 +267,38 @@ def dijkstra_calls(monkeypatch):
     return calls
 
 
-def build(grid, goal_cells, **kw):
-    return build_database(grid, GoalRegion(goal_cells), **kw)
+def reference_build(grid, goal):
+    """The database of `goal` over `grid` by synchronous sweeps from empty
+    label sets until one changes nothing: the reference that build_database
+    must equal byte for byte. It reads the move rule only through
+    neighbors() and reduces with nondominated(), so it shares no move table
+    with the build kernel.
+
+    A cell is recomputed only when a neighbour changed in the previous
+    sweep; unchanged inputs reproduce the old value, so the sweeps are those
+    of a full recomputation, and `iterations` counts the sweeps that
+    changed a label set."""
+    region = GoalRegion.on(grid, goal)
+    moves = {cell: neighbors(grid, cell) for cell in free_cells(grid)}
+    terrain = {cell: int(grid.terrain[cell]) for cell in moves}
+    labels = dict.fromkeys(moves, ())
+    recompute = list(moves)
+    iterations = 0
+    while recompute:
+        changed = []
+        for cell in recompute:  # the per-cell update of the cellmap docstring
+            t = terrain[cell]
+            cands = [(0, 0)] if cell in region.cells else []
+            for j, step in moves[cell]:
+                cands += [(a + step, b + t) for a, b in labels[j]]
+            ls = nondominated(cands)
+            if ls != labels[cell]:
+                changed.append((cell, ls))
+        if not changed:
+            break
+        iterations += 1
+        for cell, ls in changed:
+            labels[cell] = ls
+        recompute = {j for cell, _ in changed for j, _ in moves[cell]}
+    return Database.from_labels(labels, grid.n_rows, grid.n_cols, goal=region,
+                                map_digest=map_digest(grid), iterations=iterations)

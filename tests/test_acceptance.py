@@ -41,7 +41,7 @@ from cellplan import (
     verify_database,
 )
 from cellplan.bench import TIMING_FIELDS
-from conftest import TEXT_2X3
+from conftest import TEXT_2X3, reference_build
 
 
 class _Verdicts:
@@ -187,17 +187,17 @@ def test_criterion_3_fixed_point_holds_everywhere(criterion, c1_corpus, c2_corpu
             assert db.iterations <= len(free_cells(g))
 
 
-# --- criterion 4: the build schedule never changes the output ---
+# --- criterion 4: the build equals the synchronous sweep byte for byte ---
 
 def test_criterion_4_schedules_agree(criterion):
-    with criterion(4, "sweep/worklist schedules produce byte-identical "
+    with criterion(4, "the build and the sweep reference produce byte-identical "
                       "databases on 50 30x30 maps"):
         for seed in range(50):
             g = random_map(seed, 30, 30, 0.25, 5)
             fc = free_cells(g)
             goal = [fc[seed % len(fc)]]
-            assert (save_database(build_database(g, goal, schedule="worklist"))
-                    == save_database(build_database(g, goal, schedule="sweep")))
+            assert (save_database(build_database(g, goal))
+                    == save_database(reference_build(g, goal)))
 
 
 # --- criterion 5: zero terrain cost degenerates to octile shortest paths ---

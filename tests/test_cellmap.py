@@ -1,5 +1,5 @@
-"""Database builder tests: fixed-point values on hand-checked maps, schedule
-equivalence, verification, and serialization round-trips."""
+"""Database builder tests: fixed-point values on hand-checked maps, equality
+with the sweep reference, verification, and serialization round-trips."""
 
 import hashlib
 import json
@@ -44,6 +44,7 @@ from conftest import (
     TEXT_1X2,
     TEXT_2X3,
     big_terrain,
+    reference_build,
     split_db,
     with_labels,
 )
@@ -126,11 +127,6 @@ def test_goal_validation():
         build_database(g, [(5, 5)])
 
 
-def test_build_argument_validation(map_1x2):
-    with pytest.raises(ValueError, match="schedule"):
-        build_database(map_1x2, [(0, 1)], schedule="eager")
-
-
 def test_build_overflow_guard():
     big = 2**62
     g = GridMap(np.array([[big, 0]]), np.zeros((1, 2), dtype=bool))
@@ -177,16 +173,16 @@ _SCHEDULE_CASES = (
 
 @pytest.mark.parametrize("seed, g, n_goals", _SCHEDULE_CASES)
 def test_schedules_and_threads_agree(seed, g, n_goals):
-    """Sweep and worklist builds are byte-identical, `iterations` included."""
+    """The build and the sweep reference are byte-identical, `iterations`
+    included."""
     fc = free_cells(g)
     goal = [fc[(seed + k * len(fc) // n_goals) % len(fc)] for k in range(n_goals)]
     assert len(set(goal)) == n_goals
-    assert (save_database(build_database(g, goal, schedule="sweep"))
-            == save_database(build_database(g, goal, schedule="worklist")))
+    assert save_database(reference_build(g, goal)) == save_database(build_database(g, goal))
 
 
 # (map, goal cells, cell) whose front holds several path lengths of one window
-# [10w, 10w + 10), which the worklist settles in one pass. Cell (1, 0) of the
+# [10w, 10w + 10), which the kernel settles in one pass. Cell (1, 0) of the
 # 3x3 map reaches the two goal cells by routes of length 20, 24 and 28, each
 # with less terrain than the shorter one.
 _SAME_WINDOW_CASES = [
@@ -202,7 +198,7 @@ def test_same_window_front_matches_sweep(text, goal, cell):
     front = db.front(cell)
     assert len(front) >= 2
     assert len({f1 // STRAIGHT_STEP for f1, _ in front}) == 1
-    assert save_database(db) == save_database(build_database(g, goal, schedule="sweep"))
+    assert save_database(db) == save_database(reference_build(g, goal))
 
 
 # Two routes of length 140 join cell (1, 0) to the goal (1, 10): 14 straight
@@ -231,7 +227,7 @@ def test_depth_tie_settles_fewest_hops(t, iterations):
     assert (126, t) in db.front((0, 1))  # the diagonals
     assert ((150, 50) in db.front((0, 0))) == (t == 1)
     assert db.iterations == iterations
-    assert save_database(db) == save_database(build_database(g, [(1, 10)], schedule="sweep"))
+    assert save_database(db) == save_database(reference_build(g, [(1, 10)]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,17 +236,18 @@ def test_depth_tie_settles_fewest_hops(t, iterations):
        st.lists(st.integers(0, 80), min_size=1, max_size=3))
 def test_schedules_agree_on_random_maps(seed, rows, cols, density, max_terrain, corner_cut,
                                         picks):
-    """Sweep and worklist builds are byte-identical on random small maps. The
-    kernel's (f2, depth) ring is packed into int32 for small terrain, into
-    int64 for terrain 10**6 (34 bits on a 9x9 map), and into Python ints for
-    2**50 on the larger maps (64 bits on a 9x9 map), so all three meet it.
+    """The build and the sweep reference are byte-identical on random small
+    maps. The kernel's (f2, depth) ring is packed into int32 for small
+    terrain, into int64 for terrain 10**6 (34 bits on a 9x9 map), and into
+    Python ints for 2**50 on the larger maps (64 bits on a 9x9 map), so all
+    three meet it.
     At 2**24 the kernel's integers stay int32 while a packed f2 of two hops
     already passes 31 bits, so the int64 ring is needed, not only chosen."""
     g = random_map(seed, rows, cols, density, max_terrain, allow_corner_cut=corner_cut)
     fc = free_cells(g)
     goal = sorted({fc[k % len(fc)] for k in picks})
     assert (save_database(build_database(g, goal))
-            == save_database(build_database(g, goal, schedule="sweep")))
+            == save_database(reference_build(g, goal)))
 
 
 def _near_overflow_map(seed, rows, cols, allow_corner_cut):
@@ -285,9 +282,9 @@ def test_schedules_agree_near_overflow_bound(name, corner_cut):
     assert max_terrain * n > 2**62
     assert (max_terrain * n + 1) << n.bit_length() > 2**63 - 1
     goal = [free_cells(g)[-1]]
-    sweep = build_database(g, goal, schedule="sweep")
+    sweep = reference_build(g, goal)
     assert max(f2 for ls in sweep.labels.values() for _, f2 in ls) > 2**32
-    assert save_database(sweep) == save_database(build_database(g, goal, schedule="worklist"))
+    assert save_database(sweep) == save_database(build_database(g, goal))
 
 
 def _checkerboard(rows, cols):
@@ -320,15 +317,15 @@ _RING_MAPS = {
 
 @pytest.mark.parametrize("name", sorted(_RING_MAPS))
 def test_kernel_skips_empty_windows_and_wraps_its_ring(name):
-    """Sweep and worklist builds are byte-identical, `iterations` included,
-    where windows hold nothing and where the ring of window slabs wraps
-    many times."""
+    """The build and the sweep reference are byte-identical, `iterations`
+    included, where windows hold nothing and where the ring of window slabs
+    wraps many times."""
     g, goal, empty = _RING_MAPS[name]
     db = build_database(g, goal)
     windows = set((db.f1 // STRAIGHT_STEP).tolist())
     assert max(windows) >= 30
     assert not windows & empty
-    assert save_database(db) == save_database(build_database(g, goal, schedule="sweep"))
+    assert save_database(db) == save_database(reference_build(g, goal))
 
 
 def test_reference_build_is_pinned():
@@ -346,7 +343,7 @@ def test_reference_build_is_pinned():
 def test_iterations_bounded_by_free_cells(seed):
     g = random_map(seed, 6, 6, 0.3, 3)
     cells = free_cells(g)
-    db = build_database(g, [cells[0]], schedule="sweep")
+    db = reference_build(g, [cells[0]])
     assert 1 <= db.iterations <= len(cells)
 
 
@@ -750,9 +747,9 @@ def test_loaded_arrays_keep_their_widths(widths, case):
 
 @pytest.mark.parametrize("widths, case", _WIDTH_CASES)
 def test_every_producer_keeps_the_stored_widths(widths, case):
-    """One dtype rule for every database: the worklist and sweep builds, the
-    constructor, from_labels and the loader all hold counts, f1 and f2 in
-    the widths save_database writes, and agree on the database."""
+    """One dtype rule for every database: the build, the sweep reference,
+    the constructor, from_labels and the loader all hold counts, f1 and f2
+    in the widths save_database writes, and agree on the database."""
     g, db, _starts = case()
     meta = {"goal": db.goal, "map_digest": db.map_digest, "iterations": db.iterations}
     made = {
@@ -762,8 +759,8 @@ def test_every_producer_keeps_the_stored_widths(widths, case):
         "load": load_database(save_database(db)),
     }
     if not overflow_risk(g) and verify_database(db, g):  # all but the hand-made cases
-        for schedule in ("worklist", "sweep"):
-            made[schedule] = build_database(g, db.goal, schedule=schedule)
+        made["build"] = build_database(g, db.goal)
+        made["reference"] = reference_build(g, db.goal)
         # The kernel makes them in those widths itself, so none is copied to fit.
         arrays, _ = _build_buckets(g, sorted(r * g.n_cols + c for r, c in db.goal.cells))
         assert [a.dtype for a in arrays] == [_DTYPES[w] for w in widths]
@@ -783,6 +780,32 @@ def test_constructor_rejects_negative_values(counts, f1, f2):
     with pytest.raises(ValueError, match="non-negative"):
         Database(counts, f1, f2, n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
                  map_digest="0" * 64, iterations=1)
+
+
+@pytest.mark.parametrize("counts, f1, f2, message", [
+    ([1], [10], [5], "one entry per cell"),
+    ([1, 1, 0], [10, 0], [5, 0], "one entry per cell"),
+    ([1, 1], [10], [5], "exactly the counted labels"),
+    ([1, 1], [10, 0], [5], "exactly the counted labels"),
+    ([1, 1], [[10, 0]], [[5, 0]], "exactly the counted labels"),
+], ids=["counts-short", "counts-long", "f1-short", "f2-short", "two-dimensional"])
+def test_constructor_rejects_arrays_that_do_not_fit(counts, f1, f2, message):
+    with pytest.raises(ValueError, match=message):
+        Database(counts, f1, f2, n_rows=1, n_cols=2, goal=GoalRegion([(0, 1)]),
+                 map_digest="0" * 64, iterations=1)
+
+
+@pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0)])
+def test_from_labels_rejects_a_cell_outside_the_map(db_2x3, cell):
+    with pytest.raises(ValueError, match="outside the map"):
+        Database.from_labels({**db_2x3.labels, cell: ((10, 0),)}, 2, 3, goal=db_2x3.goal,
+                             map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+
+
+def test_load_rejects_bytes_without_a_header_line(db_2x3):
+    blob = save_database(db_2x3)
+    with pytest.raises(ValueError, match="header line missing"):
+        load_database(blob[:blob.index(b"\n")])
 
 
 def test_reference_build_memory_is_pinned():

@@ -18,7 +18,14 @@ from cellplan import (
     verify_database,
 )
 from cellplan.cellmap import CONVENTION_TAG, _header_bytes
-from conftest import GOAL_2X3, KEY_EDITS_2X3, LOADER_EDITS_2X3, TEXT_2X3, with_labels
+from conftest import (
+    GOAL_2X3,
+    KEY_EDITS_2X3,
+    LOADER_EDITS_2X3,
+    TEXT_2X3,
+    reference_build,
+    with_labels,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,10 +109,10 @@ def test_build_rejects_bad_goals(map_file, tmp_path):
 
 
 def test_build_schedules_agree(map_file, tmp_path):
-    # The CLI has no schedule option; its output equals the library's sweep reference.
+    # The CLI's build equals the sweep reference byte for byte.
     out = tmp_path / "m.db"
     assert cli.main(["build", "-m", str(map_file), "--goal", "0,2", "-o", str(out)]) == 0
-    ref = build_database(parse_map(map_file.read_bytes()), [GOAL_2X3], schedule="sweep")
+    ref = reference_build(parse_map(map_file.read_bytes()), [GOAL_2X3])
     assert out.read_bytes() == save_database(ref)
 
 
@@ -201,6 +208,17 @@ def test_query_paths_limit_and_all(map_file, db_file, capsys):
                    "--start", "0,0", "--paths", "all"])
     assert rc == 0
     assert out_json(capsys)["truncated"] is False
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--paths"])
+def test_zero_count_is_a_usage_error(flag, map_file, db_file, capsys):
+    argv = (["genmap", "--seed", "1", "--rows", "2", "--cols", "2"] if flag == "--rows" else
+            ["query", "-d", str(db_file), "-m", str(map_file), "--start", "0,0", "--paths", "1"])
+    argv[argv.index(flag) + 1] = "0"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_query_csv(map_file, db_file, capsys):

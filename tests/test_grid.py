@@ -511,6 +511,12 @@ def test_goal_region_validate_on():
         GoalRegion([(2, 0)]).validate_on(g)
 
 
+def test_random_map_rejects_a_max_cost_that_could_overflow():
+    random_map(0, 2, 2, 0.0, MAX_COMPONENT // 4)
+    with pytest.raises(ValueError, match="overflow"):
+        random_map(0, 2, 2, 0.0, MAX_COMPONENT // 4 + 1)
+
+
 def test_require_free():
     g = parse_map("2 2\n0 1\n# 0\n")
     require_free(g, (0, 0))

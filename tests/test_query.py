@@ -23,6 +23,7 @@ from cellplan import (
     DigestMismatchError,
     GoalRegion,
     GridMap,
+    QueryResult,
     brute_force,
     build_database,
     count_paths,
@@ -44,6 +45,7 @@ from cellplan import (
     save_database,
     successors,
 )
+from cellplan.pareto import MAX_COMPONENT
 from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3, big_terrain
 
 
@@ -328,6 +330,64 @@ def test_start_coordinates_must_be_integers(map_2x3, db_2x3, query, start):
     assert run(db_2x3, map_2x3, (np.int64(1), np.int32(0))) == run(db_2x3, map_2x3, (1, 0))
     with pytest.raises(KeyError):
         db_2x3.labels[start]
+
+
+def _report(result: QueryResult) -> bytes:
+    return render_report_json(result.start, result.front, counts=result.counts,
+                              total_paths=result.total_paths,
+                              coverage_cells=result.coverage, paths=result.paths)
+
+
+# Every entry point that checks a start cell, called as (db, grid, start).
+_CHECKED_START_QUERIES = {
+    "count_paths": lambda db, g, start: count_paths(db, g, start),
+    "count_paths-report": lambda db, g, start: _report(count_paths(db, g, start)),
+    "coverage": lambda db, g, start: coverage(db, g, start),
+    "enumerate_paths": lambda db, g, start: enumerate_paths(db, g, start),
+    "successors": lambda db, g, start: successors(db, g, start, db.front(start)[0]),
+    "moa_star": lambda db, g, start: moa_star(g, start, db.goal),
+    "heuristic": lambda db, g, start: heuristic(g, start, db.goal),
+    "brute_force": lambda db, g, start: brute_force(g, start, db.goal, include_paths=True),
+    "brute_force-report": lambda db, g, start: _report(brute_force(g, start, db.goal,
+                                                                   include_paths=True)),
+    "neighbors": lambda db, g, start: neighbors(g, start),
+}
+
+# The 2x3 test map, and a map whose terrain puts MOA*'s packed heap keys
+# past 64 bits, where a numpy start's key would be an int64 and overflow.
+_NEAR_OVERFLOW = MAX_COMPONENT // 12
+_CHECKED_START_MAPS = {
+    "2x3": lambda: (parse_map(TEXT_2X3), [GOAL_2X3]),
+    "near-overflow": lambda: (GridMap([[_NEAR_OVERFLOW, 1, _NEAR_OVERFLOW],
+                                       [2, _NEAR_OVERFLOW, 0]], np.zeros((2, 3), dtype=bool)),
+                              [(1, 2)]),
+}
+
+
+def _python_ints(x) -> bool:
+    """Whether every number in `x`, through query results, containers and
+    dicts, is a Python int (or a bool flag)."""
+    if isinstance(x, QueryResult):
+        x = list(vars(x).values())
+    if isinstance(x, dict):
+        x = list(x.items())
+    if isinstance(x, (tuple, list, set, frozenset)):
+        return all(map(_python_ints, x))
+    return x is None or type(x) in (int, bool, bytes)
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED_START_MAPS))
+@pytest.mark.parametrize("query", sorted(_CHECKED_START_QUERIES))
+def test_numpy_start_answers_in_python_ints(query, name):
+    """require_free's tuple of Python ints is the start every entry point
+    keeps: a start of numpy integers answers exactly as one of Python ints,
+    in Python ints, so it renders as JSON and packs into MOA*'s keys."""
+    g, goal = _CHECKED_START_MAPS[name]()
+    db = build_database(g, goal)
+    run = _CHECKED_START_QUERIES[query]
+    got = run(db, g, (np.int64(0), np.int64(0)))
+    assert got == run(db, g, (0, 0))
+    assert _python_ints(got)
 
 
 @pytest.mark.parametrize("query", [count_paths, coverage, enumerate_paths],
@@ -840,3 +900,9 @@ def test_coverage_pgm(map_2x3, db_2x3):
     maxval, pixels = rest.split(b"\n", 1)
     assert maxval == b"255"
     assert pixels == bytes([255, 255, 255, 128, 255, 128])
+
+
+def test_coverage_pgm_marks_obstacles(map_3x3_ring):
+    db = build_database(map_3x3_ring, [(2, 2)])
+    data = render_coverage_pgm(map_3x3_ring, coverage(db, map_3x3_ring, (0, 0)))
+    assert data == b"P5\n3 3\n255\n" + bytes([255, 255, 128, 255, 0, 255, 128, 255, 255])

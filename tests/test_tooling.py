@@ -1,8 +1,8 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
 so keep those names alive; the package imports only what it declares, and
 uses every name it imports; every source file parses as the oldest Python
-it supports; the pytest settings must survive a failing test; and every demo
-runs."""
+it supports; the build's reference reads no whole-map move table; the pytest
+settings must survive a failing test; and every demo runs."""
 
 import ast
 import importlib
@@ -14,6 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cellplan.grid as grid_module
+from cellplan import build_database, free_cells, random_map, save_database
+from conftest import reference_build
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMON = ROOT / "perfbench" / "common.py"
@@ -97,6 +101,33 @@ def test_sources_parse_at_the_oldest_supported_python():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+@pytest.mark.parametrize("corner_cut", [True, False], ids=["corner-cut", "no-corner-cut"])
+def test_reference_build_reads_no_move_table(monkeypatch, corner_cut):
+    """reference_build reads the move rule through neighbors() only: with
+    grid.move_mask and grid.move_csr raising in every module that holds
+    them, it still equals a kernel build made beforehand. So the kernel's
+    equality with it also checks the kernel's move table."""
+    g = random_map(5, 9, 11, 0.2, 4, allow_corner_cut=corner_cut)
+    goal = [free_cells(g)[0], free_cells(g)[-1]]
+    built = save_database(build_database(g, goal))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference build read a whole-map move table")
+
+    patched = set()
+    for name in ("move_mask", "move_csr"):
+        table = getattr(grid_module, name)
+        for module_name, module in list(sys.modules.items()):
+            if getattr(module, "__dict__", {}).get(name) is table:
+                monkeypatch.setattr(module, name, refuse)
+                patched.add((module_name, name))
+    assert {("cellplan.grid", "move_mask"), ("cellplan.grid", "move_csr"),
+            ("cellplan.cellmap", "move_mask"), ("cellplan.moastar", "move_csr")} <= patched
+    with pytest.raises(AssertionError, match="move table"):
+        build_database(g, goal)
+    assert save_database(reference_build(g, goal)) == built
 
 
 FAILING_PAIR = '''
