@@ -6,28 +6,23 @@ front, exact path-count, coverage, and path-enumeration questions without
 searching again. An MOA* baseline and a brute-force oracle cross-check it.
 """
 
-from .pareto import (
-    MAX_COMPONENT,
-    CostOverflowError,
-    LabelSet,
-    Vector,
-    dominates,
-    nondominated,
-)
 from .grid import (
     DIAGONAL_STEP,
+    MAX_COMPONENT,
     STRAIGHT_STEP,
     Cell,
+    CostOverflowError,
     GoalRegion,
     GridMap,
+    LabelSet,
     MapFormatError,
+    Vector,
     free_cells,
     map_digest,
     neighbors,
     parse_map,
     random_map,
     serialize_map,
-    step_length,
 )
 from .cellmap import (
     CONVENTION_TAG,
@@ -35,7 +30,6 @@ from .cellmap import (
     Database,
     DigestMismatchError,
     build_database,
-    hop_cost,
     load_database,
     save_database,
     verify_database,
@@ -58,12 +52,11 @@ from .bench import BenchConfig, BenchReport, amortization_table, run_campaign
 
 __all__ = [
     "MAX_COMPONENT", "CostOverflowError", "LabelSet", "Vector",
-    "dominates", "nondominated",
     "DIAGONAL_STEP", "STRAIGHT_STEP", "Cell", "GoalRegion", "GridMap",
     "MapFormatError", "free_cells", "map_digest", "neighbors", "parse_map",
-    "random_map", "serialize_map", "step_length",
+    "random_map", "serialize_map",
     "CONVENTION_TAG", "DB_VERSION", "Database", "DigestMismatchError",
-    "build_database", "hop_cost", "load_database", "save_database",
+    "build_database", "load_database", "save_database",
     "verify_database",
     "QueryResult", "count_paths", "coverage", "enumerate_paths",
     "pareto_front_at", "render_coverage_ascii", "render_coverage_pgm",

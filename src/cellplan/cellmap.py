@@ -3,14 +3,16 @@
 
 The database is the least fixed point of the per-cell update
 
-    labels[i] <- nondominated({(0, 0)} if i is a goal cell else {}
-                              | {F + hop_cost(i, j) for free neighbors j,
-                                                        F in labels[j]})
+    labels[i] <- the non-dominated subset of
+                 ({(0, 0)} if i is a goal cell else {})
+                 | {F + (step(i, j), terrain(i)) for every move i -> j,
+                                                  F in labels[j]}
 
-A hop i -> j costs (step_length(i, j), terrain(i)): the hop length plus the
-terrain of the cell being departed. Unrolled along a path this counts the
-terrain of every cell except the final goal cell (the start included), and it
-pins goal label sets to exactly {(0, 0)}.
+A hop i -> j costs (step(i, j), terrain(i)): the hop length of the move
+rule (10 straight, 14 diagonal) plus the terrain of the cell being
+departed. Unrolled along a path this counts the terrain of every cell
+except the final goal cell (the start included), and it pins goal label
+sets to exactly {(0, 0)}.
 
 One kernel computes it: label-setting over Dial's bucket queue, opened one
 window of path lengths [10w, 10w + 10) at a time, with whole-array numpy
@@ -62,22 +64,18 @@ import numpy as np
 
 from .grid import (
     DIAGONAL_STEP,
+    MAX_COMPONENT,
     STRAIGHT_STEP,
     Cell,
+    CostOverflowError,
     GoalRegion,
     GridMap,
+    LabelSet,
     _cell,
     map_digest,
     max_free_terrain,
     move_mask,
     overflow_risk,
-    step_length,
-)
-from .pareto import (
-    MAX_COMPONENT,
-    CostOverflowError,
-    LabelSet,
-    Vector,
 )
 
 DB_VERSION = 2
@@ -107,7 +105,7 @@ class Database:
     f2 are each held in their stored width, the narrowest of _WIDTHS that
     holds the array's largest value, as uint8, uint16 or uint32, and as
     int64 for width 8 (every value is at most MAX_COMPONENT). The
-    constructor and from_labels copy what they are given into those widths,
+    constructor copies what it is given into those widths,
     build_database places its labels straight into them, and load_database
     keeps the file's arrays in place, as read-only views of its bytes.
     save_database writes the arrays as they are. `offsets` is int64 always.
@@ -165,20 +163,6 @@ class Database:
         for name, a in (("counts", counts), ("f1", f1), ("f2", f2), ("offsets", offsets)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def from_labels(cls, labels, n_rows: int, n_cols: int, **meta) -> Database:
-        """Pack a {cell: label set} mapping over an n_rows x n_cols map; the
-        keyword arguments are the other fields."""
-        sets: list[LabelSet] = [()] * (n_rows * n_cols)
-        for (r, c), ls in labels.items():
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"cell {(r, c)} lies outside the map")
-            sets[r * n_cols + c] = ls
-        counts = [len(ls) for ls in sets]
-        f1 = [a for ls in sets for a, _ in ls]
-        f2 = [b for ls in sets for _, b in ls]
-        return cls(counts, f1, f2, n_rows=n_rows, n_cols=n_cols, **meta)
 
     def __eq__(self, other):
         if not isinstance(other, Database):
@@ -280,15 +264,6 @@ class _LabelView(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._db.counts))
-
-
-def hop_cost(grid: GridMap, src: Cell, dst: Cell) -> Vector:
-    """Objective increment for the hop src -> dst: (step length, terrain(src))."""
-    src = tuple(src)
-    dst = tuple(dst)
-    if not grid.is_free(src) or not grid.is_free(dst):
-        raise ValueError("hop endpoints must be free in-bounds cells")
-    return (step_length(src, dst), int(grid.terrain[src]))
 
 
 # Path lengths per window of the bucket queue: a window spans one

@@ -13,6 +13,12 @@ Map file format (UTF-8 text):
 
 where a token is either ``#`` (obstacle) or a non-negative decimal terrain
 cost. A trailing newline is required and comments are not supported.
+
+Costs are exact integer pairs: a Vector is (path length, terrain cost), and
+a LabelSet (or front) is a deduplicated, mutually non-dominated tuple of
+vectors in canonical order, path lengths strictly rising and terrain costs
+strictly falling. Every component is at most MAX_COMPONENT; a map whose
+path sums could pass it is refused up front (overflow_risk).
 """
 
 from __future__ import annotations
@@ -22,9 +28,14 @@ import random
 
 import numpy as np
 
-from .pareto import MAX_COMPONENT
-
 Cell = tuple[int, int]
+Vector = tuple[int, int]
+LabelSet = tuple[Vector, ...]
+
+# Component ceiling for cost vectors. Python ints never wrap, so this is a
+# declared storage width: maps whose worst-case path sums could pass it are
+# rejected up front instead of silently producing out-of-range values.
+MAX_COMPONENT = 2**63 - 1
 
 STRAIGHT_STEP = 10
 DIAGONAL_STEP = 14
@@ -41,6 +52,10 @@ NEIGHBOR_OFFSETS: tuple[Cell, ...] = (
 
 class MapFormatError(ValueError):
     """Map text that does not follow the map file format."""
+
+
+class CostOverflowError(OverflowError):
+    """A cost component would exceed MAX_COMPONENT."""
 
 
 class GridMap:
@@ -93,9 +108,6 @@ class GridMap:
         r, c = cell
         return 0 <= r < self.n_rows and 0 <= c < self.n_cols
 
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and not self.obstacle[tuple(cell)]
-
     def __eq__(self, other):
         if not isinstance(other, GridMap):
             return NotImplemented
@@ -113,7 +125,9 @@ class GridMap:
 class GoalRegion:
     """Non-empty set of goal cells; the region may be disconnected.
 
-    A cell's coordinates must be ints or numpy integers (see _cell)."""
+    A cell's coordinates must be ints or numpy integers (see _cell). Regions
+    compare by their cells and are not hashable, as `cells` may be
+    reassigned."""
 
     __slots__ = ("cells",)
 
@@ -128,33 +142,20 @@ class GoalRegion:
         """`goal`, a GoalRegion or an iterable of cells, as a region checked
         free on `grid`: the one entry of every goal argument."""
         region = goal if isinstance(goal, GoalRegion) else cls(goal)
-        region.validate_on(grid)
-        return region
-
-    def validate_on(self, grid: GridMap) -> None:
-        """Raise ValueError unless every goal cell is a free in-bounds cell."""
-        for cell in sorted(self.cells):
+        for cell in sorted(region.cells):
             if not grid.in_bounds(cell):
                 raise ValueError(f"goal cell {cell} is out of bounds")
             if grid.obstacle[cell]:
                 raise ValueError(f"goal cell {cell} is an obstacle")
-
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
-    def __contains__(self, cell) -> bool:
-        return tuple(cell) in self.cells
+        return region
 
     def __eq__(self, other):
         if not isinstance(other, GoalRegion):
             return NotImplemented
         return self.cells == other.cells
 
-    def __hash__(self):
-        return hash(self.cells)
-
     def __repr__(self):
-        return f"GoalRegion({self.sorted_cells()})"
+        return f"GoalRegion({sorted(self.cells)})"
 
 
 def _cell(cell) -> Cell:
@@ -215,7 +216,9 @@ def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     long. Rows of obstacles are all False. Each direction is one shifted copy
     of the free mask, framed by obstacles so that shifts never wrap. The
     rule is symmetric: allowed[i, d] == allowed[i + shift[d], 7 - d], the
-    opposite direction. Not cached on the map.
+    opposite direction. This is the rule's one whole-map form: the build
+    kernel and the query step read it as it is, and MOA* packs its allowed
+    entries into CSR move lists. Not cached on the map.
     """
     rows, cols = grid.n_rows, grid.n_cols
     free = np.zeros((rows + 2, cols + 2), dtype=bool)
@@ -236,32 +239,6 @@ def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     step = np.array([DIAGONAL_STEP if dr and dc else STRAIGHT_STEP
                      for dr, dc in NEIGHBOR_OFFSETS])
     return allowed, shift, step
-
-
-def move_csr(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The move rule of every cell at once, as CSR arrays (offsets, ids, steps).
-
-    The moves of flat cell i are ids[offsets[i]:offsets[i + 1]] with the step
-    lengths steps[offsets[i]:offsets[i + 1]], in NEIGHBOR_OFFSETS order; the
-    rows of obstacles are empty. The arrays are the allowed entries of
-    move_mask(grid), the other whole-map form; MOA* reads them as Python
-    lists. Not cached on the map.
-    """
-    allowed, shift, step = move_mask(grid)
-    ids = (np.arange(allowed.shape[0])[:, None] + shift)[allowed]
-    steps = np.broadcast_to(step, allowed.shape)[allowed]
-    offsets = np.zeros(allowed.shape[0] + 1, dtype=np.int64)
-    np.cumsum(allowed.sum(axis=1), out=offsets[1:])
-    return offsets, ids, steps
-
-
-def step_length(a: Cell, b: Cell) -> int:
-    """Length of the hop between two distinct 8-adjacent cells."""
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    if (dr, dc) == (0, 0) or dr > 1 or dc > 1:
-        raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not 8-adjacent")
-    return DIAGONAL_STEP if dr == 1 and dc == 1 else STRAIGHT_STEP
 
 
 def free_cells(grid: GridMap) -> list[Cell]:

@@ -41,16 +41,19 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .grid import (
     Cell,
+    CostOverflowError,
     GoalRegion,
     GridMap,
+    Vector,
     max_free_terrain,
-    move_csr,
+    move_mask,
     overflow_risk,
     require_free,
 )
-from .pareto import CostOverflowError, Vector
 
 Path = tuple[Cell, ...]
 
@@ -59,9 +62,9 @@ def _cost_to_go(offsets, ids, steps, goal_ids: list[int], terr=None) -> list:
     """Backward Dijkstra from the goal cells: the least path length to go
     from every cell, or with `terr` the least terrain cost (a hop i -> j
     costs terr[i]); math.inf where no goal is reachable. The first three
-    arguments are move_csr as lists, and moves are symmetric, so the moves
-    of j list the cells that can step into j. Heap keys pack (cost, cell)
-    into one int."""
+    arguments are the move lists _heuristics makes, and moves are
+    symmetric, so the moves of j list the cells that can step into j. Heap
+    keys pack (cost, cell) into one int."""
     dist = [math.inf] * (len(offsets) - 1)
     shift = max(1, (len(dist) - 1).bit_length())
     mask = (1 << shift) - 1
@@ -89,9 +92,14 @@ _memo: list = [None]
 
 
 def _heuristics(grid: GridMap, region: GoalRegion):
-    """move_csr as lists, flat terrain, goal ids, both cost-to-go lists, h1
+    """The move lists, flat terrain, goal ids, both cost-to-go lists, h1
     and h2, and moa_star's key widths (cell bits, f2 bits), from the memo
     when it holds this map (by identity) and goal.
+
+    The move lists are move_mask's allowed entries in CSR form (offsets,
+    ids, steps): the moves of flat cell i are ids[offsets[i]:offsets[i + 1]]
+    with their step lengths in steps, in NEIGHBOR_OFFSETS order, and the
+    rows of obstacles are empty.
 
     Callers validate first, so a call that raises stores nothing. The entry
     is shared: callers must not change the lists.
@@ -101,7 +109,10 @@ def _heuristics(grid: GridMap, region: GoalRegion):
     memo = _memo[0]
     if memo is not None and memo[0] is grid and memo[1] == goal_ids:
         return memo[2]
-    moves = [a.tolist() for a in move_csr(grid)]
+    allowed, shift, step = move_mask(grid)
+    offsets = [0, *np.cumsum(allowed.sum(axis=1)).tolist()]
+    ids = (np.arange(len(allowed))[:, None] + shift)[allowed].tolist()
+    moves = (offsets, ids, np.broadcast_to(step, allowed.shape)[allowed].tolist())
     terr = grid.terrain.ravel().tolist()
     h1 = _cost_to_go(*moves, goal_ids)
     h2 = _cost_to_go(*moves, goal_ids, terr)

@@ -7,9 +7,8 @@ the grid primitives. Intentionally naive; the cell budget keeps it honest.
 
 from __future__ import annotations
 
-from .grid import Cell, GoalRegion, GridMap, free_cells, neighbors, require_free
+from .grid import Cell, GoalRegion, GridMap, Vector, free_cells, neighbors, require_free
 from .query import QueryResult
-from .pareto import Vector
 
 
 def _pairwise_front(vectors) -> tuple[Vector, ...]:

@@ -4,14 +4,15 @@ and bounded path enumeration, plus the report renderers (JSON/CSV/ASCII/PGM).
 All queries walk the successor graph implied by the database. Its states are
 label ids: row k of the database's f1 and f2 arrays is the state (c, F) with
 F = (f1[k], f2[k]) in the label set of cell c. A state (c, F) steps to
-(j, F') when F = F' + hop_cost(c, j). Path length strictly decreases along
-every edge, so the graph is acyclic, every walked path is simple, and
-counting is a plain DP. One step, cellmap._Step, expands a whole
-hop-frontier of states in numpy, for the graph and for `successors` alike;
-verify_database runs on the same step and its one label match over the
-database's sorted (cell, f1) key. The graph is the reached label ids plus
-CSR successor lists (an offsets array and a flat array of successor
-positions).
+(j, F') when c may move to j and F = F' + (step, terrain(c)), the hop's
+length and the terrain of the cell it departs (see cellmap). Path length
+strictly decreases along every edge, so the graph is acyclic, every walked
+path is simple, and counting is a plain DP. One step, cellmap._Step,
+expands a whole hop-frontier of states in numpy, for the graph and for
+`successors` alike; verify_database runs on the same step and its one
+label match over the database's sorted (cell, f1) key. The graph is the
+reached label ids plus CSR successor lists (an offsets array and a flat
+array of successor positions).
 enumerate_paths walks that graph depth-first one single-successor run at a
 time (most states have exactly one successor): each run is made once, as a
 tuple of cells, and a path is its branch prefix joined with a run that ends
@@ -40,8 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cellmap import Database, _Step
-from .grid import Cell, GridMap, require_free
-from .pareto import LabelSet, Vector
+from .grid import Cell, GridMap, LabelSet, Vector, _cell, require_free
 
 Path = tuple[Cell, ...]
 
@@ -66,19 +66,25 @@ class QueryResult:
 def pareto_front_at(db: Database, start: Cell) -> LabelSet:
     """The non-dominated cost vectors from `start`; empty if unreachable.
     Decodes one slice of the database's arrays, once Database.label_key has
-    found the database in canonical form (ValueError otherwise). It takes no
-    map, so it cannot check the database against one; the CLI does not use
-    it. A caller who holds the map should read count_paths(...).front."""
+    found the database in canonical form (ValueError otherwise). A start
+    outside the map raises ValueError, as every start query does. It takes
+    no map, so it cannot check the database against one, and an obstacle
+    answers (); the CLI does not use it. A caller who holds the map should
+    read count_paths(...).front."""
     db.label_key  # the canonical-form check; cached after the first call
-    return db.front(start)
+    front = db.front(start)
+    if not front and db.index(start) is None:
+        raise ValueError(f"cell {_cell(start)} is out of bounds")
+    return front
 
 
 def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
     """All one-hop decompositions of `vector` at `cell`, in row-major order.
 
-    Each entry (j, F') satisfies vector == F' + hop_cost(cell, j) with F' in
-    the label set of j. Non-empty for every non-goal vector of a consistent
-    database (ValueError otherwise); goal cells have no successors.
+    Each entry (j, F') has F' in the label set of j and vector == F' +
+    (step, terrain(cell)), where step is the length of the move cell -> j.
+    Non-empty for every non-goal vector of a consistent database
+    (ValueError otherwise); goal cells have no successors.
     """
     vector = tuple(vector)
     cell, front = _checked_front(db, grid, cell)
@@ -224,10 +230,11 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     Paths come out in deterministic order: front vectors in canonical order,
     then depth-first through row-major successors. With limit=None all paths
     are returned and the flag is False; otherwise at most `limit` paths are
-    returned and the flag tells whether more exist.
+    returned and the flag tells whether more exist. A limit must be an int
+    of at least 1, not a bool; anything else raises ValueError.
     """
     start, front = _checked_front(db, grid, start)
-    if limit is not None and limit < 1:
+    if limit is not None and (type(limit) is not int or limit < 1):  # shuts out bools
         raise ValueError("limit must be a positive integer")
     if not front:
         return [], False

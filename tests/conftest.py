@@ -1,9 +1,14 @@
-"""Shared fixtures: small hand-checkable maps and build helpers."""
+"""Shared fixtures: small hand-checkable maps, build helpers, and the
+references the tests check the library against: dominance and
+non-dominated reduction, hop costs, a database packed from label sets, and
+the synchronous sweep build."""
 
 import hashlib
 import json
 
 import pytest
+
+from cellplan.grid import DIAGONAL_STEP, STRAIGHT_STEP
 
 import cellplan.moastar as moastar
 import cellplan.query as query
@@ -15,7 +20,6 @@ from cellplan import (
     free_cells,
     map_digest,
     neighbors,
-    nondominated,
     parse_map,
 )
 
@@ -267,6 +271,69 @@ def dijkstra_calls(monkeypatch):
     return calls
 
 
+def dominates(a, b) -> bool:
+    """True iff `a` is componentwise <= `b` and differs from it somewhere."""
+    if len(a) != len(b):
+        raise ValueError("vectors must have the same number of components")
+    return a != b and all(x <= y for x, y in zip(a, b))
+
+
+def nondominated(vectors):
+    """Reduce `vectors` to their non-dominated subset, deduplicated and sorted.
+
+    Idempotent and insensitive to input order. Every discarded vector is
+    dominated by (or equal to) some retained one. Raises ValueError unless
+    every vector has two components. Lex order makes this a single scan:
+    keep a vector iff its second component beats everything already kept,
+    which also drops duplicates.
+    """
+    vs = [tuple(v) for v in vectors]
+    if any(len(v) != 2 for v in vs):
+        raise ValueError("vectors must have two components")
+    vs.sort()
+    out = []
+    best = None
+    for v in vs:
+        if best is None or v[1] < best:
+            out.append(v)
+            best = v[1]
+    return tuple(out)
+
+
+def step_length(a, b) -> int:
+    """Length of the hop between two distinct 8-adjacent cells."""
+    dr = abs(a[0] - b[0])
+    dc = abs(a[1] - b[1])
+    if (dr, dc) == (0, 0) or dr > 1 or dc > 1:
+        raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not 8-adjacent")
+    return DIAGONAL_STEP if dr == 1 and dc == 1 else STRAIGHT_STEP
+
+
+def hop_cost(grid, src, dst):
+    """Cost increment of the hop src -> dst: (step length, terrain(src))."""
+    src = tuple(src)
+    dst = tuple(dst)
+    for cell in (src, dst):
+        if not grid.in_bounds(cell) or grid.obstacle[cell]:
+            raise ValueError("hop endpoints must be free in-bounds cells")
+    return (step_length(src, dst), int(grid.terrain[src]))
+
+
+def db_from_labels(labels, n_rows, n_cols, **meta):
+    """The Database of a {cell: label set} mapping over an n_rows x n_cols
+    map, through the public constructor; the keyword arguments are the
+    other fields."""
+    sets = [()] * (n_rows * n_cols)
+    for (r, c), ls in labels.items():
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise ValueError(f"cell {(r, c)} lies outside the map")
+        sets[r * n_cols + c] = ls
+    counts = [len(ls) for ls in sets]
+    f1 = [a for ls in sets for a, _ in ls]
+    f2 = [b for ls in sets for _, b in ls]
+    return Database(counts, f1, f2, n_rows=n_rows, n_cols=n_cols, **meta)
+
+
 def reference_build(grid, goal):
     """The database of `goal` over `grid` by synchronous sweeps from empty
     label sets until one changes nothing: the reference that build_database
@@ -300,5 +367,5 @@ def reference_build(grid, goal):
         for cell, ls in changed:
             labels[cell] = ls
         recompute = {j for cell, _ in changed for j, _ in moves[cell]}
-    return Database.from_labels(labels, grid.n_rows, grid.n_cols, goal=region,
-                                map_digest=map_digest(grid), iterations=iterations)
+    return db_from_labels(labels, grid.n_rows, grid.n_cols, goal=region,
+                          map_digest=map_digest(grid), iterations=iterations)

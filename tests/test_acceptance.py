@@ -14,6 +14,7 @@ import heapq
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -30,7 +31,6 @@ from cellplan import (
     load_database,
     moa_star,
     neighbors,
-    nondominated,
     pareto_front_at,
     parse_map,
     random_map,
@@ -41,7 +41,7 @@ from cellplan import (
     verify_database,
 )
 from cellplan.bench import TIMING_FIELDS
-from conftest import TEXT_2X3, reference_build
+from conftest import TEXT_2X3, nondominated, reference_build
 
 
 class _Verdicts:
@@ -155,7 +155,11 @@ def c2_corpus():
 
 
 def test_criterion_2_search_front_matches_database(criterion, c2_corpus):
-    with criterion(2, "MOA* front equals the stored front on 100 maps "
+    # MOA* keeps every optimal path and never reads the database, so its
+    # paths are an independent check of the whole of phase two: the count of
+    # paths per front vector, the cells they cover, and the paths themselves.
+    with criterion(2, "MOA* front, per-vector path counts, coverage and "
+                      "full path list equal the database's on 100 maps "
                       "up to 40x40, 5 seeded starts each"):
         assert len(c2_corpus) == 100
         checked = 0
@@ -163,8 +167,18 @@ def test_criterion_2_search_front_matches_database(criterion, c2_corpus):
             fc = free_cells(g)
             assert len(fc) >= 5
             for start in random.Random(i).sample(fc, 5):
-                front, _paths = moa_star(g, start, goal, collect_paths=False)
+                front, paths = moa_star(g, start, goal, collect_paths=True)
                 assert front == pareto_front_at(db, start)
+                counts = Counter(vector for _cells, vector in paths)
+                assert counts == count_paths(db, g, start).counts
+                if front:
+                    assert ({cell for cells, _vector in paths for cell in cells}
+                            == coverage(db, g, start))
+                else:
+                    assert paths == []
+                enumerated, truncated = enumerate_paths(db, g, start)
+                assert not truncated
+                assert sorted(paths) == sorted(enumerated)
                 checked += 1
         assert checked == 500
 

@@ -23,7 +23,6 @@ from cellplan import (
     coverage,
     enumerate_paths,
     free_cells,
-    hop_cost,
     load_database,
     map_digest,
     parse_map,
@@ -33,8 +32,7 @@ from cellplan import (
     verify_database,
 )
 from cellplan.cellmap import _build_buckets, _Step
-from cellplan.grid import STRAIGHT_STEP, overflow_risk
-from cellplan.pareto import MAX_COMPONENT
+from cellplan.grid import MAX_COMPONENT, STRAIGHT_STEP, overflow_risk
 from conftest import (
     FRONT_2X3,
     GOAL_2X3,
@@ -44,6 +42,8 @@ from conftest import (
     TEXT_1X2,
     TEXT_2X3,
     big_terrain,
+    db_from_labels,
+    hop_cost,
     reference_build,
     split_db,
     with_labels,
@@ -355,32 +355,32 @@ def test_verify_rejects_perturbed_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     (f1, f2), rest = labels[(0, 0)][0], labels[(0, 0)][1:]
     labels[(0, 0)] = ((f1 + 1, f2),) + rest
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                               iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                         iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_injected_dominated_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[(0, 0)] = labels[(0, 0)] + ((99, 99),)
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                               iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                         iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_missing_vector(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[(0, 0)] = labels[(0, 0)][:1]
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                               iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                         iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
 def test_verify_rejects_bad_goal_seed(map_2x3, db_2x3):
     labels = dict(db_2x3.labels)
     labels[GOAL_2X3] = ((0, 0), (7, 0))
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                               iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                         iterations=db_2x3.iterations)
     assert not verify_database(bad, map_2x3)
 
 
@@ -411,7 +411,7 @@ def _relabel(db, sets, **meta):
     """`db` packed again by from_labels, with the cells of `sets` holding
     those label sets and `meta` replacing fields."""
     fields = {"goal": db.goal, "map_digest": db.map_digest, "iterations": db.iterations, **meta}
-    return Database.from_labels({**db.labels, **sets}, db.n_rows, db.n_cols, **fields)
+    return db_from_labels({**db.labels, **sets}, db.n_rows, db.n_cols, **fields)
 
 
 def _shift_f1(db):
@@ -748,14 +748,14 @@ def test_loaded_arrays_keep_their_widths(widths, case):
 @pytest.mark.parametrize("widths, case", _WIDTH_CASES)
 def test_every_producer_keeps_the_stored_widths(widths, case):
     """One dtype rule for every database: the build, the sweep reference,
-    the constructor, from_labels and the loader all hold counts, f1 and f2
+    the constructor, db_from_labels and the loader all hold counts, f1 and f2
     in the widths save_database writes, and agree on the database."""
     g, db, _starts = case()
     meta = {"goal": db.goal, "map_digest": db.map_digest, "iterations": db.iterations}
     made = {
         "constructor": Database(db.counts, db.f1, db.f2, n_rows=db.n_rows, n_cols=db.n_cols,
                                 **meta),
-        "from_labels": Database.from_labels(db.labels, db.n_rows, db.n_cols, **meta),
+        "from_labels": db_from_labels(db.labels, db.n_rows, db.n_cols, **meta),
         "load": load_database(save_database(db)),
     }
     if not overflow_risk(g) and verify_database(db, g):  # all but the hand-made cases
@@ -798,8 +798,8 @@ def test_constructor_rejects_arrays_that_do_not_fit(counts, f1, f2, message):
 @pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0)])
 def test_from_labels_rejects_a_cell_outside_the_map(db_2x3, cell):
     with pytest.raises(ValueError, match="outside the map"):
-        Database.from_labels({**db_2x3.labels, cell: ((10, 0),)}, 2, 3, goal=db_2x3.goal,
-                             map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+        db_from_labels({**db_2x3.labels, cell: ((10, 0),)}, 2, 3, goal=db_2x3.goal,
+                       map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
 
 
 def test_load_rejects_bytes_without_a_header_line(db_2x3):

@@ -8,7 +8,6 @@ import pytest
 import cellplan.cli as cli
 from cellplan import (
     CostOverflowError,
-    Database,
     build_database,
     load_database,
     parse_map,
@@ -17,12 +16,14 @@ from cellplan import (
     serialize_map,
     verify_database,
 )
+from cellplan.bench import BenchReport, MapRecord
 from cellplan.cellmap import CONVENTION_TAG, _header_bytes
 from conftest import (
     GOAL_2X3,
     KEY_EDITS_2X3,
     LOADER_EDITS_2X3,
     TEXT_2X3,
+    db_from_labels,
     reference_build,
     with_labels,
 )
@@ -346,8 +347,8 @@ def test_compare_tampered_database(map_file, tmp_path, capsys):
     labels[(0, 0)] = labels[(0, 0)][:1]  # drop one optimal vector
     tampered = tmp_path / "bad.db"
     tampered.write_bytes(save_database(
-        Database.from_labels(labels, 2, 3, goal=db.goal, map_digest=db.map_digest,
-                             iterations=db.iterations)))
+        db_from_labels(labels, 2, 3, goal=db.goal, map_digest=db.map_digest,
+                       iterations=db.iterations)))
     rc = cli.main(["compare", "-m", str(map_file), "--goal", "0,2",
                    "--start", "0,0", "--db", str(tampered)])
     assert rc == 1
@@ -471,6 +472,64 @@ def test_bench_config_with_a_float_field_exits_2(tmp_path, capsys):
                                "obstacle_density": 0.2, "max_cost": 2, "starts_per_map": 1}))
     assert cli.main(["bench", "-c", str(cfg)]) == 2
     assert "n_maps must be an integer" in capsys.readouterr().err
+
+
+def _bench_reporting(monkeypatch, tmp_path, *, fronts_equal=True, median=1.0):
+    """A campaign config file, with cli.run_campaign made to report one map
+    with these fronts and this build/search time ratio, so the exit code is
+    tested without a campaign that fails or runs slow."""
+    def run_campaign(cfg, *, reproducer_dir=None):
+        record = MapRecord(map_id=0, dims=(4, 4), seed=1, regenerated=0, n_free_cells=16,
+                           front_size=1, fronts_equal=fronts_equal, build_time=median,
+                           moa_time_single_start=1.0)
+        return BenchReport(config=cfg, records=[record], maps_passed=int(fronts_equal),
+                           total=1, time_ratio_stats=dict.fromkeys(("min", "median", "max"),
+                                                                   median))
+
+    monkeypatch.setattr(cli, "run_campaign", run_campaign)
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"seed": 1, "n_maps": 1, "dims": [[4, 4]],
+                               "obstacle_density": 0.0, "max_cost": 1, "starts_per_map": 1}))
+    return cfg
+
+
+@pytest.mark.parametrize("gate", [[], ["--regression-gate"]], ids=["plain", "gated"])
+def test_bench_front_mismatch_exits_1(monkeypatch, tmp_path, capsys, gate):
+    cfg = _bench_reporting(monkeypatch, tmp_path, fronts_equal=False)
+    assert cli.main(["bench", "-c", str(cfg)] + gate) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["aggregate"]["maps_passed"] == 0
+    assert "1 of 1 maps had a front mismatch" in captured.err
+
+
+@pytest.mark.parametrize("median, gated_exit", [(10.0, 0), (10.5, 1), (11.0, 1)])
+def test_bench_regression_gate(monkeypatch, tmp_path, capsys, median, gated_exit):
+    # The gate fails a campaign whose median build/search ratio is above 10,
+    # and only under --regression-gate.
+    cfg = _bench_reporting(monkeypatch, tmp_path, median=median)
+    assert cli.main(["bench", "-c", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["bench", "-c", str(cfg), "--regression-gate"]) == gated_exit
+    err = capsys.readouterr().err
+    if gated_exit:
+        assert f"median build/search ratio {median:.2f} exceeds 10" in err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "-d", "{db}", "-m", "{map}", "--start", "a,b"],
+    ["build", "-m", "{map}", "--goal", "1,x", "-o", "{out}"],
+    ["compare", "-m", "{map}", "--goal", "0,2", "--start", "0,b"],
+    ["oracle", "-m", "{map}", "--goal", "1,x", "--start", "0,0"],
+], ids=["query-start", "build-goal", "compare-start", "oracle-goal"])
+def test_non_integer_cell_argument_exits_2(argv, map_file, db_file, tmp_path, capsys):
+    paths = {"db": db_file, "map": map_file, "out": tmp_path / "out.db"}
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected r,c" in captured.err
+    assert not (tmp_path / "out.db").exists()
 
 
 def test_no_corner_cut_flag(tmp_path, capsys):

@@ -11,28 +11,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cellplan.moastar as moastar
 from cellplan.bench import _derive_seed
 from cellplan.cellmap import build_database
 from cellplan.grid import (
     DIAGONAL_STEP,
+    MAX_COMPONENT,
     STRAIGHT_STEP,
     GoalRegion,
     GridMap,
     MapFormatError,
     free_cells,
     map_digest,
-    move_csr,
     move_mask,
     neighbors,
     parse_map,
     random_map,
     require_free,
     serialize_map,
-    step_length,
 )
 from cellplan.moastar import heuristic, moa_star
 from cellplan.oracle import brute_force
-from cellplan.pareto import MAX_COMPONENT
+from conftest import step_length
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,7 +48,7 @@ def test_parse_basic():
 def test_parse_minimal():
     g = parse_map("1 1\n0\n")
     assert (g.n_rows, g.n_cols) == (1, 1)
-    assert g.is_free((0, 0))
+    assert g.in_bounds((0, 0)) and not g.obstacle[0, 0]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -239,7 +239,7 @@ def test_neighbors_corner_cut_superset(seed):
         opened = neighbors(g_open, cell)
         assert set(closed) <= set(opened)
         for (r, c), _ in opened:
-            assert g_open.is_free((r, c))
+            assert g_open.in_bounds((r, c)) and not g_open.obstacle[r, c]
 
 
 def _rule_moves(obstacle, corner_cut, r, c):
@@ -274,19 +274,22 @@ _SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 @given(data=st.data())
 def test_move_rule(shape, corner_cut, data):
-    """move_mask, move_csr and neighbors all follow the move rule on random
-    maps, and the rule is symmetric, as verify_database and MOA*'s backward
-    Dijkstras assume."""
+    """move_mask, MOA*'s move lists and neighbors all follow the move rule on
+    random maps, and the rule is symmetric, as verify_database and MOA*'s
+    backward Dijkstras assume. MOA* needs a goal, so its lists are checked
+    on maps with a free cell."""
     row_st, col_st = _SHAPES[shape]
     rows, cols = data.draw(row_st), data.draw(col_st)
     obstacle = data.draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
                                   min_size=rows, max_size=rows))
     g = GridMap(np.zeros((rows, cols), dtype=np.int64), obstacle,
                 allow_corner_cut=corner_cut)
-    offsets, ids, steps = move_csr(g)
-    assert len(offsets) == rows * cols + 1 and offsets[0] == 0
-    assert (np.diff(offsets) >= 0).all()
-    assert offsets[-1] == len(ids) == len(steps)
+    free = free_cells(g)
+    if free:
+        offsets, ids, steps = moastar._heuristics(g, GoalRegion([free[0]]))[0]
+        assert len(offsets) == rows * cols + 1 and offsets[0] == 0
+        assert (np.diff(offsets) >= 0).all()
+        assert offsets[-1] == len(ids) == len(steps)
     allowed, shift, step = move_mask(g)
     assert allowed.shape == (rows * cols, 8)
     # NEIGHBOR_OFFSETS[7 - d] is the opposite direction of NEIGHBOR_OFFSETS[d].
@@ -294,19 +297,20 @@ def test_move_rule(shape, corner_cut, data):
     for r in range(rows):
         for c in range(cols):
             i = r * cols + c
-            row = list(zip(ids[offsets[i]:offsets[i + 1]].tolist(),
-                           steps[offsets[i]:offsets[i + 1]].tolist()))
             masked = [(i + int(shift[d]), int(step[d])) for d in np.flatnonzero(allowed[i])]
-            assert masked == row
+            if free:
+                row = list(zip(ids[offsets[i]:offsets[i + 1]],
+                               steps[offsets[i]:offsets[i + 1]]))
+                assert masked == row
             if obstacle[r][c]:
-                assert row == []
+                assert masked == []
                 with pytest.raises(ValueError):
                     neighbors(g, (r, c))
                 continue
             want = _rule_moves(obstacle, corner_cut, r, c)
             assert neighbors(g, (r, c)) == want
             flat = [(rr * cols + cc, step) for (rr, cc), step in want]
-            assert row == flat
+            assert masked == flat
 
 
 def test_neighbors_rejects_bad_cells():
@@ -494,9 +498,9 @@ def test_gridmap_copies_rebuild_through_the_constructor(make_copy):
 
 def test_goal_region():
     region = GoalRegion([(1, 1), (0, 0), (1, 1)])
-    assert region.sorted_cells() == [(0, 0), (1, 1)]
-    assert (1, 1) in region
-    assert (2, 2) not in region
+    assert repr(region) == "GoalRegion([(0, 0), (1, 1)])"
+    assert (1, 1) in region.cells
+    assert (2, 2) not in region.cells
     assert region == GoalRegion([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         GoalRegion([])
@@ -504,11 +508,12 @@ def test_goal_region():
 
 def test_goal_region_validate_on():
     g = parse_map("2 2\n0 1\n# 0\n")
-    GoalRegion([(0, 0), (1, 1)]).validate_on(g)
+    region = GoalRegion([(0, 0), (1, 1)])
+    assert GoalRegion.on(g, region) is region
     with pytest.raises(ValueError, match="obstacle"):
-        GoalRegion([(1, 0)]).validate_on(g)
+        GoalRegion.on(g, GoalRegion([(1, 0)]))
     with pytest.raises(ValueError, match="out of bounds"):
-        GoalRegion([(2, 0)]).validate_on(g)
+        GoalRegion.on(g, GoalRegion([(2, 0)]))
 
 
 def test_random_map_rejects_a_max_cost_that_could_overflow():

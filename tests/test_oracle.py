@@ -4,8 +4,8 @@ values used across the suite, so these tests pin its behavior hard."""
 import pytest
 
 import cellplan.grid
-from cellplan import brute_force, nondominated, parse_map, random_map
-from conftest import FRONT_2X3, GOAL_2X3, TEXT_2X3
+from cellplan import brute_force, parse_map, random_map
+from conftest import FRONT_2X3, GOAL_2X3, TEXT_2X3, nondominated
 
 
 def test_two_route_example():

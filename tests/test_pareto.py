@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellplan.pareto import dominates, nondominated
+from conftest import dominates, nondominated
 
 vec2 = st.tuples(st.integers(0, 60), st.integers(0, 60))
 vec3 = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import threading
 import weakref
@@ -19,7 +20,6 @@ import cellplan.grid as grid_module
 import cellplan.query as query_module
 
 from cellplan import (
-    Database,
     DigestMismatchError,
     GoalRegion,
     GridMap,
@@ -31,7 +31,6 @@ from cellplan import (
     enumerate_paths,
     free_cells,
     heuristic,
-    hop_cost,
     load_database,
     moa_star,
     neighbors,
@@ -45,8 +44,16 @@ from cellplan import (
     save_database,
     successors,
 )
-from cellplan.pareto import MAX_COMPONENT
-from conftest import FRONT_2X3, GOAL_2X3, TEXT_1X2, TEXT_2X3, big_terrain
+from cellplan.grid import MAX_COMPONENT
+from conftest import (
+    FRONT_2X3,
+    GOAL_2X3,
+    TEXT_1X2,
+    TEXT_2X3,
+    big_terrain,
+    db_from_labels,
+    hop_cost,
+)
 
 
 def test_front_at_goal(db_2x3):
@@ -61,6 +68,8 @@ def test_front_unreachable():
     g = parse_map("3 3\n0 # 0\n# # 0\n0 0 0\n")
     db = build_database(g, [(2, 2)])
     assert pareto_front_at(db, (0, 0)) == ()
+    # It takes no map, so an obstacle, which holds no labels, answers the same.
+    assert pareto_front_at(db, (0, 1)) == ()
 
 
 def test_successors_single_hop(map_1x2):
@@ -113,12 +122,12 @@ def test_front_and_successors_check_canonical_form(map_2x3, db_2x3):
     # the lookups that read one cell, at that cell too, never answered.
     meta = {"goal": db_2x3.goal, "map_digest": db_2x3.map_digest,
             "iterations": db_2x3.iterations}
-    seeded = Database.from_labels({**db_2x3.labels, GOAL_2X3: ((0, 1),)}, 2, 3, **meta)
+    seeded = db_from_labels({**db_2x3.labels, GOAL_2X3: ((0, 1),)}, 2, 3, **meta)
     with pytest.raises(ValueError, match="goal cell 0,2 must hold exactly"):
         pareto_front_at(seeded, GOAL_2X3)
     with pytest.raises(ValueError, match="goal cell 0,2 must hold exactly"):
         successors(seeded, map_2x3, GOAL_2X3, (0, 1))
-    swapped = Database.from_labels({**db_2x3.labels, (0, 0): FRONT_2X3[::-1]}, 2, 3, **meta)
+    swapped = db_from_labels({**db_2x3.labels, (0, 0): FRONT_2X3[::-1]}, 2, 3, **meta)
     with pytest.raises(ValueError, match="canonical order"):
         pareto_front_at(swapped, (0, 0))
     with pytest.raises(ValueError, match="canonical order"):
@@ -332,6 +341,15 @@ def test_start_coordinates_must_be_integers(map_2x3, db_2x3, query, start):
         db_2x3.labels[start]
 
 
+@pytest.mark.parametrize("start", [(9, 9), (-1, 0)], ids=["past-the-end", "negative"])
+@pytest.mark.parametrize("query", sorted(_START_QUERIES))
+def test_start_outside_the_map_is_refused(map_2x3, db_2x3, query, start):
+    # Every start query, pareto_front_at included, refuses a start outside
+    # the map with the same message rather than answering as if unreachable.
+    with pytest.raises(ValueError, match=re.escape(f"cell {start} is out of bounds")):
+        _START_QUERIES[query](db_2x3, map_2x3, start)
+
+
 def _report(result: QueryResult) -> bytes:
     return render_report_json(result.start, result.front, counts=result.counts,
                               total_paths=result.total_paths,
@@ -483,8 +501,8 @@ def test_a_graph_build_that_raises_leaves_later_starts_right():
     # step, and later starts on that step answer as on the true database.
     g = parse_map("2 4\n0 0 0 0\n0 0 0 0\n")
     db = build_database(g, [(0, 3)])
-    bad = Database.from_labels({**db.labels, (0, 2): ((12, 0),)}, 2, 4, goal=db.goal,
-                               map_digest=db.map_digest, iterations=db.iterations)
+    bad = db_from_labels({**db.labels, (0, 2): ((12, 0),)}, 2, 4, goal=db.goal,
+                         map_digest=db.map_digest, iterations=db.iterations)
     step = query_module._memo_step(bad, g)
     with pytest.raises(ValueError, match="has no decomposition"):
         count_paths(bad, g, (0, 0))
@@ -569,8 +587,8 @@ def test_query_rejects_noncanonical_sets(map_2x3, db_2x3):
     # The key the queries search must be sorted; swapped sets are refused.
     labels = dict(db_2x3.labels)
     labels[(0, 0)] = labels[(0, 0)][::-1]
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
-                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal,
+                         map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
     with pytest.raises(ValueError, match="canonical order"):
         count_paths(bad, map_2x3, (1, 1))
 
@@ -578,8 +596,8 @@ def test_query_rejects_noncanonical_sets(map_2x3, db_2x3):
 def test_query_rejects_impossible_path_length(map_2x3, db_2x3):
     # No route on six cells is longer than 5 diagonal steps.
     labels = {**db_2x3.labels, (1, 0): ((71, 0),)}
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
-                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal,
+                         map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
     with pytest.raises(ValueError, match="longest route"):
         coverage(bad, map_2x3, (0, 0))
 
@@ -590,8 +608,8 @@ def test_query_rejects_bad_goal_seed(map_2x3, db_2x3, seed, query):
     # A goal cell holds exactly (0, 0); any other seed is refused at the goal
     # and at a start whose routes lead there, never answered.
     labels = {**db_2x3.labels, GOAL_2X3: (seed,)}
-    bad = Database.from_labels(labels, 2, 3, goal=db_2x3.goal,
-                               map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
+    bad = db_from_labels(labels, 2, 3, goal=db_2x3.goal,
+                         map_digest=db_2x3.map_digest, iterations=db_2x3.iterations)
     for start in (GOAL_2X3, (0, 0)):
         with pytest.raises(ValueError, match="goal cell"):
             query(bad, map_2x3, start)
@@ -603,8 +621,8 @@ def test_query_rejects_short_label_near_another_cells_key():
     # the key of (0, 1)'s label (10, 0).
     g = parse_map("2 2\n0 0\n0 0\n")
     db = build_database(g, [(1, 1)])
-    bad = Database.from_labels({**db.labels, (0, 0): ((9, 0),)}, 2, 2, goal=db.goal,
-                               map_digest=db.map_digest, iterations=db.iterations)
+    bad = db_from_labels({**db.labels, (0, 0): ((9, 0),)}, 2, 2, goal=db.goal,
+                         map_digest=db.map_digest, iterations=db.iterations)
     with pytest.raises(ValueError, match="does not match"):
         count_paths(bad, g, (0, 0))
 
@@ -673,6 +691,11 @@ def test_enumerate_unreachable():
 def test_enumerate_rejects_bad_limit(map_2x3, db_2x3):
     with pytest.raises(ValueError):
         enumerate_paths(db_2x3, map_2x3, (0, 0), limit=0)
+    # A limit must be an int, as random_map's sizes and the bench config's
+    # fields must: a bool is not read as 1, nor a float or a string converted.
+    for limit in (True, False, 2.5, 1.0, "3", np.float64(2)):
+        with pytest.raises(ValueError, match="limit must be a positive integer"):
+            enumerate_paths(db_2x3, map_2x3, (0, 0), limit=limit)
 
 
 def path_cost(grid, cells):

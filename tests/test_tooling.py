@@ -1,8 +1,9 @@
 """Tooling checks: the benchmark's traced runs wrap package functions by name,
 so keep those names alive; the package imports only what it declares, and
-uses every name it imports; every source file parses as the oldest Python
-it supports; the build's reference reads no whole-map move table; the pytest
-settings must survive a failing test; and every demo runs."""
+uses every name it imports; every public name has a caller outside the
+tests; every source file parses as the oldest Python it supports; the
+build's reference reads no whole-map move table; the pytest settings must
+survive a failing test; and every demo runs."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import cellplan
 import cellplan.grid as grid_module
 from cellplan import build_database, free_cells, random_map, save_database
 from conftest import reference_build
@@ -24,6 +26,9 @@ COMMON = ROOT / "perfbench" / "common.py"
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "cellplan"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# Public names that only users call: README documents them as queries.
+USER_ONLY_NAMES = {"successors", "heuristic"}
 
 
 @pytest.fixture
@@ -91,6 +96,24 @@ def test_imported_names_are_used(trace_points):
     assert not dead, f"imported but unused: {dead}"
 
 
+def test_public_names_have_callers():
+    """Every name cellplan exports is read somewhere the system runs: the
+    package itself (but not __init__.py, which only re-exports), the demos
+    or the benchmark. A name that only the tests call belongs in the tests."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert USER_ONLY_NAMES <= set(cellplan.__all__)
+    uncalled = sorted(set(cellplan.__all__) - read - USER_ONLY_NAMES)
+    assert not uncalled, f"public names with no caller outside the tests: {uncalled}"
+
+
 def test_sources_parse_at_the_oldest_supported_python():
     """Every .py file of the package, the tests and the demos parses under
     the grammar of the oldest Python that pyproject.toml allows. This catches
@@ -106,9 +129,9 @@ def test_sources_parse_at_the_oldest_supported_python():
 @pytest.mark.parametrize("corner_cut", [True, False], ids=["corner-cut", "no-corner-cut"])
 def test_reference_build_reads_no_move_table(monkeypatch, corner_cut):
     """reference_build reads the move rule through neighbors() only: with
-    grid.move_mask and grid.move_csr raising in every module that holds
-    them, it still equals a kernel build made beforehand. So the kernel's
-    equality with it also checks the kernel's move table."""
+    grid.move_mask, the one whole-map move table, raising in every module
+    that holds it, it still equals a kernel build made beforehand. So the
+    kernel's equality with it also checks the kernel's move table."""
     g = random_map(5, 9, 11, 0.2, 4, allow_corner_cut=corner_cut)
     goal = [free_cells(g)[0], free_cells(g)[-1]]
     built = save_database(build_database(g, goal))
@@ -117,14 +140,12 @@ def test_reference_build_reads_no_move_table(monkeypatch, corner_cut):
         raise AssertionError("the reference build read a whole-map move table")
 
     patched = set()
-    for name in ("move_mask", "move_csr"):
-        table = getattr(grid_module, name)
-        for module_name, module in list(sys.modules.items()):
-            if getattr(module, "__dict__", {}).get(name) is table:
-                monkeypatch.setattr(module, name, refuse)
-                patched.add((module_name, name))
-    assert {("cellplan.grid", "move_mask"), ("cellplan.grid", "move_csr"),
-            ("cellplan.cellmap", "move_mask"), ("cellplan.moastar", "move_csr")} <= patched
+    table = grid_module.move_mask
+    for module_name, module in list(sys.modules.items()):
+        if getattr(module, "__dict__", {}).get("move_mask") is table:
+            monkeypatch.setattr(module, "move_mask", refuse)
+            patched.add(module_name)
+    assert {"cellplan.grid", "cellplan.cellmap", "cellplan.moastar"} <= patched
     with pytest.raises(AssertionError, match="move table"):
         build_database(g, goal)
     assert save_database(reference_build(g, goal)) == built
