@@ -218,7 +218,7 @@ def move_mask(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rule is symmetric: allowed[i, d] == allowed[i + shift[d], 7 - d], the
     opposite direction. This is the rule's one whole-map form: the build
     kernel and the query step read it as it is, and MOA* packs its allowed
-    entries into CSR move lists. Not cached on the map.
+    entries into per-cell lists of move deltas. Not cached on the map.
     """
     rows, cols = grid.n_rows, grid.n_cols
     free = np.zeros((rows + 2, cols + 2), dtype=bool)

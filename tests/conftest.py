@@ -259,15 +259,17 @@ def graph_builds(monkeypatch):
 
 @pytest.fixture
 def dijkstra_calls(monkeypatch):
-    """The argument tuples of every backward Dijkstra MOA*'s heuristics run."""
+    """The names of the backward searches MOA*'s heuristics run, one per
+    call: _path_length_to_go (h1) and _terrain_to_go (h2), two per build."""
     calls = []
-    cost_to_go = moastar._cost_to_go
+    for name in ("_path_length_to_go", "_terrain_to_go"):
+        search = getattr(moastar, name)
 
-    def counted(*args):
-        calls.append(args)
-        return cost_to_go(*args)
+        def counted(*args, _name=name, _search=search):
+            calls.append(_name)
+            return _search(*args)
 
-    monkeypatch.setattr(moastar, "_cost_to_go", counted)
+        monkeypatch.setattr(moastar, name, counted)
     return calls
 
 

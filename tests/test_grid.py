@@ -274,9 +274,9 @@ _SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 @given(data=st.data())
 def test_move_rule(shape, corner_cut, data):
-    """move_mask, MOA*'s move lists and neighbors all follow the move rule on
-    random maps, and the rule is symmetric, as verify_database and MOA*'s
-    backward Dijkstras assume. MOA* needs a goal, so its lists are checked
+    """move_mask, MOA*'s packed moves and neighbors all follow the move rule
+    on random maps, and the rule is symmetric, as verify_database and MOA*'s
+    backward searches assume. MOA* needs a goal, so its moves are checked
     on maps with a free cell."""
     row_st, col_st = _SHAPES[shape]
     rows, cols = data.draw(row_st), data.draw(col_st)
@@ -286,10 +286,11 @@ def test_move_rule(shape, corner_cut, data):
                 allow_corner_cut=corner_cut)
     free = free_cells(g)
     if free:
-        offsets, ids, steps = moastar._heuristics(g, GoalRegion([free[0]]))[0]
-        assert len(offsets) == rows * cols + 1 and offsets[0] == 0
-        assert (np.diff(offsets) >= 0).all()
-        assert offsets[-1] == len(ids) == len(steps)
+        # MOA*'s moves are packed deltas: i + D = (rc1 << sh1) + (rc2 << cb) + j,
+        # and the step is rc1 less the change in h1.
+        e = moastar._heuristics(g, GoalRegion([free[0]]))
+        assert len(e.moves) == rows * cols
+        sh1 = e.cb + e.f2b
     allowed, shift, step = move_mask(g)
     assert allowed.shape == (rows * cols, 8)
     # NEIGHBOR_OFFSETS[7 - d] is the opposite direction of NEIGHBOR_OFFSETS[d].
@@ -299,9 +300,12 @@ def test_move_rule(shape, corner_cut, data):
             i = r * cols + c
             masked = [(i + int(shift[d]), int(step[d])) for d in np.flatnonzero(allowed[i])]
             if free:
-                row = list(zip(ids[offsets[i]:offsets[i + 1]],
-                               steps[offsets[i]:offsets[i + 1]]))
-                assert masked == row
+                row = []
+                for x in (i + d for d in e.moves[i]):
+                    j = x & ((1 << e.cb) - 1)
+                    row.append((j, (x >> sh1) - int(e.h1[j]) + int(e.h1[i])))
+                # Cells that cannot reach the goal have no moves.
+                assert row == (masked if e.reach[i] else [])
             if obstacle[r][c]:
                 assert masked == []
                 with pytest.raises(ValueError):

@@ -5,6 +5,9 @@ the heuristics memo."""
 import heapq
 import math
 import random
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from cellplan import (
     GoalRegion,
     GridMap,
     build_database,
+    count_paths,
+    coverage,
     enumerate_paths,
     free_cells,
     heuristic,
@@ -135,7 +140,15 @@ def test_heuristic_admissible_everywhere(seed):
         assert heuristic(g, cell, goal)[0] <= ls[0][0]
 
 
-# (map, goal cell count): open and closed corners, one and three goal cells.
+def past_64_bits_map():
+    """Terrain near 2**52: a packed key is wider than 64 bits, and h2 reaches
+    about 2**57."""
+    base = random_map(7, 6, 6, 0.2, 9)
+    return GridMap(base.terrain * 2**52 + 1, base.obstacle)
+
+
+# (map, goal cell count): open and closed corners, one and three goal cells,
+# zero terrain, cells walled off from the goal, and keys past 64 bits.
 _HEURISTIC_CASES = (
     [pytest.param(random_map(s, 6, 7, 0.25, 3), 1, id=str(s)) for s in range(4)]
     + [pytest.param(random_map(s, 6, 7, 0.25, 3, allow_corner_cut=False), 1,
@@ -143,18 +156,43 @@ _HEURISTIC_CASES = (
     + [pytest.param(random_map(s, 6, 7, 0.25, 3), 3, id=f"multi-goal-{s}") for s in range(4)]
     + [pytest.param(random_map(s, 6, 7, 0.3, 3, allow_corner_cut=False), 3,
                     id=f"no-corner-cut-multi-goal-{s}") for s in range(4)]
+    + [pytest.param(random_map(s, 6, 7, 0.25, 0), n, id=f"zero-terrain-{s}-{n}")
+       for s in range(2) for n in (1, 3)]
+    + [pytest.param(parse_map("3 3\n0 # 0\n# # 0\n0 0 0\n"), n, id=f"walled-off-{n}")
+       for n in (1, 2)]
+    + [pytest.param(random_map(s, 7, 7, 0.45, 3, allow_corner_cut=False), 1,
+                    id=f"pockets-{s}") for s in range(2)]
+    + [pytest.param(past_64_bits_map(), 1, id="past-64-bits")]
 )
 
 
 @pytest.mark.parametrize("g, n_goals", _HEURISTIC_CASES)
 def test_heuristic_is_exact(g, n_goals):
-    """Each component is the best that component reaches anywhere on the front."""
+    """Each component is the best that component reaches anywhere on the
+    front, and every reduced cost is >= 0: rc1 = step + h1[j] - h1[i] and
+    rc2 = terr[i] + h2[j] - h2[i] for a move i -> j. MOA*'s packed move
+    deltas carry exactly these, with i + D = (rc1 << sh1) + (rc2 << cb) + j."""
     cells = free_cells(g)
     goal = GoalRegion(cells[k * len(cells) // n_goals] for k in range(n_goals))
     db = build_database(g, goal)
+    h = {cell: heuristic(g, cell, goal) for cell in cells}
+    e = moastar._heuristics(g, goal)
+    sh1 = e.cb + e.f2b
     for cell in cells:
         ls = db.front(cell)
-        assert heuristic(g, cell, goal) == ((ls[0][0], ls[-1][1]) if ls else None)
+        assert h[cell] == ((ls[0][0], ls[-1][1]) if ls else None)
+        i = cell[0] * g.n_cols + cell[1]
+        if h[cell] is None:
+            assert e.moves[i] == []
+            continue
+        reduced = []
+        for j, step in neighbors(g, cell):
+            rc1 = step + h[j][0] - h[cell][0]
+            rc2 = int(g.terrain[cell]) + h[j][1] - h[cell][1]
+            assert rc1 >= 0 and rc2 >= 0
+            reduced.append((rc1, rc2, j[0] * g.n_cols + j[1]))
+        assert [((i + d) >> sh1, ((i + d) >> e.cb) & ((1 << e.f2b) - 1),
+                 (i + d) & ((1 << e.cb) - 1)) for d in e.moves[i]] == reduced
 
 
 def test_heuristic_none_when_walled_off():
@@ -296,55 +334,56 @@ class _Label:
 
 
 def reference_moa_star(grid, start, goal):
-    """moa_star as it was written with one object per label and a tie
-    counter in each heap entry: the same search, pruning and path order."""
+    """moa_star as it was written with one object per label, a dict of labels
+    to merge into and a tie counter in each heap entry: the same search,
+    pruning and path order. It reads the heuristics through heuristic() and
+    the moves through neighbors(), so it shares no table with moa_star."""
     region = GoalRegion(goal)
     cols = grid.n_cols
-    (offsets, ids, steps), terr, goal_ids, h1, h2, *_ = moastar._heuristics(grid, region)
-    goal_set = set(goal_ids)
-    start_id = start[0] * cols + start[1]
-    if h1[start_id] == math.inf:
+    h = {cell: heuristic(grid, cell, region) for cell in free_cells(grid)}
+    if h[start] is None:
         return (), []
-    g2_min = [math.inf] * len(terr)
-    start_label = _Label(start_id, (0, 0))
-    labels = {(start_id, (0, 0)): start_label}
+    g2_min = {}
+    start_label = _Label(start, (0, 0))
+    labels = {(start, (0, 0)): start_label}
     sol_labels = []
     sol_f1, sol_g2 = math.inf, math.inf
     seq = 0
-    heap = [(h1[start_id], h2[start_id], start_id, seq, start_label)]
+    heap = [(*h[start], start[0] * cols + start[1], seq, start_label)]
     while heap:
-        f1, f2, cell, _s, lab = heapq.heappop(heap)
+        f1, f2, _i, _s, lab = heapq.heappop(heap)
+        cell = lab.cell
         g1, g2 = lab.g
-        if g2 >= g2_min[cell] or f2 > sol_g2 or (f2 == sol_g2 and f1 != sol_f1):
+        if (g2 >= g2_min.get(cell, math.inf) or f2 > sol_g2
+                or (f2 == sol_g2 and f1 != sol_f1)):
             continue
         g2_min[cell] = g2
-        if cell in goal_set:
+        if cell in region.cells:
             sol_labels.append(lab)
             sol_f1, sol_g2 = g1, g2
             continue
-        ng2 = g2 + terr[cell]
-        for k in range(offsets[cell], offsets[cell + 1]):
-            j = ids[k]
-            ng = (g1 + steps[k], ng2)
+        ng2 = g2 + int(grid.terrain[cell])
+        for j, step in neighbors(grid, cell):
+            ng = (g1 + step, ng2)
             child = labels.get((j, ng))
             if child is not None:
                 child.parents.append(lab)
                 continue
-            nf1 = ng[0] + h1[j]
-            nf2 = ng2 + h2[j]
-            if ng2 >= g2_min[j] or nf2 > sol_g2 or (nf2 == sol_g2 and nf1 != sol_f1):
+            nf1 = ng[0] + h[j][0]
+            nf2 = ng2 + h[j][1]
+            if (ng2 >= g2_min.get(j, math.inf) or nf2 > sol_g2
+                    or (nf2 == sol_g2 and nf1 != sol_f1)):
                 continue
             child = _Label(j, ng)
             child.parents.append(lab)
             labels[(j, ng)] = child
             seq += 1
-            heapq.heappush(heap, (nf1, nf2, j, seq, child))
+            heapq.heappush(heap, (nf1, nf2, j[0] * cols + j[1], seq, child))
 
     front = tuple(dict.fromkeys(lab.g for lab in sol_labels))
     paths = []
     for lab in sorted(sol_labels, key=lambda l: (l.g, l.cell)):
-        for path in _reference_expand(lab):
-            paths.append((tuple(divmod(i, cols) for i in path), lab.g))
+        paths.extend((path, lab.g) for path in _reference_expand(lab))
     return front, paths
 
 
@@ -396,13 +435,13 @@ def test_matches_label_reference_when_cut_off(goal):
 def test_keys_past_64_bits_match_database():
     """Terrain near 2**52 makes a packed key wider than 64 bits; the fronts
     stay those of the database at every start."""
-    base = random_map(7, 6, 6, 0.2, 9)
-    g = GridMap(base.terrain * 2**52 + 1, base.obstacle)
+    g = past_64_bits_map()
     cells = free_cells(g)
     goal = [cells[-1]]
     db = build_database(g, goal)
-    _moves, _terr, _goal_ids, h1, _h2, cb, f2b = moastar._heuristics(g, GoalRegion(goal))
-    assert max(h for h in h1 if h != math.inf).bit_length() + f2b + cb > 64
+    e = moastar._heuristics(g, GoalRegion(goal))
+    h1 = max(h[0] for h in (heuristic(g, c, goal) for c in cells) if h is not None)
+    assert h1.bit_length() + e.f2b + e.cb > 64
     for start in cells:
         front, paths = moa_star(g, start, goal)
         assert front == db.front(start)
@@ -418,3 +457,64 @@ def test_reference_map_fronts(start, size):
     front, _ = moa_star(g, start, goal, collect_paths=False)
     assert len(front) == size
     assert front == build_database(g, goal).front(start)
+
+
+@pytest.fixture(scope="module")
+def reference_map():
+    g = random_map(9, 117, 117, 0.15, 9)
+    goal = [free_cells(g)[-1]]
+    return g, goal, build_database(g, goal)
+
+
+@pytest.mark.parametrize("start, n_paths", [((0, 0), 884), ((58, 58), 107)])
+def test_reference_map_paths(reference_map, start, n_paths):
+    """Phase two at scale: on the 117x117 reference map, MOA*'s paths from
+    the far corner and the centre give the database's per-vector counts,
+    coverage and full path list."""
+    g, goal, db = reference_map
+    front, paths = moa_star(g, start, goal, collect_paths=True)
+    assert len(paths) == n_paths
+    assert Counter(vector for _cells, vector in paths) == count_paths(db, g, start).counts
+    assert {cell for cells, _vector in paths for cell in cells} == coverage(db, g, start)
+    enumerated, truncated = enumerate_paths(db, g, start)
+    assert not truncated
+    assert sorted(paths) == sorted(enumerated)
+
+
+def test_threads_alternating_maps_get_single_thread_answers():
+    # Two threads each alternate between two maps, one a step behind the
+    # other, so every call replaces the memo entry the other thread may be
+    # reading; every answer must still be the one a single thread gets.
+    jobs = []
+    for t in range(2):
+        g = random_map(20 + t, 12, 12, 0.2, 5)
+        cells = free_cells(g)
+        jobs.append([(g, start, [cells[-1]]) for start in cells[::len(cells) // 6][:6]])
+    jobs = [job for pair in zip(*jobs) for job in pair]
+    want = [moa_star(copy_of(g), start, goal) for g, start, goal in jobs]
+    wrong, errors = [], []
+    barrier = threading.Barrier(2)
+
+    def work(t):
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(5):
+                for k in range(t, len(jobs)) if t == 0 else range(len(jobs) - 1, -1, -1):
+                    if moa_star(*jobs[k]) != want[k]:
+                        wrong.append((t, k))
+        except BaseException as e:
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert wrong == []
