@@ -351,15 +351,6 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     ring_keys = ring.reshape(-1)  # a view by ring key
     ring[0, goal_ids] = 0  # the goal seeds: (f2, depth) = (0, 0) in lane 0 of window 0
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
-    # Every mask is written into this one buffer: a window settles at most
-    # _LANES labels per cell, eight moves each. numpy keeps freed buffers
-    # under 1 KiB for reuse by exact size, and a new mask of every window's
-    # size kept about 3 MB resident for the process's life.
-    flags = np.empty(8 * _LANES * n, dtype=bool)
-
-    def mask(ufunc, a, b):
-        return ufunc(a, b, out=flags[:a.size].reshape(a.shape))
-
     # The settled (cell, rank, f2) columns in increasing w, as [block,
     # columns filled] pairs; a window that does not fit the last block's
     # room opens a new block.
@@ -372,7 +363,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         lanes = slice(w % 3 * _LANES, w % 3 * _LANES + _LANES)
         # The window's cells: those with a slot below blank, pushed since the
         # window's lanes were last reset.
-        cells = np.flatnonzero(mask(np.less, np.minimum.reduce(ring[lanes], axis=0), blank))
+        cells = np.flatnonzero(np.minimum.reduce(ring[lanes], axis=0) < blank)
         if not cells.size:
             continue
         # One column per cell, one row per lane: cell, rank, f2, depth, ring lane.
@@ -388,7 +379,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         # times as long.
         run = table[2]
         prev = last_f2.take(cells)
-        keep = flags[:run.size].reshape(run.shape)
+        keep = np.empty(run.shape, dtype=bool)
         np.less(run[0], prev, out=keep[0])
         np.minimum(run[0], prev, out=run[0])
         for lane in range(1, _LANES):
@@ -425,7 +416,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         child_f2 = move_f2.take(cell, axis=0)
         child_f2 += f2[:, None]
         child_cell = moves.take(cell, axis=0)
-        live = np.flatnonzero(mask(np.less, child_f2, last_f2.take(child_cell)))
+        live = np.flatnonzero(child_f2 < last_f2.take(child_cell))
         if live.size:
             key = next_key.take(ring_lane, axis=0)
             key += child_cell
@@ -440,7 +431,7 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
             last_w = w + 2
             del key, v
         del labels, cell, f2, depth, ring_lane, child_f2, child_cell, live
-    del moves, move_f2, last_f2, ring, ring_keys, flags  # spent
+    del moves, move_f2, last_f2, ring, ring_keys  # spent
 
     # Counting placement: a label's row is its cell's offset plus its rank,
     # which replaces the rank in its block. Indexing by the int32 cells and

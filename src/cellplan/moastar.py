@@ -52,7 +52,7 @@ the memo keeps one map's moves alive. A call that raises stores nothing.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, product
 from typing import NamedTuple
 
 import numpy as np
@@ -294,11 +294,12 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     paths: list[tuple[Path, Vector]] = []
     if collect_paths:
         up: dict[int, list[int]] = {}
+        rc = list(product(range(grid.n_rows), range(cols)))  # (row, col) by flat id
         # At a goal cell f == g, so key order is (g, cell) order.
         for key in sorted(sols):
             g = (key >> sh1, (key & low_mask) >> cb)
             for path in _expand_paths(key, log, up, cmask):
-                paths.append((tuple(divmod(i, cols) for i in path), g))
+                paths.append((tuple(map(rc.__getitem__, path)), g))
     return front, paths
 
 

@@ -1,8 +1,18 @@
 """Exhaustive ground truth for small maps.
 
-Enumerates every simple path from a start cell into the goal region and
-applies the dominance definition directly, with no shared machinery beyond
-the grid primitives. Intentionally naive; the cell budget keeps it honest.
+Enumerates every simple path into the goal region and applies the
+dominance definition directly, with no shared machinery beyond the grid
+primitives. Intentionally naive; the cell budget keeps it honest.
+
+The walk runs backwards: a simple path from a start into the goal, read
+from its end, is a simple walk out of a goal cell. So one depth-first walk
+out of each goal cell meets every (start, path) pair, and every cell it
+stands on is the start of the path walked so far. A backward hop into cell
+x adds the step and the terrain of x, the cell the forward hop departs.
+Paths that pass through another goal cell count as well, and a start on a
+goal cell has its one-cell path (0, 0). `_brute_force_all` answers for
+every free start from one walk; `brute_force` takes its one start from the
+same walk.
 """
 
 from __future__ import annotations
@@ -25,60 +35,68 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
                 include_paths: bool = False) -> QueryResult:
     """Exact front, counts, coverage (and optionally paths) by full enumeration.
 
-    Walks every simple path from `start`, recording a candidate route each
-    time the walk stands on a goal cell. Refuses maps with more free cells
-    than `cell_budget`. The result only depends on the set of paths, never on
-    the order they are visited in.
+    Refuses maps with more free cells than `cell_budget`. The result only
+    depends on the set of paths, never on the order they are visited in.
     """
     start = require_free(grid, start)
+    return _brute_force_all(grid, goal, cell_budget=cell_budget,
+                            include_paths=include_paths, starts=(start,))[start]
+
+
+def _brute_force_all(grid: GridMap, goal, *, cell_budget: int = 20,
+                     include_paths: bool = False, starts=None) -> dict[Cell, QueryResult]:
+    """brute_force at each of `starts` (every free cell by default), all
+    from one backward walk (see the module docstring)."""
     region = GoalRegion.on(grid, goal)
     free = free_cells(grid)
     if len(free) > cell_budget:
         raise ValueError(
             f"map has {len(free)} free cells, exceeding the oracle budget of {cell_budget}")
 
-    goal_cells = region.cells
     nbr = {cell: neighbors(grid, cell) for cell in free}
     terr = {cell: int(grid.terrain[cell]) for cell in nbr}
+    # Per start, per vector: [path count, covered cells, paths from the start].
+    hits: dict[Cell, dict[Vector, list]] = {s: {} for s in (free if starts is None else starts)}
 
-    hits: dict[Vector, int] = {}
-    cover_by_vec: dict[Vector, set[Cell]] = {}
-    paths_by_vec: dict[Vector, list] = {}
-
-    path = [start]
-    visited = {start}
+    path: list[Cell] = []  # the walk so far: its goal cell first, the cell it stands on last
+    visited: set[Cell] = set()
 
     def extend(cell: Cell, f1: int, f2: int) -> None:
-        if cell in goal_cells:
-            vec = (f1, f2)
-            hits[vec] = hits.get(vec, 0) + 1
-            cover = cover_by_vec.get(vec)
-            if cover is None:
-                cover = set()
-                cover_by_vec[vec] = cover
-            cover.update(path)
+        at = hits.get(cell)
+        if at is not None:
+            hit = at.get((f1, f2))
+            if hit is None:
+                hit = at[(f1, f2)] = [0, set(), []]
+            hit[0] += 1
+            hit[1].update(path)
             if include_paths:
-                paths_by_vec.setdefault(vec, []).append(tuple(path))
-        t = terr[cell]
+                hit[2].append(tuple(reversed(path)))
         for j, dz in nbr[cell]:
             if j in visited:
                 continue
             visited.add(j)
             path.append(j)
-            extend(j, f1 + dz, f2 + t)
+            extend(j, f1 + dz, f2 + terr[j])
             path.pop()
             visited.remove(j)
 
-    extend(start, 0, 0)
+    for g in sorted(region.cells):
+        visited.add(g)
+        path.append(g)
+        extend(g, 0, 0)
+        path.pop()
+        visited.remove(g)
 
-    front = _pairwise_front(hits)
-    counts = {v: hits[v] for v in front}
-    covered: set[Cell] = set()
-    for v in front:
-        covered |= cover_by_vec[v]
-    paths = None
-    if include_paths:
-        paths = tuple((p, v) for v in front for p in sorted(paths_by_vec.get(v, ())))
-    return QueryResult(start=start, front=front, counts=counts,
-                       total_paths=sum(counts.values()),
-                       coverage=frozenset(covered), paths=paths)
+    out = {}
+    for start, at in hits.items():
+        front = _pairwise_front(at)
+        covered: set[Cell] = set()
+        for v in front:
+            covered |= at[v][1]
+        paths = None
+        if include_paths:
+            paths = tuple((p, v) for v in front for p in sorted(at[v][2]))
+        out[start] = QueryResult(start=start, front=front, counts={v: at[v][0] for v in front},
+                                 total_paths=sum(at[v][0] for v in front),
+                                 coverage=frozenset(covered), paths=paths)
+    return out

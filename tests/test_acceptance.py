@@ -22,7 +22,6 @@ import pytest
 import cellplan.cli as cli
 from cellplan import (
     amortization_table,
-    brute_force,
     build_database,
     count_paths,
     coverage,
@@ -41,6 +40,7 @@ from cellplan import (
     verify_database,
 )
 from cellplan.bench import TIMING_FIELDS
+from cellplan.oracle import _brute_force_all
 from conftest import TEXT_2X3, nondominated, reference_build
 
 
@@ -116,9 +116,9 @@ def test_criterion_1_oracle_equivalence(criterion, c1_corpus):
                       "enumeration for every free start on 216 small maps"):
         assert len(c1_corpus) == 216 >= 200
         for g, goal, db in c1_corpus:
+            oracle = _brute_force_all(g, goal, cell_budget=18, include_paths=True)
             for start in free_cells(g):
-                want = brute_force(g, start, goal, cell_budget=18,
-                                   include_paths=True)
+                want = oracle[start]
                 got = count_paths(db, g, start)
                 assert got.front == want.front
                 assert got.counts == want.counts
