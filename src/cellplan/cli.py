@@ -3,7 +3,8 @@
 Subcommands: genmap, build, query, compare, oracle, bench. Machine-readable
 output goes to stdout (JSON unless another format is chosen), diagnostics to
 stderr. Exit codes: 0 success / comparison equal, 1 comparison mismatch,
-2 usage or validation error, 3 cost overflow, 4 map/database digest mismatch.
+2 usage or validation error (a map whose costs could overflow included),
+4 map/database digest mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from .bench import BenchConfig, run_campaign
 from .cellmap import (
-    CostOverflowError,
     Database,
     DigestMismatchError,
     build_database,
@@ -25,7 +25,6 @@ from .cellmap import (
 from .grid import (
     GoalRegion,
     GridMap,
-    MapFormatError,
     free_cells,  # unused here; the benchmark's traced runs wrap cli.free_cells by name
     map_digest,  # unused here; the benchmark's traced runs wrap cli.map_digest by name
     parse_map,
@@ -237,7 +236,8 @@ def _paths_limit(text: str) -> int:
 
 def _add_corner_flag(p) -> None:
     p.add_argument("--no-corner-cut", action="store_true",
-                   help="forbid diagonal moves between two touching obstacles")
+                   help="forbid a diagonal move when either orthogonal cell it passes "
+                        "is an obstacle")
 
 
 @functools.cache
@@ -318,13 +318,7 @@ def main(argv=None) -> int:
     except DigestMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except CostOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (MapFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -66,8 +66,9 @@ class GridMap:
     stay writeable), and no attribute can be set afterwards, so a map can
     key a cache by identity. The one private slot, `_digest`, is the cache
     map_digest fills on first use, or parse_map from canonical text.
-    `allow_corner_cut` controls whether a diagonal move may pass between
-    two diagonally touching obstacles (allowed by default).
+    `allow_corner_cut` controls whether a diagonal move may pass an
+    obstacle (allowed by default); without it a diagonal move is dropped
+    when either of the two orthogonal cells it passes is an obstacle.
     """
 
     __slots__ = ("terrain", "obstacle", "allow_corner_cut", "_digest")
@@ -90,6 +91,9 @@ class GridMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GridMap is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GridMap is read-only; cannot delete {name!r}")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild the map through the constructor,
@@ -126,8 +130,8 @@ class GoalRegion:
     """Non-empty set of goal cells; the region may be disconnected.
 
     A cell's coordinates must be ints or numpy integers (see _cell). Regions
-    compare by their cells and are not hashable, as `cells` may be
-    reassigned."""
+    are read-only values, like GridMap: they compare by their cells and are
+    not hashable."""
 
     __slots__ = ("cells",)
 
@@ -135,7 +139,17 @@ class GoalRegion:
         cs = frozenset(map(_cell, cells))
         if not cs:
             raise ValueError("goal region must contain at least one cell")
-        self.cells = cs
+        object.__setattr__(self, "cells", cs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GoalRegion is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GoalRegion is read-only; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # As for GridMap: the default slot restore would go through __setattr__.
+        return (GoalRegion, (self.cells,))
 
     @classmethod
     def on(cls, grid: GridMap, goal) -> GoalRegion:

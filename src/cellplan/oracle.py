@@ -53,50 +53,49 @@ def _brute_force_all(grid: GridMap, goal, *, cell_budget: int = 20,
         raise ValueError(
             f"map has {len(free)} free cells, exceeding the oracle budget of {cell_budget}")
 
-    nbr = {cell: neighbors(grid, cell) for cell in free}
-    terr = {cell: int(grid.terrain[cell]) for cell in nbr}
-    # Per start, per vector: [path count, covered cells, paths from the start].
+    # Each free cell has one bit; a walked path's cells are one int of bits.
+    bit = {cell: 1 << i for i, cell in enumerate(free)}
+    # Per cell, its moves as (neighbour, step, the neighbour's terrain and bit).
+    moves = {cell: [(j, dz, int(grid.terrain[j]), bit[j]) for j, dz in neighbors(grid, cell)]
+             for cell in free}
+    # Per start, per vector: [path count, covered cells' bits, paths from the goal].
     hits: dict[Cell, dict[Vector, list]] = {s: {} for s in (free if starts is None else starts)}
 
     path: list[Cell] = []  # the walk so far: its goal cell first, the cell it stands on last
-    visited: set[Cell] = set()
 
-    def extend(cell: Cell, f1: int, f2: int) -> None:
+    def extend(cell: Cell, f1: int, f2: int, seen: int) -> None:
         at = hits.get(cell)
         if at is not None:
             hit = at.get((f1, f2))
             if hit is None:
-                hit = at[(f1, f2)] = [0, set(), []]
+                hit = at[(f1, f2)] = [0, 0, []]
             hit[0] += 1
-            hit[1].update(path)
+            hit[1] |= seen
             if include_paths:
-                hit[2].append(tuple(reversed(path)))
-        for j, dz in nbr[cell]:
-            if j in visited:
+                hit[2].append(tuple(path))
+        for j, dz, tz, b in moves[cell]:
+            if seen & b:
                 continue
-            visited.add(j)
             path.append(j)
-            extend(j, f1 + dz, f2 + terr[j])
+            extend(j, f1 + dz, f2 + tz, seen | b)
             path.pop()
-            visited.remove(j)
 
     for g in sorted(region.cells):
-        visited.add(g)
         path.append(g)
-        extend(g, 0, 0)
+        extend(g, 0, 0, bit[g])
         path.pop()
-        visited.remove(g)
 
     out = {}
     for start, at in hits.items():
         front = _pairwise_front(at)
-        covered: set[Cell] = set()
+        covered = 0
         for v in front:
             covered |= at[v][1]
         paths = None
         if include_paths:
-            paths = tuple((p, v) for v in front for p in sorted(at[v][2]))
+            paths = tuple((p, v) for v in front for p in sorted(q[::-1] for q in at[v][2]))
         out[start] = QueryResult(start=start, front=front, counts={v: at[v][0] for v in front},
                                  total_paths=sum(at[v][0] for v in front),
-                                 coverage=frozenset(covered), paths=paths)
+                                 coverage=frozenset(c for c in free if covered & bit[c]),
+                                 paths=paths)
     return out

@@ -1,13 +1,17 @@
 """Command-line interface tests, driven in-process through cli.main."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellplan.cli as cli
 from cellplan import (
-    CostOverflowError,
     build_database,
     load_database,
     parse_map,
@@ -127,14 +131,21 @@ def test_goal_rectangle_outside_map(sub, map_file, tmp_path, capsys):
     assert not (tmp_path / "x.db").exists()
 
 
-def test_build_overflow_exit_code(map_file, tmp_path, monkeypatch):
-    def boom(*a, **kw):
-        raise CostOverflowError("cost component exceeds the storage width")
-
-    monkeypatch.setattr(cli, "build_database", boom)
-    rc = cli.main(["build", "-m", str(map_file), "--goal", "0,2",
-                   "-o", str(tmp_path / "x.db")])
-    assert rc == 3
+def test_overflow_risk_map_exits_2(tmp_path, capsys):
+    # Every token fits int64, but a path sum could pass MAX_COMPONENT: the
+    # map is malformed input, refused before any command does its work.
+    m, out = tmp_path / "big.map", tmp_path / "x.out"
+    for text in ("2 2\n4611686018427387904 1\n1 1\n",
+                 "1 3\n0 0 3074457345618258603\n"):
+        m.write_text(text)
+        for command, *rest in (["build", "-o", str(out)],
+                               ["compare", "--start", "0,0"],
+                               ["oracle", "--start", "0,0", "-o", str(out)]):
+            assert cli.main([command, "-m", str(m), "--goal", "0,1", *rest]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("error: terrain costs could overflow a path sum; "
+                                    "rescale the map\n")
+            assert captured.out == "" and not out.exists()
 
 
 def test_build_rejects_terrain_beyond_int64(tmp_path, capsys):
@@ -558,3 +569,80 @@ def test_parse_cell_and_goal_args():
     assert sorted(region.cells) == [(0, 0), (0, 1), (1, 0), (1, 1), (3, 3)]
     with pytest.raises(ValueError, match="outside the map"):
         cli._parse_goal_args(["0,0:4,3"], grid)
+
+
+# --- fuzz: every map file and argument is answered or refused with its code ---
+
+_COSTS = st.sampled_from(["0", "1", "5", "#"])
+# Malformed tokens, and costs whose path sums could pass MAX_COMPONENT on all
+# but the smallest maps (the last one does not fit int64 at all).
+_ODD_TOKENS = st.sampled_from(["x", "07", "-1", "1.5", "\uff10", "3074457345618258603",
+                               "4611686018427387904", "99999999999999999999"])
+_MAP_FLAWS = st.sampled_from([None, None, None, None, "token", "token", "short-row",
+                              "long-row", "missing-row", "extra-row", "no-newline"])
+_CELL = st.builds("{},{}".format, st.integers(0, 2), st.integers(0, 2))
+_CELLS = st.one_of(_CELL, _CELL, st.sampled_from(
+    ["0,0:1,1", "0,0:2,2", "1,1:0,0", "0,0:9,9", "3,3", "-1,0", "a,b", "0,0,0", ""]))
+
+
+@st.composite
+def _map_texts(draw):
+    """Map text of at most 3x3 cells, well formed or with one flaw."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    table = [[draw(_COSTS) for _ in range(cols)] for _ in range(rows)]
+    flaw = draw(_MAP_FLAWS)
+    if flaw == "token":
+        table[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_ODD_TOKENS)
+    elif flaw == "short-row":
+        table[-1] = table[-1][:-1]
+    elif flaw == "long-row":
+        table[0] = table[0] + ["0"]
+    elif flaw == "missing-row":
+        table = table[:-1]
+    elif flaw == "extra-row":
+        table = table + [["0"] * cols]
+    end = "" if flaw == "no-newline" else "\n"
+    return "\n".join([f"{rows} {cols}"] + [" ".join(row) for row in table]) + end
+
+
+def _run(argv) -> tuple[int, str]:
+    """cli.main's exit code (argparse's SystemExit code included) and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, err.getvalue()
+
+
+@settings(max_examples=100, deadline=2000)
+@given(text=_map_texts(), goals=st.lists(_CELLS, min_size=1, max_size=2), start=_CELLS,
+       query_paths=st.sampled_from([None, None, "1", "all", "0", "x"]),
+       query_format=st.sampled_from(["json", "csv", "ascii", "pgm", "xml"]),
+       query_flags=st.sets(st.sampled_from(["--count", "--coverage"])),
+       compare_paths=st.booleans(), oracle_paths=st.booleans(),
+       no_corner_cut=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_every_map_and_argument_gets_a_documented_exit(
+        text, goals, start, query_paths, query_format, query_flags, compare_paths,
+        oracle_paths, no_corner_cut):
+    """Each command either answers or refuses with a documented exit code and
+    a message on stderr; none of them raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        m, db, out = (str(Path(tmp) / name) for name in ("m.map", "m.db", "out"))
+        Path(m).write_bytes(text.encode("utf-8"))
+        goal_args = [a for g in goals for a in ("--goal", g)]
+        flag = [["--no-corner-cut"] if on else [] for on in no_corner_cut]
+        query = ["query", "-d", db, "-m", m, "--start", start, "--format", query_format,
+                 *sorted(query_flags), "-o", out, *flag[1]]
+        if query_paths is not None:
+            query += ["--paths", query_paths]
+        compare = ["compare", "-m", m, *goal_args, "--start", start, *flag[2]]
+        compare += ["--paths"] if compare_paths else []
+        oracle = ["oracle", "-m", m, *goal_args, "--start", start, "-o", out, *flag[3]]
+        oracle += ["--paths"] if oracle_paths else []
+        for argv in (["build", "-m", m, *goal_args, "-o", db, *flag[0]], query,
+                     compare, compare + ["--db", db], oracle):
+            rc, err = _run(argv)
+            assert rc in (0, 1, 2, 4), (argv, rc, err)
+            assert (rc in (2, 4)) == ("error:" in err), (argv, rc, err)

@@ -470,6 +470,9 @@ def test_gridmap_is_read_only():
         g.allow_corner_cut = True
     with pytest.raises(AttributeError):
         g.terrain = terrain
+    for name in GridMap.__slots__:
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(g, name)
     assert g.allow_corner_cut is False
     # The map holds copies: the caller's arrays stay writeable and apart.
     terrain[0, 0] = 7
@@ -610,6 +613,23 @@ def test_goal_region_refuses_non_integer_cells(cell):
                  lambda: brute_force(g, (0, 0), [cell])):
         with pytest.raises(ValueError, match="integers"):
             call()
+
+
+def test_goal_region_is_read_only():
+    # A database keeps the region it was built for: no caller may change it.
+    g = parse_map("2 3\n0 5 0\n0 0 0\n")
+    region = GoalRegion([(0, 2)])
+    db = build_database(g, region)
+    with pytest.raises(AttributeError, match="read-only"):
+        db.goal.cells = frozenset({(0, 2), (0, 1)})
+    with pytest.raises(AttributeError, match="read-only"):
+        del region.cells
+    assert db.goal.cells == {(0, 2)}
+    copies = (copy.copy(region), copy.deepcopy(region), pickle.loads(pickle.dumps(region)))
+    for other in copies:
+        assert other == region and other is not region
+        with pytest.raises(AttributeError):
+            other.cells = frozenset()
 
 
 def test_goal_region_takes_numpy_integers():
