@@ -47,6 +47,19 @@ class BenchConfig:
     starts_per_map: int
 
     def __post_init__(self):
+        # Integer fields must hold ints, not floats or bools, and
+        # obstacle_density a number, not a bool or a string, so no value is
+        # silently truncated or coerced.
+        object.__setattr__(self, "dims", tuple(map(tuple, self.dims)))
+        for name, x in [("seed", self.seed), ("n_maps", self.n_maps),
+                        *(("dims", x) for d in self.dims for x in d),
+                        ("max_cost", self.max_cost), ("starts_per_map", self.starts_per_map)]:
+            if type(x) is not int:  # shuts out bools and floats
+                raise ValueError(f"bad bench config: {name} must be an integer, not {x!r}")
+        density = self.obstacle_density
+        if type(density) not in (int, float):  # shuts out bools and strings
+            raise ValueError(f"bad bench config: obstacle_density must be a number, not {density!r}")
+        object.__setattr__(self, "obstacle_density", float(density))
         if self.n_maps < 1:
             raise ValueError("n_maps must be at least 1")
         if not self.dims:
@@ -65,29 +78,11 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchConfig":
-        """The config a JSON object names. Integer fields must hold ints, not
-        floats or bools, and obstacle_density a number, not a bool or a
-        string, so no value is silently truncated or coerced."""
-
-        def whole(name, x):
-            if type(x) is not int:  # shuts out bools and floats
-                raise ValueError(f"bad bench config: {name} must be an integer, not {x!r}")
-            return x
-
-        def number(name, x):
-            if type(x) not in (int, float):  # shuts out bools and strings
-                raise ValueError(f"bad bench config: {name} must be a number, not {x!r}")
-            return float(x)
-
+        """The config a JSON object names, checked as every config is (see
+        __post_init__); a missing field or a value of the wrong shape raises
+        ValueError too."""
         try:
-            return cls(
-                seed=whole("seed", obj["seed"]),
-                n_maps=whole("n_maps", obj["n_maps"]),
-                dims=tuple((whole("dims", r), whole("dims", c)) for r, c in obj["dims"]),
-                obstacle_density=number("obstacle_density", obj["obstacle_density"]),
-                max_cost=whole("max_cost", obj["max_cost"]),
-                starts_per_map=whole("starts_per_map", obj["starts_per_map"]),
-            )
+            return cls(**{f.name: obj[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as e:
             raise ValueError(f"bad bench config: {e}") from e
 
@@ -242,11 +237,12 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     MOA* and front-lookup times are measured on `sample_starts` starts taken
     evenly across the free non-goal cells (clamped with a warning if the map
     has fewer), then extrapolated linearly to n_starts in {1, 10, 100, all}.
-    Each start is timed cold (_cold_moa), as in run_campaign.
+    `sample_starts` must be an int of at least 1, not a bool (ValueError
+    otherwise). Each start is timed cold (_cold_moa), as in run_campaign.
     """
     region = GoalRegion.on(grid, goal)
-    if sample_starts < 1:
-        raise ValueError("sample_starts must be at least 1")
+    if type(sample_starts) is not int or sample_starts < 1:  # shuts out bools
+        raise ValueError("sample_starts must be an integer of at least 1")
     cells = [c for c in free_cells(grid) if c not in region.cells]
     if not cells:
         raise ValueError("map has no free non-goal cells to start from")

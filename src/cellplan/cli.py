@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -71,9 +72,7 @@ def _parse_goal_args(args, grid: GridMap) -> GoalRegion:
                 raise ValueError(f"bad rectangle {arg!r}: corners out of order")
             if not (grid.in_bounds((r1, c1)) and grid.in_bounds((r2, c2))):
                 raise ValueError(f"bad rectangle {arg!r}: a corner is outside the map")
-            for r in range(r1, r2 + 1):
-                for c in range(c1, c2 + 1):
-                    cells.add((r, c))
+            cells.update(itertools.product(range(r1, r2 + 1), range(c1, c2 + 1)))
         else:
             cells.add(_parse_cell(arg))
     return GoalRegion(cells)
@@ -167,7 +166,7 @@ def cmd_compare(args) -> int:
     }
     equal = db_front == moa_front
     if args.paths:
-        db_paths, _ = enumerate_paths(db, grid, start) if db_front else ([], False)
+        db_paths, _ = enumerate_paths(db, grid, start)
         paths_equal = sorted(db_paths) == sorted(moa_paths)
         diff["paths_db_count"] = len(db_paths)
         diff["paths_moa_count"] = len(moa_paths)

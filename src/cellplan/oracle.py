@@ -35,7 +35,8 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
                 include_paths: bool = False) -> QueryResult:
     """Exact front, counts, coverage (and optionally paths) by full enumeration.
 
-    Refuses maps with more free cells than `cell_budget`. The result only
+    Refuses maps with more free cells than `cell_budget`, which must be an
+    int, not a bool or a float (ValueError otherwise). The result only
     depends on the set of paths, never on the order they are visited in.
     """
     start = require_free(grid, start)
@@ -48,6 +49,8 @@ def _brute_force_all(grid: GridMap, goal, *, cell_budget: int = 20,
     """brute_force at each of `starts` (every free cell by default), all
     from one backward walk (see the module docstring)."""
     region = GoalRegion.on(grid, goal)
+    if type(cell_budget) is not int:  # shuts out bools
+        raise ValueError(f"cell_budget must be an integer, not {cell_budget!r}")
     free = free_cells(grid)
     if len(free) > cell_budget:
         raise ValueError(

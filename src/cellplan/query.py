@@ -29,6 +29,11 @@ stored, so a query on a database that does not match its map raises every
 time. The memo entry is a query's only shared state: it is replaced whole,
 never written after it is made, and every graph build makes its own
 scratch, so threads may query one database at once.
+
+The coverage pictures (ASCII and PGM) are drawn from whole arrays: the
+map's obstacle mask, over which the covered cells, then the goal cells,
+then the start are written. Their cells follow the one coordinate rule
+(grid._cell), and a cell outside the map raises ValueError.
 """
 
 from __future__ import annotations
@@ -370,41 +375,28 @@ def render_front_csv(front: LabelSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _indices(grid: GridMap, cells) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column index arrays of `cells`, each read by _cell, once
+    every one is on the map (ValueError otherwise: numpy would wrap (-1, 0)
+    onto the last row)."""
+    cells = [_cell(c) for c in cells]
+    for cell in cells:
+        if not grid.in_bounds(cell):
+            raise ValueError(f"cell {cell} is out of bounds")
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
+
+
 def render_coverage_ascii(grid: GridMap, start: Cell, goal_cells, covered) -> str:
     """Coverage as a character grid: S start, G goal, * covered, # obstacle, . free."""
-    start = tuple(start)
-    goal_cells = set(map(tuple, goal_cells))
-    covered = set(map(tuple, covered))
-    rows = []
-    for r in range(grid.n_rows):
-        line = []
-        for c in range(grid.n_cols):
-            cell = (r, c)
-            if cell == start:
-                line.append("S")
-            elif cell in goal_cells:
-                line.append("G")
-            elif cell in covered:
-                line.append("*")
-            elif grid.obstacle[r, c]:
-                line.append("#")
-            else:
-                line.append(".")
-        rows.append("".join(line))
-    return "\n".join(rows) + "\n"
+    art = np.where(grid.obstacle, "#", ".")
+    for cells, mark in ((covered, "*"), (goal_cells, "G"), ([start], "S")):  # later marks win
+        art[_indices(grid, cells)] = mark
+    return "\n".join(map("".join, art.tolist())) + "\n"
 
 
 def render_coverage_pgm(grid: GridMap, covered) -> bytes:
     """Coverage as binary PGM: covered 255, free 128, obstacle 0."""
-    covered = set(map(tuple, covered))
-    header = f"P5\n{grid.n_cols} {grid.n_rows}\n255\n".encode("ascii")
-    pixels = bytearray()
-    for r in range(grid.n_rows):
-        for c in range(grid.n_cols):
-            if (r, c) in covered:
-                pixels.append(255)
-            elif grid.obstacle[r, c]:
-                pixels.append(0)
-            else:
-                pixels.append(128)
-    return header + bytes(pixels)
+    covered = _indices(grid, covered)
+    pixels = np.where(grid.obstacle, 0, 128).astype(np.uint8)
+    pixels[covered] = 255
+    return f"P5\n{grid.n_cols} {grid.n_rows}\n255\n".encode("ascii") + pixels.tobytes()

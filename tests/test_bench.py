@@ -60,6 +60,24 @@ def test_config_dict_refuses_a_density_that_is_not_a_number(value):
     assert BenchConfig.from_dict({**obj, "obstacle_density": 0}).obstacle_density == 0.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.0), ("n_maps", 2.0), ("dims", ((4, 4.0),)), ("dims", ((True, 4),)),
+    ("max_cost", False), ("starts_per_map", True),
+])
+def test_config_refuses_non_int_fields(field, value):
+    """A config built directly is checked as one read from a file: a float
+    or a bool in an integer field is refused, not run as the int it equals."""
+    with pytest.raises(ValueError, match=f"bad bench config: {field} must be an integer"):
+        small_cfg(**{field: value})
+
+
+def test_config_reads_density_as_a_float():
+    cfg = small_cfg(obstacle_density=0, dims=[[8, 8]])
+    assert type(cfg.obstacle_density) is float and cfg.dims == ((8, 8),)
+    with pytest.raises(ValueError, match="obstacle_density must be a number"):
+        small_cfg(obstacle_density=True)
+
+
 def strip_timing(report_dict):
     out = json.loads(json.dumps(report_dict))
     for rec in out["records"]:
@@ -162,6 +180,13 @@ def test_amortization_needs_a_start():
         amortization_table(g, GoalRegion([(0, 0)]), 1)
     with pytest.raises(ValueError, match="at least 1"):
         amortization_table(parse_map("1 2\n0 0\n"), GoalRegion([(0, 0)]), 0)
+
+
+@pytest.mark.parametrize("sample_starts", [2.5, 2.0, True])
+def test_amortization_sample_starts_must_be_an_int(sample_starts):
+    g = parse_map("1 3\n0 0 0\n")
+    with pytest.raises(ValueError, match="sample_starts must be an integer"):
+        amortization_table(g, GoalRegion([(0, 0)]), sample_starts)
 
 
 def test_campaign_times_cold_starts(dijkstra_calls):

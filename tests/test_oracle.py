@@ -43,6 +43,14 @@ def test_budget_guard():
     brute_force(small, (0, 0), [(2, 3)], cell_budget=12)
 
 
+@pytest.mark.parametrize("budget", [True, 20.0, 2.5])
+def test_budget_must_be_an_int(budget):
+    # A bool is not read as a budget of 1, nor a float as a budget at all.
+    g = parse_map(TEXT_2X3)
+    with pytest.raises(ValueError, match="cell_budget must be an integer"):
+        brute_force(g, (0, 0), [GOAL_2X3], cell_budget=budget)
+
+
 def test_front_is_mutually_nondominated():
     g = random_map(11, 4, 4, 0.2, 3)
     cells = cellplan.grid.free_cells(g)

@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import cellplan.grid as grid_module
@@ -348,6 +348,35 @@ def test_start_outside_the_map_is_refused(map_2x3, db_2x3, query, start):
     # the map with the same message rather than answering as if unreachable.
     with pytest.raises(ValueError, match=re.escape(f"cell {start} is out of bounds")):
         _START_QUERIES[query](db_2x3, map_2x3, start)
+
+
+# Every public entry that takes a cell, called as (db, grid, cell).
+_CELL_ENTRIES = {
+    "pareto_front_at": lambda db, g, cell: pareto_front_at(db, cell),
+    "count_paths": lambda db, g, cell: count_paths(db, g, cell),
+    "coverage": lambda db, g, cell: coverage(db, g, cell),
+    "enumerate_paths": lambda db, g, cell: enumerate_paths(db, g, cell),
+    "successors": lambda db, g, cell: successors(db, g, cell, (24, 0)),
+    "moa_star": lambda db, g, cell: moa_star(g, cell, [GOAL_2X3]),
+    "heuristic": lambda db, g, cell: heuristic(g, cell, [GOAL_2X3]),
+    "brute_force": lambda db, g, cell: brute_force(g, cell, [GOAL_2X3]),
+    "build_database-goal": lambda db, g, cell: build_database(g, [GOAL_2X3, cell]),
+    "GoalRegion": lambda db, g, cell: GoalRegion([cell]),
+    "Database.front": lambda db, g, cell: db.front(cell),
+    "Database.index": lambda db, g, cell: db.index(cell),
+    "render_coverage_ascii": lambda db, g, cell: render_coverage_ascii(g, cell, [GOAL_2X3], []),
+    "render_coverage_pgm": lambda db, g, cell: render_coverage_pgm(g, [cell]),
+}
+
+
+@pytest.mark.parametrize("cell", [(True, 0), (1.0, 0), (0.5, 0), (np.float64(0), 0)],
+                         ids=["bool", "float", "half", "numpy-float"])
+@pytest.mark.parametrize("entry", sorted(_CELL_ENTRIES))
+def test_every_cell_entry_follows_the_coordinate_rule(map_2x3, db_2x3, entry, cell):
+    # The one coordinate rule, at every public entry that takes a cell: a
+    # bool or a float coordinate is a ValueError, never the cell it rounds to.
+    with pytest.raises(ValueError, match="must be integers"):
+        _CELL_ENTRIES[entry](db_2x3, map_2x3, cell)
 
 
 def _report(result: QueryResult) -> bytes:
@@ -929,3 +958,92 @@ def test_coverage_pgm_marks_obstacles(map_3x3_ring):
     db = build_database(map_3x3_ring, [(2, 2)])
     data = render_coverage_pgm(map_3x3_ring, coverage(db, map_3x3_ring, (0, 0)))
     assert data == b"P5\n3 3\n255\n" + bytes([255, 255, 128, 255, 0, 255, 128, 255, 255])
+
+
+def _reference_ascii(grid, start, goal_cells, covered) -> str:
+    """render_coverage_ascii as it was: one scan over the map's cells."""
+    start = tuple(start)
+    goal_cells = set(map(tuple, goal_cells))
+    covered = set(map(tuple, covered))
+    rows = []
+    for r in range(grid.n_rows):
+        line = []
+        for c in range(grid.n_cols):
+            cell = (r, c)
+            if cell == start:
+                line.append("S")
+            elif cell in goal_cells:
+                line.append("G")
+            elif cell in covered:
+                line.append("*")
+            elif grid.obstacle[r, c]:
+                line.append("#")
+            else:
+                line.append(".")
+        rows.append("".join(line))
+    return "\n".join(rows) + "\n"
+
+
+def _reference_pgm(grid, covered) -> bytes:
+    """render_coverage_pgm as it was: one scan over the map's cells."""
+    covered = set(map(tuple, covered))
+    header = f"P5\n{grid.n_cols} {grid.n_rows}\n255\n".encode("ascii")
+    pixels = bytearray()
+    for r in range(grid.n_rows):
+        for c in range(grid.n_cols):
+            if (r, c) in covered:
+                pixels.append(255)
+            elif grid.obstacle[r, c]:
+                pixels.append(0)
+            else:
+                pixels.append(128)
+    return header + bytes(pixels)
+
+
+# The forms a caller may give a cell in: a tuple, a list, numpy integers.
+_CELL_FORMS = st.sampled_from([tuple, list, lambda c: (np.int64(c[0]), np.int32(c[1]))])
+
+
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.sampled_from([0.0, 0.2, 0.4]), st.data())
+def test_pictures_match_reference_scans(seed, rows, cols, corner_cut, density, data):
+    """Both pictures, drawn from arrays, give the reference scans' bytes:
+    for one to three goal cells, a free start, and covered cells that are
+    the start's coverage or any cells of the map, obstacles included."""
+    g = random_map(seed, rows, cols, density, 3, allow_corner_cut=corner_cut)
+    free = free_cells(g)
+    assume(free)
+    goal = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+    start = data.draw(st.sampled_from(free))
+    db = build_database(g, goal)
+    if db.front(start) and data.draw(st.booleans()):
+        covered = coverage(db, g, start)
+    else:
+        covered = data.draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+
+    def form(cell):
+        return data.draw(_CELL_FORMS)(cell)
+
+    start, goal, covered = form(start), [form(c) for c in goal], [form(c) for c in covered]
+    assert render_coverage_ascii(g, start, goal, covered) == _reference_ascii(g, start, goal, covered)
+    assert render_coverage_pgm(g, covered) == _reference_pgm(g, covered)
+
+
+_PICTURE_ARGUMENTS = {
+    "ascii-start": lambda g, cell: render_coverage_ascii(g, cell, [GOAL_2X3], [(0, 0)]),
+    "ascii-goal": lambda g, cell: render_coverage_ascii(g, (0, 0), [GOAL_2X3, cell], [(0, 0)]),
+    "ascii-covered": lambda g, cell: render_coverage_ascii(g, (0, 0), [GOAL_2X3], [(0, 0), cell]),
+    "pgm-covered": lambda g, cell: render_coverage_pgm(g, [(0, 0), cell]),
+}
+
+
+@pytest.mark.parametrize("cell", [(True, 0), (0, 2.0), (np.float64(1), 0), (2, 0), (-1, 0),
+                                  (0, 3), (0, -1), (5, 5)],
+                         ids=["bool", "float", "numpy-float", "row-past-the-end", "negative-row",
+                              "col-past-the-end", "negative-col", "far"])
+@pytest.mark.parametrize("argument", sorted(_PICTURE_ARGUMENTS))
+def test_pictures_refuse_bad_cells(map_2x3, argument, cell):
+    """A bool, a float or an off-map cell in any cell argument of either
+    picture is refused, not drawn as the cell it would round or wrap to."""
+    with pytest.raises(ValueError, match="must be integers|out of bounds"):
+        _PICTURE_ARGUMENTS[argument](map_2x3, cell)
