@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .cellmap import build_database
-from .grid import GoalRegion, GridMap, free_cells, random_map, serialize_map
+from .grid import GoalRegion, GridMap, _density, _integer, free_cells, random_map, serialize_map
 from .moastar import moa_star
 
 _MASK64 = (1 << 64) - 1
@@ -37,7 +37,9 @@ def _derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Campaign parameters. `dims` is cycled through map by map."""
+    """Campaign parameters. `dims` is cycled through map by map. Every field
+    follows the number rule (grid._integer, grid._density) and is stored as
+    a Python int or float, so asdict gives JSON."""
 
     seed: int
     n_maps: int
@@ -47,34 +49,21 @@ class BenchConfig:
     starts_per_map: int
 
     def __post_init__(self):
-        # Integer fields must hold ints, not floats or bools, and
-        # obstacle_density a number, not a bool or a string, so no value is
-        # silently truncated or coerced.
-        object.__setattr__(self, "dims", tuple(map(tuple, self.dims)))
-        for name, x in [("seed", self.seed), ("n_maps", self.n_maps),
-                        *(("dims", x) for d in self.dims for x in d),
-                        ("max_cost", self.max_cost), ("starts_per_map", self.starts_per_map)]:
-            if type(x) is not int:  # shuts out bools and floats
-                raise ValueError(f"bad bench config: {name} must be an integer, not {x!r}")
-        density = self.obstacle_density
-        if type(density) not in (int, float):  # shuts out bools and strings
-            raise ValueError(f"bad bench config: obstacle_density must be a number, not {density!r}")
-        object.__setattr__(self, "obstacle_density", float(density))
-        if self.n_maps < 1:
-            raise ValueError("n_maps must be at least 1")
+        object.__setattr__(self, "dims", tuple(
+            tuple(_integer(x, "bad bench config: dims", 1) for x in d) for d in self.dims))
+        for name, minimum in (("seed", None), ("n_maps", 1), ("max_cost", 0),
+                              ("starts_per_map", 1)):
+            value = _integer(getattr(self, name), f"bad bench config: {name}", minimum)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "obstacle_density", _density(
+            self.obstacle_density, "bad bench config: obstacle_density"))
         if not self.dims:
             raise ValueError("dims must not be empty")
         for d in self.dims:
-            if len(d) != 2 or d[0] < 1 or d[1] < 1:
+            if len(d) != 2:
                 raise ValueError(f"bad dims entry {d!r}")
             if d[0] * d[1] < 2:
                 raise ValueError("dims must allow a distinct start and goal")
-        if not 0.0 <= self.obstacle_density < 1.0:
-            raise ValueError("obstacle_density must lie in [0, 1)")
-        if self.max_cost < 0:
-            raise ValueError("max_cost must be non-negative")
-        if self.starts_per_map < 1:
-            raise ValueError("starts_per_map must be at least 1")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchConfig":
@@ -237,12 +226,11 @@ def amortization_table(grid: GridMap, goal, sample_starts: int) -> dict:
     MOA* and front-lookup times are measured on `sample_starts` starts taken
     evenly across the free non-goal cells (clamped with a warning if the map
     has fewer), then extrapolated linearly to n_starts in {1, 10, 100, all}.
-    `sample_starts` must be an int of at least 1, not a bool (ValueError
-    otherwise). Each start is timed cold (_cold_moa), as in run_campaign.
+    `sample_starts` follows the number rule (grid._integer) with a minimum
+    of 1. Each start is timed cold (_cold_moa), as in run_campaign.
     """
     region = GoalRegion.on(grid, goal)
-    if type(sample_starts) is not int or sample_starts < 1:  # shuts out bools
-        raise ValueError("sample_starts must be an integer of at least 1")
+    sample_starts = _integer(sample_starts, "sample_starts", 1)
     cells = [c for c in free_cells(grid) if c not in region.cells]
     if not cells:
         raise ValueError("map has no free non-goal cells to start from")

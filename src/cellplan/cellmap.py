@@ -57,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -72,6 +72,7 @@ from .grid import (
     GridMap,
     LabelSet,
     _cell,
+    _integer,
     map_digest,
     max_free_terrain,
     move_mask,
@@ -97,9 +98,11 @@ class Database:
     all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
     `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
     set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
-    sets as given. label_key is the one check that they are canonical: the
-    loader, the verifier and the queries all read it, so no database out of
-    canonical form is loaded, verified or queried.
+    sets as given, and reads n_rows, n_cols (at least 1) and iterations (at
+    least 0) by the number rule (grid._integer). label_key is the one check
+    that the sets are canonical: the loader, the verifier and the queries
+    all read it, so no database out of canonical form is loaded, verified
+    or queried.
 
     The dtype rule, one for every database (_stored_dtype): counts, f1 and
     f2 are each held in their stored width, the narrowest of _WIDTHS that
@@ -145,9 +148,19 @@ class Database:
         db._store(counts, f1, f2)
         return db
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the database through the
+        # constructor, as for GridMap: read-only arrays and an empty memo.
+        return (Database, tuple(getattr(self, f.name) for f in fields(self) if f.init))
+
     def _store(self, counts, f1, f2) -> None:
-        """Check the arrays' shapes and signs, derive offsets, and store all
-        four read-only, counts, f1 and f2 in their stored widths."""
+        """Check and store the scalars; check the arrays' shapes and signs,
+        derive offsets, and store all four arrays read-only, counts, f1 and
+        f2 in their stored widths."""
+        for name, minimum in (("n_rows", 1), ("n_cols", 1), ("iterations", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        if not all(isinstance(s, str) and s for s in (self.map_digest, self.convention_tag)):
+            raise ValueError("map_digest and convention_tag must be non-empty strings")
         if counts.shape != (self.n_rows * self.n_cols,):
             raise ValueError("counts must hold one entry per cell of the map")
         if f1.ndim != 1 or f1.shape != f2.shape or int(counts.sum()) != f1.size:
@@ -650,10 +663,6 @@ def _stored_dtype(top: int) -> np.dtype:
     return np.dtype("<i8" if width == 8 else f"<u{width}")
 
 
-def _is_int(x) -> bool:
-    return type(x) is int  # shuts out bools and floats
-
-
 def load_database(raw: bytes) -> Database:
     """Read the bytes save_database writes; the inverse of save_database.
 
@@ -692,26 +701,20 @@ def load_database(raw: bytes) -> Database:
                          "rebuild the database with `cellplan build`")
     if version != DB_VERSION:
         raise ValueError(f"unsupported database version: {version!r}")
-    for key in ("map_digest", "convention_tag", "sha256"):
-        if not isinstance(header.get(key), str) or not header[key]:
-            raise ValueError(f"header field {key} missing")
     if tuple(header) != _HEADER_KEYS:
         raise ValueError(f"header fields must be exactly {', '.join(_HEADER_KEYS)}, in that order")
-    rows, cols, n_labels = header["n_rows"], header["n_cols"], header["labels"]
-    if not all(_is_int(x) and x > 0 for x in (rows, cols)):
-        raise ValueError("n_rows and n_cols must be positive integers")
-    if not all(_is_int(x) and x >= 0 for x in (header["iterations"], n_labels)):
-        raise ValueError("iterations and labels must be non-negative integers")
+    # The payload's size needs these; Database._store checks the other scalars.
+    rows, cols = _integer(header["n_rows"], "n_rows", 1), _integer(header["n_cols"], "n_cols", 1)
+    n_labels = _integer(header["labels"], "labels", 0)
     widths = header["widths"]
     if (not isinstance(widths, list) or len(widths) != 3
-            or not all(_is_int(w) and w in _WIDTHS for w in widths)):
+            or not all(_integer(w, "widths") in _WIDTHS for w in widths)):
         raise ValueError(f"widths must be three of {_WIDTHS}")
     goal_raw = header["goal"]
-    if not isinstance(goal_raw, list) or not goal_raw:
-        raise ValueError("goal cell list missing")
-    for cell in goal_raw:
-        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
-            raise ValueError(f"bad goal cell {cell!r}")
+    if (not isinstance(goal_raw, list) or not goal_raw
+            or not all(isinstance(cell, list) and len(cell) == 2 for cell in goal_raw)):
+        raise ValueError("goal cell list must be a non-empty list of [row, col] pairs")
+    goal = GoalRegion(goal_raw)
     # The version is compared as a number above, so 2.0 would pass: write the int.
     if _header_bytes({**header, "version": DB_VERSION}) != raw[:end + 1]:
         raise ValueError("database header is not in its saved form")
@@ -738,7 +741,7 @@ def load_database(raw: bytes) -> Database:
         raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
     counts, f1, f2 = (a.view(_stored_dtype(top)) for a, top in zip((counts, f1, f2), tops))
     db = Database._in_place(counts, f1, f2, n_rows=rows, n_cols=cols,
-                            goal=GoalRegion(map(tuple, goal_raw)), map_digest=header["map_digest"],
+                            goal=goal, map_digest=header["map_digest"],
                             iterations=header["iterations"], convention_tag=header["convention_tag"])
     db.label_key  # the canonical-form check; the key stays cached for the queries
     return db

@@ -24,6 +24,7 @@ path sums could pass it is refused up front (overflow_risk).
 from __future__ import annotations
 
 import hashlib
+import numbers
 import random
 
 import numpy as np
@@ -173,18 +174,32 @@ class GoalRegion:
 
 
 def _cell(cell) -> Cell:
-    """`cell` as a (row, col) tuple of ints: the one coordinate rule for
-    goal and start cells. A coordinate must be an int or a numpy integer; a
-    float or a bool raises ValueError rather than naming the cell it would
-    round to."""
+    """`cell` as a (row, col) tuple of ints: the one coordinate rule for goal
+    and start cells. _integer reads each coordinate, so a float or a bool
+    raises ValueError rather than naming the cell it would round to."""
     r, c = cell
-    return _coordinate(r), _coordinate(c)
+    return _integer(r), _integer(c)
 
 
-def _coordinate(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"cell coordinates must be integers, not {x!r}")
+def _integer(x, name: str | None = None, minimum: int | None = None) -> int:
+    """`x`, an int or a numpy integer but not a bool, and at least `minimum`
+    if one is given, as a Python int: the one number rule for coordinates,
+    counts and dimensions. ValueError names `name`, or coordinates if None."""
+    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+            or minimum is not None and x < minimum):
+        if name is None:
+            raise ValueError(f"cell coordinates must be integers, not {x!r}")
+        least = "" if minimum is None else f" of at least {minimum}"
+        raise ValueError(f"{name} must be an integer{least}, not {x!r}")
     return int(x)
+
+
+def _density(x, name: str) -> float:
+    """`x`, a real number in [0, 1) but not a bool, as a float: the number
+    rule for a density (ValueError naming `name` otherwise)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x < 1:
+        raise ValueError(f"{name} must be a number in [0, 1), not {x!r}")
+    return float(x)
 
 
 def require_free(grid: GridMap, cell: Cell) -> Cell:
@@ -403,17 +418,12 @@ def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,
     `getrandbits(k)` with `k = (max_cost + 1).bit_length()`, drawn again
     while above `max_cost`. That is the word sequence `randint(0, max_cost)`
     consumes on CPython 3.10 to 3.13, and equal arguments give equal maps on
-    every supported Python. `n_rows`, `n_cols` and `max_cost` must be ints,
-    not bools; anything else raises ValueError.
+    every supported Python. The sizes (at least 1), `max_cost` (at least 0)
+    and `obstacle_density` follow the number rule (_integer, _density).
     """
-    if not all(type(x) is int for x in (n_rows, n_cols, max_cost)):  # shuts out bools and floats
-        raise ValueError("n_rows, n_cols and max_cost must be integers")
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("map dimensions must be positive")
-    if not 0.0 <= obstacle_density < 1.0:
-        raise ValueError("obstacle_density must lie in [0, 1)")
-    if max_cost < 0:
-        raise ValueError("max_cost must be non-negative")
+    n_rows, n_cols = _integer(n_rows, "n_rows", 1), _integer(n_cols, "n_cols", 1)
+    max_cost = _integer(max_cost, "max_cost", 0)
+    obstacle_density = _density(obstacle_density, "obstacle_density")
     if max_cost * n_rows * n_cols > MAX_COMPONENT:
         raise ValueError("max_cost is large enough to overflow a path sum")
     rng = random.Random(seed)

@@ -17,7 +17,7 @@ same walk.
 
 from __future__ import annotations
 
-from .grid import Cell, GoalRegion, GridMap, Vector, free_cells, neighbors, require_free
+from .grid import Cell, GoalRegion, GridMap, Vector, _integer, free_cells, neighbors, require_free
 from .query import QueryResult
 
 
@@ -35,8 +35,8 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
                 include_paths: bool = False) -> QueryResult:
     """Exact front, counts, coverage (and optionally paths) by full enumeration.
 
-    Refuses maps with more free cells than `cell_budget`, which must be an
-    int, not a bool or a float (ValueError otherwise). The result only
+    Refuses maps with more free cells than `cell_budget`, which follows the
+    number rule (grid._integer) with a minimum of 1. The result only
     depends on the set of paths, never on the order they are visited in.
     """
     start = require_free(grid, start)
@@ -49,8 +49,7 @@ def _brute_force_all(grid: GridMap, goal, *, cell_budget: int = 20,
     """brute_force at each of `starts` (every free cell by default), all
     from one backward walk (see the module docstring)."""
     region = GoalRegion.on(grid, goal)
-    if type(cell_budget) is not int:  # shuts out bools
-        raise ValueError(f"cell_budget must be an integer, not {cell_budget!r}")
+    cell_budget = _integer(cell_budget, "cell_budget", 1)
     free = free_cells(grid)
     if len(free) > cell_budget:
         raise ValueError(

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cellmap import Database, _Step
-from .grid import Cell, GridMap, LabelSet, Vector, _cell, require_free
+from .grid import Cell, GridMap, LabelSet, Vector, _cell, _integer, require_free
 
 Path = tuple[Cell, ...]
 
@@ -235,12 +235,11 @@ def enumerate_paths(db: Database, grid: GridMap, start: Cell, limit: int | None 
     Paths come out in deterministic order: front vectors in canonical order,
     then depth-first through row-major successors. With limit=None all paths
     are returned and the flag is False; otherwise at most `limit` paths are
-    returned and the flag tells whether more exist. A limit must be an int
-    of at least 1, not a bool; anything else raises ValueError.
+    returned and the flag tells whether more exist. A limit follows the
+    number rule (grid._integer) with a minimum of 1.
     """
     start, front = _checked_front(db, grid, start)
-    if limit is not None and (type(limit) is not int or limit < 1):  # shuts out bools
-        raise ValueError("limit must be a positive integer")
+    limit = None if limit is None else _integer(limit, "limit", 1)
     if not front:
         return [], False
     gen = _walk_paths(_memo_graph(db, start), grid.n_cols, front)

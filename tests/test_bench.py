@@ -23,6 +23,8 @@ def small_cfg(**kw):
     dict(dims=()),
     dict(dims=((0, 3),)),
     dict(dims=((1, 1),)),
+    dict(dims=((2, 3, 4),)),
+    dict(dims=((5,),)),
     dict(obstacle_density=1.0),
     dict(obstacle_density=-0.5),
     dict(max_cost=-1),

@@ -1,8 +1,10 @@
 """Database builder tests: fixed-point values on hand-checked maps, equality
 with the sweep reference, verification, and serialization round-trips."""
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -795,6 +797,27 @@ def test_constructor_rejects_arrays_that_do_not_fit(counts, f1, f2, message):
                  map_digest="0" * 64, iterations=1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_rows", 1.0, "n_rows must be an integer of at least 1"),
+    ("n_cols", 0, "n_cols must be an integer of at least 1"),
+    ("iterations", -4, "iterations must be an integer of at least 0"),
+    ("iterations", True, "iterations must be an integer of at least 0"),
+    ("map_digest", "", "non-empty strings"),
+    ("map_digest", None, "non-empty strings"),
+    ("convention_tag", "", "non-empty strings"),
+], ids=["n_rows-float", "n_cols-zero", "iterations-negative", "iterations-bool",
+        "map_digest-empty", "map_digest-none", "convention_tag-empty"])
+def test_constructor_refuses_what_the_loader_refuses(db_2x3, field, value, message):
+    """A header value load_database would refuse is refused when a database
+    is made, so every database that constructs saves bytes that load."""
+    meta = dict(n_rows=2, n_cols=3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
+                iterations=3, convention_tag=CONVENTION_TAG)
+    with pytest.raises(ValueError, match=message):
+        Database(db_2x3.counts, db_2x3.f1, db_2x3.f2, **{**meta, field: value})
+    saved = save_database(Database(db_2x3.counts, db_2x3.f1, db_2x3.f2, **meta))
+    assert load_database(saved) == db_2x3
+
+
 @pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0)])
 def test_from_labels_rejects_a_cell_outside_the_map(db_2x3, cell):
     with pytest.raises(ValueError, match="outside the map"):
@@ -845,6 +868,29 @@ def test_database_is_read_only(db_2x3):
     loaded = load_database(save_database(db_2x3))
     assert all(not getattr(loaded, name).flags.writeable
                for name in ("counts", "offsets", "f1", "f2"))
+
+
+@pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy,
+                                       lambda db: pickle.loads(pickle.dumps(db))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_database_copies_rebuild_through_the_constructor(make_copy):
+    """A copy is a read-only value like the original: it shares no memo with
+    it, and a query's memo is never pickled."""
+    g = random_map(9, 30, 30, 0.15, 9)
+    cells = free_cells(g)
+    db = build_database(g, [cells[-1]])
+    size = len(pickle.dumps(db))
+    count_paths(db, g, cells[0])  # fills the memo and caches label_key
+    assert len(pickle.dumps(db)) == size
+    other = make_copy(db)
+    assert other == db and other is not db
+    assert other._query_memo == [None] and other._query_memo is not db._query_memo
+    assert "label_key" not in vars(other)
+    for name in ("counts", "offsets", "f1", "f2"):
+        array = getattr(other, name)
+        assert array.dtype == getattr(db, name).dtype and not array.flags.writeable, name
+    assert count_paths(other, g, cells[0]) == count_paths(db, g, cells[0])
+    assert save_database(other) == save_database(db)
 
 
 def test_front_on_unknown_cell(db_2x3):

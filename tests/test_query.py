@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ import cellplan.grid as grid_module
 import cellplan.query as query_module
 
 from cellplan import (
+    BenchConfig,
+    Database,
     DigestMismatchError,
     GoalRegion,
     GridMap,
     QueryResult,
+    amortization_table,
     brute_force,
     build_database,
     count_paths,
@@ -379,6 +383,67 @@ def test_every_cell_entry_follows_the_coordinate_rule(map_2x3, db_2x3, entry, ce
         _CELL_ENTRIES[entry](db_2x3, map_2x3, cell)
 
 
+def _bench_config_json(**kw) -> str:
+    """The JSON of a small bench config with fields replaced: it holds only
+    Python ints and floats when every field is stored as one."""
+    fields = dict(seed=1, n_maps=1, dims=((2, 3),), obstacle_density=0.0, max_cost=1,
+                  starts_per_map=1)
+    return json.dumps(asdict(BenchConfig(**{**fields, **kw})))
+
+
+def _saved_database(db, **kw) -> bytes:
+    """The saved bytes of `db` rebuilt with header values replaced."""
+    meta = dict(n_rows=db.n_rows, n_cols=db.n_cols, goal=db.goal, map_digest=db.map_digest,
+                iterations=db.iterations)
+    return save_database(Database(db.counts, db.f1, db.f2, **{**meta, **kw}))
+
+
+# Every public entry that takes a count or a density, called as (db, grid,
+# value), with a value it accepts and the least count it accepts ("density"
+# for a density, None for a count without a minimum).
+_NUMBER_ENTRIES = {
+    "random_map-n_rows": (lambda db, g, x: random_map(1, x, 3, 0.2, 2), 2, 1),
+    "random_map-n_cols": (lambda db, g, x: random_map(1, 2, x, 0.2, 2), 3, 1),
+    "random_map-max_cost": (lambda db, g, x: random_map(1, 2, 3, 0.2, x), 2, 0),
+    "random_map-obstacle_density": (lambda db, g, x: random_map(1, 2, 3, x, 2), 0.1, "density"),
+    "enumerate_paths-limit": (lambda db, g, x: enumerate_paths(db, g, (1, 0), limit=x), 1, 1),
+    "brute_force-cell_budget": (
+        lambda db, g, x: brute_force(g, (1, 0), [GOAL_2X3], cell_budget=x), 6, 1),
+    "amortization_table-sample_starts": (
+        lambda db, g, x: amortization_table(g, [GOAL_2X3], x)["sampled_starts"], 2, 1),
+    "BenchConfig-seed": (lambda db, g, x: _bench_config_json(seed=x), 1, None),
+    "BenchConfig-n_maps": (lambda db, g, x: _bench_config_json(n_maps=x), 2, 1),
+    "BenchConfig-dims": (lambda db, g, x: _bench_config_json(dims=((2, x),)), 3, 1),
+    "BenchConfig-obstacle_density": (
+        lambda db, g, x: _bench_config_json(obstacle_density=x), 0.1, "density"),
+    "BenchConfig-max_cost": (lambda db, g, x: _bench_config_json(max_cost=x), 0, 0),
+    "BenchConfig-starts_per_map": (lambda db, g, x: _bench_config_json(starts_per_map=x), 1, 1),
+    "Database-n_rows": (lambda db, g, x: _saved_database(db, n_rows=x), 2, 1),
+    "Database-n_cols": (lambda db, g, x: _saved_database(db, n_cols=x), 3, 1),
+    "Database-iterations": (lambda db, g, x: _saved_database(db, iterations=x), 3, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
+def test_every_count_entry_follows_the_number_rule(map_2x3, db_2x3, entry):
+    # The one number rule (grid._integer, grid._density), at every public
+    # entry that takes a count or a density: a numpy number is read as the
+    # Python number it equals, and a bool, a string, a value of the wrong
+    # kind or out of range is a ValueError that names the argument.
+    call, value, minimum = _NUMBER_ENTRIES[entry]
+    name = entry.split("-")[1]
+    if minimum == "density":
+        assert call(db_2x3, map_2x3, np.float64(value)) == call(db_2x3, map_2x3, value)
+        refused = [False, True, str(value), math.nan, 1.0, -0.1, None]
+    else:
+        assert call(db_2x3, map_2x3, np.int64(value)) == call(db_2x3, map_2x3, value)
+        refused = [True, False, float(value), np.float64(value), str(value)]
+        refused += [] if minimum is None else [minimum - 1, np.int32(minimum - 1)]
+    for bad in refused:
+        with pytest.raises(ValueError, match=rf"\b{name} must be (an integer|a number)"):
+            call(db_2x3, map_2x3, bad)
+
+
 def _report(result: QueryResult) -> bytes:
     return render_report_json(result.start, result.front, counts=result.counts,
                               total_paths=result.total_paths,
@@ -723,7 +788,7 @@ def test_enumerate_rejects_bad_limit(map_2x3, db_2x3):
     # A limit must be an int, as random_map's sizes and the bench config's
     # fields must: a bool is not read as 1, nor a float or a string converted.
     for limit in (True, False, 2.5, 1.0, "3", np.float64(2)):
-        with pytest.raises(ValueError, match="limit must be a positive integer"):
+        with pytest.raises(ValueError, match="limit must be an integer of at least 1"):
             enumerate_paths(db_2x3, map_2x3, (0, 0), limit=limit)
 
 
