@@ -98,11 +98,11 @@ class Database:
     all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
     `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
     set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
-    sets as given, and reads n_rows, n_cols (at least 1) and iterations (at
-    least 0) by the number rule (grid._integer). label_key is the one check
-    that the sets are canonical: the loader, the verifier and the queries
-    all read it, so no database out of canonical form is loaded, verified
-    or queried.
+    sets as given, reads n_rows, n_cols (at least 1) and iterations (at
+    least 0) by the number rule (grid._integer) and the goal as GoalRegion.on
+    does. label_key is the one check that the sets are canonical: the
+    loader, the verifier and the queries all read it, so no database out of
+    canonical form is loaded, verified or queried.
 
     The dtype rule, one for every database (_stored_dtype): counts, f1 and
     f2 are each held in their stored width, the narrowest of _WIDTHS that
@@ -154,19 +154,25 @@ class Database:
         return (Database, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
     def _store(self, counts, f1, f2) -> None:
-        """Check and store the scalars; check the arrays' shapes and signs,
-        derive offsets, and store all four arrays read-only, counts, f1 and
-        f2 in their stored widths."""
+        """Check and store the scalars and the goal; check the arrays' shapes,
+        signs and sum, derive offsets, and store all four arrays read-only,
+        counts, f1 and f2 in their stored widths."""
         for name, minimum in (("n_rows", 1), ("n_cols", 1), ("iterations", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         if not all(isinstance(s, str) and s for s in (self.map_digest, self.convention_tag)):
             raise ValueError("map_digest and convention_tag must be non-empty strings")
+        if not isinstance(self.goal, GoalRegion):
+            object.__setattr__(self, "goal", GoalRegion(self.goal))
         if counts.shape != (self.n_rows * self.n_cols,):
             raise ValueError("counts must hold one entry per cell of the map")
-        if f1.ndim != 1 or f1.shape != f2.shape or int(counts.sum()) != f1.size:
+        if f1.ndim != 1 or f1.shape != f2.shape:
             raise ValueError("f1 and f2 must hold exactly the counted labels")
         if any(a.dtype.kind == "i" and a.size and a.min() < 0 for a in (counts, f1, f2)):
             raise ValueError("counts and cost components must be non-negative")
+        # A count above the label total is refused before the sum, which it could wrap.
+        if _top(counts) > f1.size or int(counts.sum()) != f1.size:
+            raise ValueError(f"label counts do not sum to the {f1.size} labels: f1 and f2 "
+                             "must hold exactly the counted labels")
         # The loader's views and the kernel's arrays come in their widths; the
         # constructor's int64 copies are narrowed here.
         counts, f1, f2 = (a.astype(_stored_dtype(_top(a)), copy=False) if a.dtype == np.int64
@@ -668,9 +674,9 @@ def load_database(raw: bytes) -> Database:
 
     Rejects with ValueError a version-1 (JSON) file, a header that is not
     in its saved form, widths that are not the narrowest, a payload of the
-    wrong length or checksum, counts that do not sum to the label count,
-    and a component above MAX_COMPONENT. It then reads the Database's
-    label_key, the one check of canonical form, which rejects a label set
+    wrong length or checksum, a value above MAX_COMPONENT, and, by the
+    constructor's checks, counts that do not sum to the label count. Its
+    label_key, the one check of canonical form, then rejects a label set
     out of canonical order (f1 strictly rising, f2 strictly falling), a
     goal cell outside the map or not holding exactly (0, 0), and a path
     length beyond the longest route; the key stays cached for queries.
@@ -710,11 +716,7 @@ def load_database(raw: bytes) -> Database:
     if (not isinstance(widths, list) or len(widths) != 3
             or not all(_integer(w, "widths") in _WIDTHS for w in widths)):
         raise ValueError(f"widths must be three of {_WIDTHS}")
-    goal_raw = header["goal"]
-    if (not isinstance(goal_raw, list) or not goal_raw
-            or not all(isinstance(cell, list) and len(cell) == 2 for cell in goal_raw)):
-        raise ValueError("goal cell list must be a non-empty list of [row, col] pairs")
-    goal = GoalRegion(goal_raw)
+    goal = GoalRegion(header["goal"])  # so _header_bytes reads a list of [row, col] pairs
     # The version is compared as a number above, so 2.0 would pass: write the int.
     if _header_bytes({**header, "version": DB_VERSION}) != raw[:end + 1]:
         raise ValueError("database header is not in its saved form")
@@ -734,11 +736,8 @@ def load_database(raw: bytes) -> Database:
     tops = [_top(a) for a in (counts, f1, f2)]
     if [_width(top) for top in tops] != widths:
         raise ValueError("array widths must be the narrowest that hold their values")
-    # A count above the label count is caught before the sum, which it could wrap.
-    if tops[0] > n_labels or int(counts.sum(dtype=np.uint64)) != n_labels:
-        raise ValueError(f"label counts do not sum to the {n_labels} labels")
-    if max(tops[1:]) > MAX_COMPONENT:
-        raise ValueError(f"a cost component exceeds {MAX_COMPONENT}")
+    if max(tops) > MAX_COMPONENT:
+        raise ValueError(f"a count or a cost component exceeds {MAX_COMPONENT}")
     counts, f1, f2 = (a.view(_stored_dtype(top)) for a, top in zip((counts, f1, f2), tops))
     db = Database._in_place(counts, f1, f2, n_rows=rows, n_cols=cols,
                             goal=goal, map_digest=header["map_digest"],

@@ -3,8 +3,8 @@
 Subcommands: genmap, build, query, compare, oracle, bench. Machine-readable
 output goes to stdout (JSON unless another format is chosen), diagnostics to
 stderr. Exit codes: 0 success / comparison equal, 1 comparison mismatch,
-2 usage or validation error (a map whose costs could overflow included),
-4 map/database digest mismatch.
+2 usage or validation error (an overflow-prone map or no memory included),
+4 map/database digest mismatch. Integer arguments follow grid._decimal.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import sys
+from pathlib import Path
 
 from .bench import BenchConfig, run_campaign
 from .cellmap import (
@@ -26,6 +27,7 @@ from .cellmap import (
 from .grid import (
     GoalRegion,
     GridMap,
+    _decimal,
     free_cells,  # unused here; the benchmark's traced runs wrap cli.free_cells by name
     map_digest,  # unused here; the benchmark's traced runs wrap cli.map_digest by name
     parse_map,
@@ -48,13 +50,11 @@ _REGRESSION_GATE_MEDIAN = 10.0
 
 
 def _parse_cell(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected r,c but got {text!r}")
     try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError as e:
-        raise ValueError(f"expected r,c but got {text!r}") from e
+        r, c = map(_decimal, text.split(","))
+    except ValueError:
+        raise ValueError(f"expected r,c but got {text!r}") from None
+    return r, c
 
 
 def _parse_goal_args(args, grid: GridMap) -> GoalRegion:
@@ -68,10 +68,8 @@ def _parse_goal_args(args, grid: GridMap) -> GoalRegion:
             lo, _, hi = arg.partition(":")
             r1, c1 = _parse_cell(lo)
             r2, c2 = _parse_cell(hi)
-            if r2 < r1 or c2 < c1:
-                raise ValueError(f"bad rectangle {arg!r}: corners out of order")
-            if not (grid.in_bounds((r1, c1)) and grid.in_bounds((r2, c2))):
-                raise ValueError(f"bad rectangle {arg!r}: a corner is outside the map")
+            if not (r1 <= r2 < grid.n_rows and c1 <= c2 < grid.n_cols):
+                raise ValueError(f"bad rectangle {arg!r}: corners out of order or outside the map")
             cells.update(itertools.product(range(r1, r2 + 1), range(c1, c2 + 1)))
         else:
             cells.add(_parse_cell(arg))
@@ -79,19 +77,16 @@ def _parse_goal_args(args, grid: GridMap) -> GoalRegion:
 
 
 def _read_map(path: str, allow_corner_cut: bool = True) -> GridMap:
-    with open(path, "rb") as fh:
-        return parse_map(fh.read(), allow_corner_cut=allow_corner_cut)
+    return parse_map(Path(path).read_bytes(), allow_corner_cut=allow_corner_cut)
 
 
 def _read_db(path: str) -> Database:
-    with open(path, "rb") as fh:
-        return load_database(fh.read())
+    return load_database(Path(path).read_bytes())
 
 
 def _emit(data: bytes, out_path) -> None:
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        Path(out_path).write_bytes(data)
     else:
         stream = getattr(sys.stdout, "buffer", sys.stdout)
         stream.write(data)
@@ -108,8 +103,7 @@ def cmd_build(args) -> int:
     grid = _read_map(args.map, not args.no_corner_cut)
     region = _parse_goal_args(args.goal, grid)
     db = build_database(grid, region)
-    with open(args.output, "wb") as fh:
-        fh.write(save_database(db))
+    Path(args.output).write_bytes(save_database(db))
     info = {"iterations": db.iterations, "free_cells": int((~grid.obstacle).sum())}
     print(json.dumps(info, separators=(",", ":")))
     return 0
@@ -127,9 +121,8 @@ def cmd_query(args) -> int:
         res = count_paths(db, grid, start)
         result_counts, total = res.counts, res.total_paths
     paths = truncated = None
-    if args.paths is not None:
-        limit = None if args.paths == 0 else args.paths
-        paths, truncated = enumerate_paths(db, grid, start, limit)
+    if args.paths is not False:
+        paths, truncated = enumerate_paths(db, grid, start, args.paths)
 
     if args.format == "json":
         data = render_report_json(
@@ -195,8 +188,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = BenchConfig.from_dict(json.load(fh))
+    cfg = BenchConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     report = run_campaign(cfg, reproducer_dir=args.reproducer_dir)
     if args.format == "json":
         data = report.to_json_bytes()
@@ -216,21 +208,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+def _seed(text: str) -> int:
+    """A seed by the text rule, within the 19 significant digits _decimal reads exactly."""
+    if len(text.lstrip("0")) > 19:
+        raise argparse.ArgumentTypeError("must have at most 19 significant digits")
+    return _decimal(text)
 
 
-def _paths_limit(text: str) -> int:
-    """Positive path limit, or the literal 'all' (encoded 0) for unbounded."""
-    if text == "all":
-        return 0
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer or 'all'")
-    return n
+def _paths_limit(text: str) -> int | None:
+    """A path limit by the text rule, or None (unbounded) for the literal 'all'."""
+    return None if text == "all" else _decimal(text)
 
 
 def _add_corner_flag(p) -> None:
@@ -248,11 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("genmap", help="generate a seeded random map file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rows", type=_positive_int, required=True)
-    p.add_argument("--cols", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--rows", type=_decimal, required=True)
+    p.add_argument("--cols", type=_decimal, required=True)
     p.add_argument("--density", type=float, default=0.0)
-    p.add_argument("--max-cost", type=int, default=0)
+    p.add_argument("--max-cost", type=_decimal, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_genmap)
 
@@ -270,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--coverage", action="store_true")
-    p.add_argument("--paths", type=_paths_limit, nargs="?", const=1000, default=None,
+    p.add_argument("--paths", type=_paths_limit, nargs="?", const=1000, default=False,
                    help="enumerate up to N paths (default 1000; 'all' for unbounded)")
     p.add_argument("--format", choices=("json", "csv", "ascii", "pgm"), default="json")
     p.add_argument("-o", "--output", default=None)
@@ -292,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--map", required=True)
     p.add_argument("--goal", action="append", required=True)
     p.add_argument("--start", required=True)
-    p.add_argument("--budget", type=_positive_int, default=20)
+    p.add_argument("--budget", type=_decimal, default=20)
     p.add_argument("--paths", action="store_true")
     p.add_argument("-o", "--output", default=None)
     _add_corner_flag(p)
@@ -317,8 +304,8 @@ def main(argv=None) -> int:
     except DigestMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {'out of memory' if isinstance(e, MemoryError) else e}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ Map file format (UTF-8 text):
     ...
 
 where a token is either ``#`` (obstacle) or a non-negative decimal terrain
-cost. A trailing newline is required and comments are not supported.
+cost, read by _decimal. A trailing newline is required; there are no comments.
 
 Costs are exact integer pairs: a Vector is (path length, terrain cost), and
 a LabelSet (or front) is a deduplicated, mutually non-dominated tuple of
@@ -137,9 +137,12 @@ class GoalRegion:
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        cs = frozenset(map(_cell, cells))
+        try:
+            cs = frozenset(map(_cell, cells))
+        except TypeError:  # not an iterable of pairs
+            raise ValueError(f"a goal must be an iterable of cells, not {cells!r}") from None
         if not cs:
-            raise ValueError("goal region must contain at least one cell")
+            raise ValueError("goal cell list must hold at least one cell")
         object.__setattr__(self, "cells", cs)
 
     def __setattr__(self, name, value):
@@ -192,6 +195,15 @@ def _integer(x, name: str | None = None, minimum: int | None = None) -> int:
         least = "" if minimum is None else f" of at least {minimum}"
         raise ValueError(f"{name} must be an integer{least}, not {x!r}")
     return int(x)
+
+
+def _decimal(text: str) -> int:
+    """`text`, ASCII decimal digits only (ValueError otherwise), as an int: the
+    one text rule for integers in map files and command-line arguments. Past
+    19 significant digits, above MAX_COMPONENT, it reads MAX_COMPONENT + 1."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, not {text!r}")
+    return int(text) if len(text.lstrip("0")) <= 19 else MAX_COMPONENT + 1
 
 
 def _density(x, name: str) -> float:
@@ -319,12 +331,14 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     header = lines[0].split()
     if len(header) != 2:
         raise MapFormatError(f"dimension line has {len(header)} tokens, expected 2")
-    dims = []
-    for tok in header:
-        if not (tok.isascii() and tok.isdigit()):
-            raise MapFormatError(f"bad dimension token {tok!r}")
-        dims.append(int(tok))
-    n_rows, n_cols = dims
+
+    def read(tok: str, place: str) -> int:
+        try:
+            return _decimal(tok)
+        except ValueError:
+            raise MapFormatError(f"bad {place}") from None
+
+    n_rows, n_cols = (read(tok, f"dimension token {tok!r}") for tok in header)
     if n_rows < 1 or n_cols < 1:
         raise MapFormatError("dimensions must be positive")
     # After the trailing newline, split() leaves one final empty element.
@@ -334,7 +348,7 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     # each distinct token once, in row-major order of first appearance: "#"
     # is -1, the obstacle mark, and a cost above MAX_COMPONENT is stored as 0
     # and raised as an overflow risk once every row has parsed.
-    terrain = np.empty((n_rows, n_cols), dtype=np.int64)
+    rows = []
     values = {"#": -1}
     lookup = values.__getitem__
     too_big = False
@@ -346,19 +360,16 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
         if len(toks) != n_cols:
             raise MapFormatError(f"row {r} has {len(toks)} tokens, expected {n_cols}")
         try:
-            terrain[r] = np.fromiter(map(lookup, toks), np.int64, n_cols)
+            rows.append(np.fromiter(map(lookup, toks), np.int64, n_cols))
         except KeyError:
             for c, tok in enumerate(toks):
                 if tok in values:
                     continue
-                if not (tok.isascii() and tok.isdigit()):
-                    raise MapFormatError(f"bad token {tok!r} at row {r}, column {c}") from None
-                # More than 19 significant digits exceed MAX_COMPONENT; int()
-                # is not asked to convert them.
-                cost = int(tok) if len(tok.lstrip("0")) <= 19 else MAX_COMPONENT + 1
+                cost = read(tok, f"token {tok!r} at row {r}, column {c}")
                 too_big |= cost > MAX_COMPONENT
                 values[tok] = cost if cost <= MAX_COMPONENT else 0
-            terrain[r] = np.fromiter(map(lookup, toks), np.int64, n_cols)
+            rows.append(np.fromiter(map(lookup, toks), np.int64, n_cols))
+    terrain = np.stack(rows)  # sized by the rows read, not by the dimension line
     obstacle = terrain < 0
     terrain[obstacle] = 0
     grid = GridMap(terrain, obstacle, allow_corner_cut=allow_corner_cut)
@@ -418,14 +429,14 @@ def random_map(seed: int, n_rows: int, n_cols: int, obstacle_density: float,
     `getrandbits(k)` with `k = (max_cost + 1).bit_length()`, drawn again
     while above `max_cost`. That is the word sequence `randint(0, max_cost)`
     consumes on CPython 3.10 to 3.13, and equal arguments give equal maps on
-    every supported Python. The sizes (at least 1), `max_cost` (at least 0)
-    and `obstacle_density` follow the number rule (_integer, _density).
+    every supported Python. The seed, the sizes (at least 1), `max_cost` (at
+    least 0) and `obstacle_density` follow the number rule (_integer, _density).
     """
+    seed, max_cost = _integer(seed, "seed"), _integer(max_cost, "max_cost", 0)
     n_rows, n_cols = _integer(n_rows, "n_rows", 1), _integer(n_cols, "n_cols", 1)
-    max_cost = _integer(max_cost, "max_cost", 0)
     obstacle_density = _density(obstacle_density, "obstacle_density")
-    if max_cost * n_rows * n_cols > MAX_COMPONENT:
-        raise ValueError("max_cost is large enough to overflow a path sum")
+    if max(max_cost, DIAGONAL_STEP) * n_rows * n_cols > MAX_COMPONENT:  # as overflow_risk
+        raise ValueError("the map is large enough to overflow a path sum")
     rng = random.Random(seed)
     roll, bits = rng.random, rng.getrandbits
     width = max_cost + 1

@@ -153,6 +153,14 @@ def _extra_count(counts, f1, f2):
     counts.append(0)
 
 
+def _counts_wrap(counts, f1, f2):
+    counts[:] = [2**62, 2**62, 2**62, 2**62 + 7, 0, 0]  # 7, the label count, modulo 2**64
+
+
+def _count_overflow(counts, f1, f2):
+    counts[0] = 2**63  # as an int64, the stored dtype of width 8, it would be negative
+
+
 def _component_overflow(counts, f1, f2):
     f1[1] = 2**63  # cell (0,0)'s second label; order still holds
 
@@ -192,6 +200,8 @@ LOADER_EDITS_2X3 = [
     pytest.param(_flip_last_byte, "sha256", id="checksum"),
     pytest.param(repack(_extra_count), "payload holds", id="counts-length"),
     pytest.param(repack(_count_too_many), "do not sum", id="counts-sum"),
+    pytest.param(repack(_counts_wrap), "do not sum", id="counts-wrap"),
+    pytest.param(repack(_count_overflow), "exceeds", id="count-overflow"),
     pytest.param(repack(_component_overflow), "exceeds", id="component-overflow"),
     pytest.param(repack(_past_longest_route), "longest route", id="past-longest-route"),
     pytest.param(replace(b'"goal":[[0,2]]', b'"goal":[[0,3]]'), "outside the map",

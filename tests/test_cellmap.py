@@ -805,17 +805,28 @@ def test_constructor_rejects_arrays_that_do_not_fit(counts, f1, f2, message):
     ("map_digest", "", "non-empty strings"),
     ("map_digest", None, "non-empty strings"),
     ("convention_tag", "", "non-empty strings"),
+    ("goal", 5, "iterable of cells"),
+    ("goal", [5], "iterable of cells"),
+    ("goal", [], "at least one cell"),
+    ("goal", [(0, 2.0)], "cell coordinates must be integers"),
+    # The 2x3 database holds 7 labels; these counts sum to 7 only modulo 2**64.
+    ("counts", [2**62, 2**62, 2**62, 2**62 + 7, 0, 0], "do not sum to the 7 labels"),
 ], ids=["n_rows-float", "n_cols-zero", "iterations-negative", "iterations-bool",
-        "map_digest-empty", "map_digest-none", "convention_tag-empty"])
+        "map_digest-empty", "map_digest-none", "convention_tag-empty", "goal-int",
+        "goal-list-of-int", "goal-empty", "goal-float-cell", "counts-wrap"])
 def test_constructor_refuses_what_the_loader_refuses(db_2x3, field, value, message):
-    """A header value load_database would refuse is refused when a database
-    is made, so every database that constructs saves bytes that load."""
-    meta = dict(n_rows=2, n_cols=3, goal=db_2x3.goal, map_digest=db_2x3.map_digest,
-                iterations=3, convention_tag=CONVENTION_TAG)
+    """A header value or array load_database would refuse is refused when a
+    database is made, so every database that constructs saves bytes that
+    load. A goal is read as GoalRegion.on reads one: a region is kept, and an
+    iterable of cells becomes a region."""
+    args = dict(counts=db_2x3.counts, f1=db_2x3.f1, f2=db_2x3.f2, n_rows=2, n_cols=3,
+                goal=db_2x3.goal, map_digest=db_2x3.map_digest, iterations=3,
+                convention_tag=CONVENTION_TAG)
     with pytest.raises(ValueError, match=message):
-        Database(db_2x3.counts, db_2x3.f1, db_2x3.f2, **{**meta, field: value})
-    saved = save_database(Database(db_2x3.counts, db_2x3.f1, db_2x3.f2, **meta))
+        Database(**{**args, field: value})
+    saved = save_database(Database(**args))
     assert load_database(saved) == db_2x3
+    assert Database(**{**args, "goal": [(0, 2)]}) == db_2x3
 
 
 @pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0)])

@@ -227,10 +227,10 @@ def test_zero_count_is_a_usage_error(flag, map_file, db_file, capsys):
     argv = (["genmap", "--seed", "1", "--rows", "2", "--cols", "2"] if flag == "--rows" else
             ["query", "-d", str(db_file), "-m", str(map_file), "--start", "0,0", "--paths", "1"])
     argv[argv.index(flag) + 1] = "0"
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    assert "must be a positive integer" in capsys.readouterr().err
+    # The text rule reads "0"; the library's number rule refuses it.
+    assert cli.main(argv) == 2
+    name = "n_rows" if flag == "--rows" else "limit"
+    assert f"error: {name} must be an integer of at least 1, not 0" in capsys.readouterr().err
 
 
 def test_query_csv(map_file, db_file, capsys):
@@ -543,6 +543,84 @@ def test_non_integer_cell_argument_exits_2(argv, map_file, db_file, tmp_path, ca
     assert not (tmp_path / "out.db").exists()
 
 
+# Texts the one text rule (grid._decimal) refuses: digits of other scripts, an
+# underscore, a sign, a space, and nothing.
+_NOT_DECIMAL = ["\uff13", "\u0663", "0_1", "+1", " 1", "1 ", "-0", ""]
+
+# Every integer the command line reads: an argv with "{}" where the text
+# goes, and a canonical integer there that the command accepts.
+_INTEGER_ARGS = {
+    "seed": (["genmap", "--seed", "{}", "--rows", "2", "--cols", "2", "-o", "{out}"], "1"),
+    "rows": (["genmap", "--seed", "1", "--rows", "{}", "--cols", "2", "-o", "{out}"], "1"),
+    "cols": (["genmap", "--seed", "1", "--rows", "2", "--cols", "{}", "-o", "{out}"], "1"),
+    "max-cost": (["genmap", "--seed", "1", "--rows", "2", "--cols", "2", "--max-cost", "{}",
+                  "-o", "{out}"], "1"),
+    "budget": (["oracle", "-m", "{map}", "--goal", "0,2", "--start", "0,0", "--budget", "{}",
+                "-o", "{out}"], "6"),
+    "paths": (["query", "-d", "{db}", "-m", "{map}", "--start", "0,0", "--paths", "{}",
+               "-o", "{out}"], "1"),
+    "start-row": (["query", "-d", "{db}", "-m", "{map}", "--start", "{},0", "-o", "{out}"], "1"),
+    "start-col": (["query", "-d", "{db}", "-m", "{map}", "--start", "0,{}", "-o", "{out}"], "1"),
+    "goal-first-corner": (["build", "-m", "{map}", "--goal", "{},0:1,1", "-o", "{out}"], "0"),
+    "goal-second-corner": (["build", "-m", "{map}", "--goal", "0,0:1,{}", "-o", "{out}"], "1"),
+}
+
+
+@pytest.mark.parametrize("text", _NOT_DECIMAL, ids=["fullwidth", "arabic-indic", "underscore",
+                                                    "plus", "space-before", "space-after",
+                                                    "minus-zero", "empty"])
+@pytest.mark.parametrize("arg", sorted(_INTEGER_ARGS))
+def test_every_integer_argument_follows_the_text_rule(arg, text, map_file, db_file, tmp_path):
+    """int() would take all but the first two texts of the ids; every
+    integer flag and cell coordinate refuses them all with exit 2, and
+    writes no output."""
+    out = tmp_path / "out"
+    template, good = _INTEGER_ARGS[arg]
+    paths = {"db": db_file, "map": map_file, "out": out}
+    rc, err = _run([a.replace("{}", text).format(**paths) for a in template])
+    assert rc == 2, (arg, text, err)
+    assert "error:" in err
+    assert not out.exists()
+    assert _run([a.replace("{}", good).format(**paths) for a in template])[0] == 0
+    assert out.exists()
+
+
+def test_seed_longer_than_19_digits_is_refused(tmp_path, capsys):
+    """_decimal reads every text past 19 significant digits as one value, so
+    --seed refuses them rather than give two seeds one map. Leading zeros are
+    not significant, and the sign a seed cannot carry loses no map."""
+    out = tmp_path / "out.map"
+    genmap = ["genmap", "--rows", "3", "--cols", "3", "--density", "0.3", "--max-cost", "5",
+              "-o", str(out), "--seed"]
+    for seed in ["1" * 20, "9" * 5000, "9223372036854775808" + "0"]:
+        rc, err = _run(genmap + [seed])
+        assert rc == 2 and "at most 19 significant digits" in err
+        assert not out.exists()
+    for seed in ["9" * 19, "0" * 30 + "9" * 19, "9223372036854775808"]:
+        assert cli.main(genmap + [seed]) == 0
+        assert parse_map(out.read_bytes()) == random_map(int(seed), 3, 3, 0.3, 5)
+    assert random_map(-5, 3, 3, 0.3, 5) == random_map(5, 3, 3, 0.3, 5)
+
+
+def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_map", no_memory)
+    out = tmp_path / "out.map"
+    assert cli.main(["genmap", "--seed", "1", "--rows", "100000000000", "--cols", "1",
+                     "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["9" * 20, "9223372036854775807"])
+def test_map_too_large_to_draw_exits_2(rows, tmp_path, capsys):
+    # Refused before a cell is drawn: such a map could overflow a path sum.
+    assert cli.main(["genmap", "--seed", "1", "--rows", rows, "--cols", "1"]) == 2
+    assert "error: the map is large enough to overflow a path sum" in capsys.readouterr().err
+
+
 def test_no_corner_cut_flag(tmp_path, capsys):
     m = tmp_path / "pinch.map"
     m.write_text("2 2\n0 #\n# 0\n")
@@ -582,7 +660,8 @@ _MAP_FLAWS = st.sampled_from([None, None, None, None, "token", "token", "short-r
                               "long-row", "missing-row", "extra-row", "no-newline"])
 _CELL = st.builds("{},{}".format, st.integers(0, 2), st.integers(0, 2))
 _CELLS = st.one_of(_CELL, _CELL, st.sampled_from(
-    ["0,0:1,1", "0,0:2,2", "1,1:0,0", "0,0:9,9", "3,3", "-1,0", "a,b", "0,0,0", ""]))
+    ["0,0:1,1", "0,0:2,2", "1,1:0,0", "0,0:9,9", "3,3", "-1,0", "a,b", "0,0,0", "",
+     "\uff10,0", "0_0,1", "+0,0", "0, 1", "-0,0", "0,0:\u0661,1"]))
 
 
 @st.composite

@@ -21,6 +21,7 @@ from cellplan.grid import (
     GoalRegion,
     GridMap,
     MapFormatError,
+    _decimal,
     free_cells,
     map_digest,
     move_mask,
@@ -86,6 +87,22 @@ def test_parse_rejects_terrain_beyond_int64(token):
     with pytest.raises(MapFormatError, match="^terrain costs could overflow a path sum; "
                                              "rescale the map$"):
         parse_map(f"1 2\n{token} 1\n")
+
+
+@pytest.mark.parametrize("header", ["9" * 5000 + " 1", "1 " + "9" * 5000], ids=["rows", "cols"])
+def test_parse_refuses_a_5000_digit_dimension(header):
+    # The text rule reads the dimension as MAX_COMPONENT + 1 without int(),
+    # and no array is sized by the dimension line, so the map is malformed.
+    with pytest.raises(MapFormatError, match="expected"):
+        parse_map(f"{header}\n0\n")
+
+
+def test_decimal_is_the_one_text_rule():
+    assert [_decimal(t) for t in ("0", "007", "9" * 19, "0" * 30 + "1")] == [0, 7, 10**19 - 1, 1]
+    assert _decimal("1" + "0" * 19) == _decimal("9" * 5000) == MAX_COMPONENT + 1
+    for text in ["\uff13", "\u0663", "\u00b2", "0_1", "+1", "-0", " 1", "1 ", "1.0", "0x1", ""]:
+        with pytest.raises(ValueError, match="expected ASCII decimal digits"):
+            _decimal(text)
 
 
 def test_parse_keeps_the_largest_cost_of_a_one_cell_map():
@@ -441,6 +458,7 @@ def test_random_map_draws_without_randint(monkeypatch):
     dict(obstacle_density=-0.1), dict(max_cost=-1),
     dict(max_cost=2.0), dict(max_cost=2.5), dict(max_cost=True), dict(max_cost="3"),
     dict(n_rows=3.0), dict(n_rows=True), dict(n_cols=2.5), dict(n_cols="3"),
+    dict(seed=1.0), dict(seed="abc"), dict(n_rows=2**62), dict(n_rows=10**20, max_cost=0),
 ])
 def test_random_map_validation(kw):
     args = dict(seed=1, n_rows=3, n_cols=3, obstacle_density=0.2, max_cost=2)

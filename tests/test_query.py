@@ -402,6 +402,7 @@ def _saved_database(db, **kw) -> bytes:
 # value), with a value it accepts and the least count it accepts ("density"
 # for a density, None for a count without a minimum).
 _NUMBER_ENTRIES = {
+    "random_map-seed": (lambda db, g, x: random_map(x, 2, 3, 0.2, 2), 1, None),
     "random_map-n_rows": (lambda db, g, x: random_map(1, x, 3, 0.2, 2), 2, 1),
     "random_map-n_cols": (lambda db, g, x: random_map(1, 2, x, 0.2, 2), 3, 1),
     "random_map-max_cost": (lambda db, g, x: random_map(1, 2, 3, 0.2, x), 2, 0),
