@@ -330,13 +330,17 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     Labels are placed by counting, not sorted: every cell counts the labels
     it has settled, so a label's row in the (cell, f1) layout is its cell's
     offset plus its rank there. Each window writes its settled (cell, rank,
-    f2) columns after the last window's in a block of at least 4n columns,
-    and opens a new block when they do not fit, so no settled column is
-    copied again before placement. A window settles its labels lane by
-    lane, so the f1 column is one run per (window, lane). Placement turns
-    each rank row into label rows in place and scatters f1 and f2 straight
-    into arrays of their stored widths (_stored_dtype), f1's taken from the
-    largest settled path length.
+    f2) columns after the last window's in the open block, of at least 4n
+    columns. A window that does not fit closes the block: each of its three
+    columns is copied once, into the narrowest width its values need
+    (_narrow), and a new block opens. So the settled labels are held near
+    their stored size, and a closed block holds whole windows. A window
+    settles its labels lane by lane, so the f1 column is one run per
+    (window, lane), and placement makes a block's f1 with one np.repeat
+    over its windows' runs. Placement adds each label's cell offset to its
+    rank, scatters f1 and f2 straight into arrays of their stored widths
+    (_stored_dtype), f1's taken from the largest settled path length, and
+    frees each block once it is placed.
 
     Cells, f2, depths, ranks and ring keys are int32 when the map's bounds
     fit: ring keys below 3 * _LANES * n, f2 at most f2_cap = max terrain *
@@ -370,10 +374,11 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
     ring_keys = ring.reshape(-1)  # a view by ring key
     ring[0, goal_ids] = 0  # the goal seeds: (f2, depth) = (0, 0) in lane 0 of window 0
     lane_of = np.arange(_LANES, dtype=dtype)[:, None]
-    # The settled (cell, rank, f2) columns in increasing w, as [block,
-    # columns filled] pairs; a window that does not fit the last block's
-    # room opens a new block.
-    blocks = [[np.empty((3, 4 * n), dtype=dtype), 0]]
+    # The settled (cell, rank, f2) columns in increasing w: the open block
+    # takes each window after the last, and a window that does not fit its
+    # room closes it into `closed` and opens a new one.
+    block, fill, first = np.empty((3, 4 * n), dtype=dtype), 0, 0
+    closed = []  # (cell, rank, f2) narrowed, and (first, end): the block's slice of runs
     runs = []  # (w, labels settled per lane) per window
     max_depth = 0
     w, last_w = -1, 0  # last_w: the last window a child was pushed to
@@ -421,12 +426,12 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
         k = labels.shape[1]
         if not k:  # every pushed slot had gone stale
             continue
-        block, fill = blocks[-1]
         if fill + k > block.shape[1]:
-            block, fill = np.empty((3, max(k, 4 * n)), dtype=dtype), 0
-            blocks.append([block, 0])
+            closed.append((*_narrow(block[:, :fill]), first, len(runs) - 1))
+            del block  # freed first: held, it lifts the 117x117 peak to 12.3 B per label
+            block, fill, first = np.empty((3, max(k, 4 * n)), dtype=dtype), 0, len(runs) - 1
         block[:, fill:fill + k] = labels[:3]
-        blocks[-1][1] = fill + k
+        fill += k
         cell, _rank, f2, depth, ring_lane = labels
         max_depth = max(max_depth, int(depth.max()))
 
@@ -451,32 +456,35 @@ def _build_buckets(grid: GridMap, goal_ids: list[int]):
             del key, v
         del labels, cell, f2, depth, ring_lane, child_f2, child_cell, live
     del moves, move_f2, last_f2, ring, ring_keys  # spent
+    closed.append((*_narrow(block[:, :fill]), first, len(runs)))
+    del block  # freed before placement makes f1 and f2
 
-    # Counting placement: a label's row is its cell's offset plus its rank,
-    # which replaces the rank in its block. Indexing by the int32 cells and
-    # rows casts them in small buffers, where take would cast a full intp copy.
+    # Counting placement: a label's row is its cell's offset plus its rank.
+    # Indexing by the narrow cells and rows casts them in small buffers,
+    # where take would cast a full intp copy.
     top_rank += 1  # each cell's label count
     counts = top_rank.astype(_stored_dtype(_top(top_rank)))
     total = int(top_rank.sum())
     starts = np.zeros(n, dtype=dtype if total <= np.iinfo(dtype).max else np.int64)
     np.cumsum(top_rank[:-1], out=starts[1:])
     # f1 is one run per (window, lane), rising; the last non-empty run's is the largest.
-    run_f1 = (STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None]
-              + 2 * np.arange(_LANES)).ravel()
-    run_len = np.concatenate([k for _, k in runs])
-    run_f1 = run_f1.astype(_stored_dtype(int(run_f1[np.flatnonzero(run_len)[-1]])))
-    f1_settled = np.repeat(run_f1, run_len)  # in settled order
+    run_f1 = STRAIGHT_STEP * np.array([w for w, _ in runs])[:, None] + 2 * np.arange(_LANES)
+    run_len = np.array([k for _, k in runs])
+    run_f1 = run_f1.astype(_stored_dtype(int(run_f1.ravel()[np.flatnonzero(run_len)[-1]])))
     f1 = np.empty(total, dtype=run_f1.dtype)
-    f2 = np.empty(total, dtype=_stored_dtype(max(_top(b[2, :fill]) for b, fill in blocks)))
-    done = 0
-    for block, fill in blocks:
-        cell, pos, f2_settled = block[:, :fill]
-        pos = pos.astype(starts.dtype, copy=False)
+    f2 = np.empty(total, dtype=_stored_dtype(max(_top(b[2]) for b in closed)))
+    while closed:  # each block is freed once placed
+        cell, pos, f2_settled, first, end = closed.pop()
+        pos = pos.astype(starts.dtype)
         pos += starts[cell]
-        f1[pos] = f1_settled[done:done + fill]
+        f1[pos] = np.repeat(run_f1[first:end].ravel(), run_len[first:end].ravel())
         f2[pos] = f2_settled
-        done += fill
     return (counts, f1, f2), max_depth + 1
+
+
+def _narrow(columns: np.ndarray) -> list[np.ndarray]:
+    """Each row of `columns`, non-negative, copied into its stored width."""
+    return [c.astype(_stored_dtype(_top(c))) for c in columns]
 
 
 def build_database(grid: GridMap, goal) -> Database:

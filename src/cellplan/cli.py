@@ -208,16 +208,27 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _integer_arg(text: str) -> int:
+    """An integer argument by the text rule, _decimal. Its refusal is an
+    ArgumentTypeError, whose message argparse prints as it is; for a
+    ValueError it would print the type function's own name."""
+    try:
+        return _decimal(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _seed(text: str) -> int:
     """A seed by the text rule, within the 19 significant digits _decimal reads exactly."""
-    if len(text.lstrip("0")) > 19:
-        raise argparse.ArgumentTypeError("must have at most 19 significant digits")
-    return _decimal(text)
+    seed, digits = _integer_arg(text), len(text.lstrip("0"))
+    if digits > 19:
+        raise argparse.ArgumentTypeError(f"expected at most 19 significant digits, not {digits}")
+    return seed
 
 
 def _paths_limit(text: str) -> int | None:
     """A path limit by the text rule, or None (unbounded) for the literal 'all'."""
-    return None if text == "all" else _decimal(text)
+    return None if text == "all" else _integer_arg(text)
 
 
 def _add_corner_flag(p) -> None:
@@ -236,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genmap", help="generate a seeded random map file")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--rows", type=_decimal, required=True)
-    p.add_argument("--cols", type=_decimal, required=True)
+    p.add_argument("--rows", type=_integer_arg, required=True)
+    p.add_argument("--cols", type=_integer_arg, required=True)
     p.add_argument("--density", type=float, default=0.0)
-    p.add_argument("--max-cost", type=_decimal, default=0)
+    p.add_argument("--max-cost", type=_integer_arg, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_genmap)
 
@@ -279,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--map", required=True)
     p.add_argument("--goal", action="append", required=True)
     p.add_argument("--start", required=True)
-    p.add_argument("--budget", type=_decimal, default=20)
+    p.add_argument("--budget", type=_integer_arg, default=20)
     p.add_argument("--paths", action="store_true")
     p.add_argument("-o", "--output", default=None)
     _add_corner_flag(p)

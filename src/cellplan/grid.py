@@ -341,9 +341,12 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
     n_rows, n_cols = (read(tok, f"dimension token {tok!r}") for tok in header)
     if n_rows < 1 or n_cols < 1:
         raise MapFormatError("dimensions must be positive")
+    # Messages name a dimension by its digits, as the file has it: past 19
+    # of them, the value read is capped.
+    rows_text, cols_text = (tok.lstrip("0") for tok in header)
     # After the trailing newline, split() leaves one final empty element.
     if len(lines) != n_rows + 2 or lines[-1] != "":
-        raise MapFormatError(f"expected {n_rows} data rows")
+        raise MapFormatError(f"expected {rows_text} data rows")
     # Each row is one lookup per token in `values`, which checks and converts
     # each distinct token once, in row-major order of first appearance: "#"
     # is -1, the obstacle mark, and a cost above MAX_COMPONENT is stored as 0
@@ -358,7 +361,7 @@ def parse_map(data, allow_corner_cut: bool = True) -> GridMap:
         toks = line.split()
         canonical = canonical and line == " ".join(toks)
         if len(toks) != n_cols:
-            raise MapFormatError(f"row {r} has {len(toks)} tokens, expected {n_cols}")
+            raise MapFormatError(f"row {r} has {len(toks)} tokens, expected {cols_text}")
         try:
             rows.append(np.fromiter(map(lookup, toks), np.int64, n_cols))
         except KeyError:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -573,13 +574,16 @@ _INTEGER_ARGS = {
 def test_every_integer_argument_follows_the_text_rule(arg, text, map_file, db_file, tmp_path):
     """int() would take all but the first two texts of the ids; every
     integer flag and cell coordinate refuses them all with exit 2, and
-    writes no output."""
+    writes no output. The refusal says what was expected, and names no
+    private function, as argparse does for a type function that raises
+    ValueError ("invalid _seed value")."""
     out = tmp_path / "out"
     template, good = _INTEGER_ARGS[arg]
     paths = {"db": db_file, "map": map_file, "out": out}
     rc, err = _run([a.replace("{}", text).format(**paths) for a in template])
     assert rc == 2, (arg, text, err)
-    assert "error:" in err
+    assert "error:" in err and "expected" in err and "invalid" not in err, err
+    assert not re.search(r"(?<![\w/])_[A-Za-z]", err), err
     assert not out.exists()
     assert _run([a.replace("{}", good).format(**paths) for a in template])[0] == 0
     assert out.exists()

@@ -89,12 +89,19 @@ def test_parse_rejects_terrain_beyond_int64(token):
         parse_map(f"1 2\n{token} 1\n")
 
 
-@pytest.mark.parametrize("header", ["9" * 5000 + " 1", "1 " + "9" * 5000], ids=["rows", "cols"])
-def test_parse_refuses_a_5000_digit_dimension(header):
+@pytest.mark.parametrize("header, message", [
+    ("9" * 5000 + " 1", f"expected {'9' * 5000} data rows"),
+    ("1 " + "9" * 5000, f"row 0 has 1 tokens, expected {'9' * 5000}"),
+    ("0099999999999999999999 1", "expected 99999999999999999999 data rows"),
+    ("1 00" + "1" * 20, f"row 0 has 1 tokens, expected {'1' * 20}"),
+], ids=["rows", "cols", "rows-20-digits", "cols-20-digits"])
+def test_parse_refuses_a_5000_digit_dimension(header, message):
     # The text rule reads the dimension as MAX_COMPONENT + 1 without int(),
     # and no array is sized by the dimension line, so the map is malformed.
-    with pytest.raises(MapFormatError, match="expected"):
+    # The message names the dimension the file holds, not the capped value.
+    with pytest.raises(MapFormatError) as err:
         parse_map(f"{header}\n0\n")
+    assert str(err.value) == message
 
 
 def test_decimal_is_the_one_text_rule():
