@@ -73,6 +73,7 @@ from .grid import (
     LabelSet,
     _cell,
     _integer,
+    _integers,
     map_digest,
     max_free_terrain,
     move_mask,
@@ -98,8 +99,9 @@ class Database:
     all n_rows * n_cols cells; obstacles and unreachable free cells hold 0.
     `f1` and `f2` list every stored vector in (cell, f1) order, so cell i's
     set is the slice offsets[i]:offsets[i + 1]. The constructor stores the
-    sets as given, reads n_rows, n_cols (at least 1) and iterations (at
-    least 0) by the number rule (grid._integer) and the goal as GoalRegion.on
+    sets as given, reads counts, f1 and f2 by the number rule for arrays
+    (grid._integers), n_rows, n_cols (at least 1) and iterations (at least
+    0) by the number rule (grid._integer) and the goal as GoalRegion.on
     does. label_key is the one check that the sets are canonical: the
     loader, the verifier and the queries all read it, so no database out of
     canonical form is loaded, verified or queried.
@@ -134,7 +136,7 @@ class Database:
 
     def __post_init__(self):
         # Copies, so no caller keeps a writeable reference to the stored arrays.
-        self._store(*(np.array(a, dtype=np.int64) for a in (self.counts, self.f1, self.f2)))
+        self._store(*(_integers(getattr(self, name), name) for name in ("counts", "f1", "f2")))
 
     @classmethod
     def _in_place(cls, counts, f1, f2, **meta) -> Database:
@@ -154,8 +156,8 @@ class Database:
         return (Database, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
     def _store(self, counts, f1, f2) -> None:
-        """Check and store the scalars and the goal; check the arrays' shapes,
-        signs and sum, derive offsets, and store all four arrays read-only,
+        """Check and store the scalars and the goal; check the arrays' shapes
+        and sum, derive offsets, and store all four arrays read-only,
         counts, f1 and f2 in their stored widths."""
         for name, minimum in (("n_rows", 1), ("n_cols", 1), ("iterations", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
@@ -167,8 +169,6 @@ class Database:
             raise ValueError("counts must hold one entry per cell of the map")
         if f1.ndim != 1 or f1.shape != f2.shape:
             raise ValueError("f1 and f2 must hold exactly the counted labels")
-        if any(a.dtype.kind == "i" and a.size and a.min() < 0 for a in (counts, f1, f2)):
-            raise ValueError("counts and cost components must be non-negative")
         # A count above the label total is refused before the sum, which it could wrap.
         if _top(counts) > f1.size or int(counts.sum()) != f1.size:
             raise ValueError(f"label counts do not sum to the {f1.size} labels: f1 and f2 "

@@ -226,6 +226,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _density_arg(text: str) -> float:
+    """A density: ASCII decimal digits with at most one point. random_map's
+    number rule refuses a value outside [0, 1)."""
+    digits = text.replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected ASCII decimal digits with at most one point, not {text!r}")
+    return float(text)
+
+
 def _paths_limit(text: str) -> int | None:
     """A path limit by the text rule, or None (unbounded) for the literal 'all'."""
     return None if text == "all" else _integer_arg(text)
@@ -249,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--rows", type=_integer_arg, required=True)
     p.add_argument("--cols", type=_integer_arg, required=True)
-    p.add_argument("--density", type=float, default=0.0)
+    p.add_argument("--density", type=_density_arg, default=0.0)
     p.add_argument("--max-cost", type=_integer_arg, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_genmap)

@@ -19,6 +19,13 @@ a LabelSet (or front) is a deduplicated, mutually non-dominated tuple of
 vectors in canonical order, path lengths strictly rising and terrain costs
 strictly falling. Every component is at most MAX_COMPONENT; a map whose
 path sums could pass it is refused up front (overflow_risk).
+
+What a caller passes is read here, by one number rule: _integer reads a
+coordinate, count or dimension, _density a density, _integers an array of
+counts or costs, and _flag an on/off flag. Each refuses what it cannot
+read exactly, a float, a bool or a text where a number goes or a number
+where a bool goes, with a ValueError naming the argument; nothing is
+truncated or guessed.
 """
 
 from __future__ import annotations
@@ -70,24 +77,27 @@ class GridMap:
     `allow_corner_cut` controls whether a diagonal move may pass an
     obstacle (allowed by default); without it a diagonal move is dropped
     when either of the two orthogonal cells it passes is an obstacle.
+    `terrain` follows the number rule for arrays (_integers), `obstacle`
+    must be a bool array of the same shape, and `allow_corner_cut` follows
+    the flag rule (_flag).
     """
 
     __slots__ = ("terrain", "obstacle", "allow_corner_cut", "_digest")
 
     def __init__(self, terrain, obstacle, allow_corner_cut: bool = True):
-        terrain = np.array(terrain, dtype=np.int64, order="C")
-        obstacle = np.array(obstacle, dtype=bool, order="C")
+        terrain, obstacle = np.asarray(terrain), np.array(obstacle, order="C")
         if terrain.ndim != 2 or terrain.size == 0:
             raise ValueError("terrain must be a non-empty 2D array")
         if obstacle.shape != terrain.shape:
             raise ValueError("obstacle mask shape must match terrain shape")
-        if (terrain < 0).any():
-            raise ValueError("terrain costs must be non-negative")
+        terrain = _integers(terrain, "terrain")
+        if obstacle.dtype != bool:
+            raise ValueError(f"obstacle must be a bool array, not {obstacle!r}")
         terrain.flags.writeable = False
         obstacle.flags.writeable = False
         object.__setattr__(self, "terrain", terrain)
         object.__setattr__(self, "obstacle", obstacle)
-        object.__setattr__(self, "allow_corner_cut", bool(allow_corner_cut))
+        object.__setattr__(self, "allow_corner_cut", _flag(allow_corner_cut, "allow_corner_cut"))
         object.__setattr__(self, "_digest", None)  # filled by map_digest
 
     def __setattr__(self, name, value):
@@ -212,6 +222,29 @@ def _density(x, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x < 1:
         raise ValueError(f"{name} must be a number in [0, 1), not {x!r}")
     return float(x)
+
+
+def _integers(a, name: str) -> np.ndarray:
+    """`a` as a new C-ordered int64 array: the number rule for arrays of
+    counts and costs. The rule reads the dtype numpy gives `a`, which must
+    be a numpy integer one, and every value must be from 0 to MAX_COMPONENT
+    (ValueError naming `name` otherwise). So a bool, float, complex, string
+    or object array is refused whatever its values, [[2.0]] too, while a
+    list mixing bools and ints, which numpy makes int64, passes. An empty
+    array holds no value to refuse: its shape is the caller's to check."""
+    a = np.asarray(a)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > MAX_COMPONENT):
+        raise ValueError(f"{name} must be an integer array of non-negative values "
+                         f"of at most {MAX_COMPONENT}, not {a!r}")
+    return np.array(a, dtype=np.int64, order="C")
+
+
+def _flag(x, name: str) -> bool:
+    """`x`, a bool or a numpy bool, as a bool: the flag rule. Anything else,
+    1, 0, None and "no" included, is a ValueError naming `name`."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, not {x!r}")
+    return bool(x)
 
 
 def require_free(grid: GridMap, cell: Cell) -> Cell:

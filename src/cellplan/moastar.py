@@ -65,6 +65,7 @@ from .grid import (
     GoalRegion,
     GridMap,
     Vector,
+    _flag,
     max_free_terrain,
     move_mask,
     overflow_risk,
@@ -225,10 +226,12 @@ def moa_star(grid: GridMap, start: Cell, goal, *, collect_paths: bool = True):
     """Full Pareto front from `start`, and (optionally) every optimal path.
 
     Returns (front, paths) where paths is a list of (cells, vector) pairs;
-    with collect_paths=False the list is empty. The front always equals the
-    database front at `start`, and on by-hand-checkable maps the path
-    multiset matches enumerate_paths.
+    with collect_paths=False the list is empty. collect_paths follows the
+    flag rule (grid._flag). The front always equals the database front at
+    `start`, and on by-hand-checkable maps the path multiset matches
+    enumerate_paths.
     """
+    collect_paths = _flag(collect_paths, "collect_paths")
     start = require_free(grid, start)
     region = GoalRegion.on(grid, goal)
     if overflow_risk(grid):

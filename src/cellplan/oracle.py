@@ -17,7 +17,8 @@ same walk.
 
 from __future__ import annotations
 
-from .grid import Cell, GoalRegion, GridMap, Vector, _integer, free_cells, neighbors, require_free
+from .grid import (Cell, GoalRegion, GridMap, Vector, _flag, _integer, free_cells, neighbors,
+                   require_free)
 from .query import QueryResult
 
 
@@ -36,7 +37,8 @@ def brute_force(grid: GridMap, start: Cell, goal, *, cell_budget: int = 20,
     """Exact front, counts, coverage (and optionally paths) by full enumeration.
 
     Refuses maps with more free cells than `cell_budget`, which follows the
-    number rule (grid._integer) with a minimum of 1. The result only
+    number rule (grid._integer) with a minimum of 1; `include_paths`
+    follows the flag rule (grid._flag). The result only
     depends on the set of paths, never on the order they are visited in.
     """
     start = require_free(grid, start)
@@ -50,6 +52,7 @@ def _brute_force_all(grid: GridMap, goal, *, cell_budget: int = 20,
     from one backward walk (see the module docstring)."""
     region = GoalRegion.on(grid, goal)
     cell_budget = _integer(cell_budget, "cell_budget", 1)
+    include_paths = _flag(include_paths, "include_paths")
     free = free_cells(grid)
     if len(free) > cell_budget:
         raise ValueError(

@@ -88,11 +88,16 @@ def successors(db: Database, grid: GridMap, cell: Cell, vector: Vector):
 
     Each entry (j, F') has F' in the label set of j and vector == F' +
     (step, terrain(cell)), where step is the length of the move cell -> j.
+    Each component of `vector` follows the number rule (grid._integer).
     Non-empty for every non-goal vector of a consistent database
     (ValueError otherwise); goal cells have no successors.
     """
     vector = tuple(vector)
     cell, front = _checked_front(db, grid, cell)
+    try:
+        vector = tuple(_integer(x, "vector") for x in vector)
+    except ValueError as e:  # every label is a pair of integers
+        raise ValueError(f"{e}, so {vector} is not in the label set of {cell}") from None
     if vector not in front:
         raise ValueError(f"vector {vector} is not in the label set of {cell}")
     if cell in db.goal.cells:

@@ -606,6 +606,42 @@ def test_seed_longer_than_19_digits_is_refused(tmp_path, capsys):
     assert random_map(-5, 3, 3, 0.3, 5) == random_map(5, 3, 3, 0.3, 5)
 
 
+# Texts float() reads that the density rule, ASCII decimal digits with at
+# most one point, refuses; and texts without digits.
+_NOT_DENSITY = {"fullwidth": "\uff10.5", "underscore": "0.0_1", "exponent": "1e-1",
+                "plus": "+0.5", "minus": "-0", "space-before": " 0.5", "space-after": "0.5 ",
+                "infinity": "inf", "nan": "nan", "two-points": "0.1.2", "point": ".",
+                "empty": ""}
+
+
+@pytest.mark.parametrize("text", list(_NOT_DENSITY.values()), ids=list(_NOT_DENSITY))
+def test_density_argument_follows_the_text_rule(text, tmp_path):
+    out = tmp_path / "out.map"
+    rc, err = _run(["genmap", "--seed", "1", "--rows", "2", "--cols", "2", "--density", text,
+                    "-o", str(out)])
+    assert rc == 2, (text, err)
+    assert "argument --density: expected ASCII decimal digits" in err, err
+    assert "invalid" not in err and not re.search(r"(?<![\w/])_[A-Za-z]", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, density", [("0.5", 0.5), (".5", 0.5), ("0", 0.0), ("0.", 0.0),
+                                           ("00.250", 0.25), ("0." + "9" * 40, None),
+                                           ("1", None), ("1.0", None), ("5.", None)])
+def test_density_argument_is_read_as_decimal_text(text, density, tmp_path):
+    """A density in [0, 1) draws the map random_map draws; random_map's
+    number rule refuses one outside it, 0.99... rounded up to 1.0 too."""
+    out = tmp_path / "out.map"
+    rc, err = _run(["genmap", "--seed", "1", "--rows", "2", "--cols", "2", "--density", text,
+                    "-o", str(out)])
+    if density is None:
+        assert rc == 2 and "error: obstacle_density must be a number in [0, 1)" in err, err
+        assert not out.exists()
+    else:
+        assert rc == 0, err
+        assert out.read_bytes() == serialize_map(random_map(1, 2, 2, density, 0))
+
+
 def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys):
     def no_memory(*args):
         raise MemoryError

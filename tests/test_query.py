@@ -10,7 +10,7 @@ import re
 import sys
 import threading
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -422,6 +422,7 @@ _NUMBER_ENTRIES = {
     "Database-n_rows": (lambda db, g, x: _saved_database(db, n_rows=x), 2, 1),
     "Database-n_cols": (lambda db, g, x: _saved_database(db, n_cols=x), 3, 1),
     "Database-iterations": (lambda db, g, x: _saved_database(db, iterations=x), 3, 0),
+    "successors-vector": (lambda db, g, x: successors(db, g, (0, 0), (x, 5)), 20, None),
 }
 
 
@@ -442,6 +443,86 @@ def test_every_count_entry_follows_the_number_rule(map_2x3, db_2x3, entry):
         refused += [] if minimum is None else [minimum - 1, np.int32(minimum - 1)]
     for bad in refused:
         with pytest.raises(ValueError, match=rf"\b{name} must be (an integer|a number)"):
+            call(db_2x3, map_2x3, bad)
+
+
+# Every public entry that takes an array of counts or costs, called as (db,
+# grid, array), with the plain int list it accepts.
+_ARRAY_ENTRIES = {
+    "GridMap-terrain": (lambda db, g, a: GridMap(a, g.obstacle), [[0, 5, 0], [0, 0, 0]]),
+    "Database-counts": (lambda db, g, a: save_database(replace(db, counts=a)),
+                        [2, 1, 1, 1, 1, 1]),
+    "Database-f1": (lambda db, g, a: save_database(replace(db, f1=a)),
+                    [20, 28, 10, 0, 24, 14, 10]),
+    "Database-f2": (lambda db, g, a: save_database(replace(db, f2=a)), [5, 0, 5, 0, 0, 0, 0]),
+}
+
+
+def _with_first(value, array: np.ndarray) -> np.ndarray:
+    """A copy of `array` whose first entry is `value`."""
+    array = array.copy()
+    array.flat[0] = value
+    return array
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRIES))
+def test_every_array_entry_follows_the_number_rule(map_2x3, db_2x3, entry):
+    # The number rule for arrays (grid._integers) reads the dtype: a numpy
+    # integer array of any width is read as the plain int list it equals,
+    # and a bool, float, string or object array, a negative value or one
+    # past MAX_COMPONENT is a ValueError that names the argument.
+    call, good = _ARRAY_ENTRIES[entry]
+    name = entry.split("-")[1]
+    expected = call(db_2x3, map_2x3, good)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert call(db_2x3, map_2x3, np.array(good, dtype=dtype)) == expected
+    ints = np.array(good)
+    refused = [ints.astype(float), ints.astype(bool), ints.astype(str),
+               _with_first(2**63, ints.astype(object)), _with_first(-1, ints),
+               _with_first(2**63, ints.astype(np.uint64))]
+    for bad in refused:
+        with pytest.raises(ValueError, match=rf"\b{name} must be an integer array"):
+            call(db_2x3, map_2x3, bad)
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer array"):
+        call(db_2x3, map_2x3, _with_first(-1, ints).tolist())
+
+
+def test_obstacle_mask_must_be_a_bool_array(map_2x3):
+    free = [[False, True, False], [False, False, False]]
+    expected = GridMap(map_2x3.terrain, free)
+    assert GridMap(map_2x3.terrain, np.array(free)) == expected
+    bools = np.array(free)
+    for bad in (bools.astype(np.uint8), bools.astype(int), bools.astype(float),
+                bools.astype(str), bools.astype(object), bools.astype(int).tolist()):
+        with pytest.raises(ValueError, match=r"\bobstacle must be a bool array"):
+            GridMap(map_2x3.terrain, bad)
+
+
+# Every public entry that takes an on/off flag, called as (db, grid, flag).
+_FLAG_ENTRIES = {
+    "GridMap-allow_corner_cut": lambda db, g, x: GridMap(g.terrain, g.obstacle,
+                                                         allow_corner_cut=x),
+    "parse_map-allow_corner_cut": lambda db, g, x: parse_map(TEXT_2X3, allow_corner_cut=x),
+    "random_map-allow_corner_cut": lambda db, g, x: random_map(1, 2, 3, 0.2, 2,
+                                                               allow_corner_cut=x),
+    "moa_star-collect_paths": lambda db, g, x: moa_star(g, (1, 0), [GOAL_2X3],
+                                                        collect_paths=x),
+    "brute_force-include_paths": lambda db, g, x: brute_force(g, (1, 0), [GOAL_2X3],
+                                                              include_paths=x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FLAG_ENTRIES))
+def test_every_flag_entry_follows_the_flag_rule(map_2x3, db_2x3, entry):
+    # The flag rule (grid._flag): a numpy bool is read as the bool it
+    # equals, and anything else, a number or a text such as "no" included,
+    # is a ValueError that names the argument.
+    call = _FLAG_ENTRIES[entry]
+    name = entry.split("-")[1]
+    for flag in (True, False):
+        assert call(db_2x3, map_2x3, np.bool_(flag)) == call(db_2x3, map_2x3, flag)
+    for bad in ("no", "False", 1, 0, None, 1.0):
+        with pytest.raises(ValueError, match=rf"\b{name} must be a bool"):
             call(db_2x3, map_2x3, bad)
 
 
