@@ -517,6 +517,15 @@ class _Step:
     when the label found has F[1] - terrain(c). A goal state's one label is
     (0, 0), so its candidates fall in the headroom of the cell before j and
     it has no successor; any other state without one raises ValueError.
+
+    The move rule is read once per step, into the table moves[c, d] in the
+    key's dtype: the key offset delta[d] where cell c may move in direction
+    d, and otherwise the miss offset -(n * stride) of an n-cell map, which
+    sends every key below 0, where no key is, so it never matches. A
+    frontier of k states is matched as one (k, 8) block of candidate keys,
+    key[ids] + moves[cells], with no gather of its allowed moves. The
+    database's f1 and f2 are indexed with a[idx], not take (see
+    load_database).
     """
 
     def __init__(self, db: Database, grid: GridMap):
@@ -536,27 +545,31 @@ class _Step:
         self.terrain = grid.terrain.ravel()
         self.goal = np.zeros(self.terrain.size, dtype=bool)
         self.goal[[r * grid.n_cols + c for r, c in db.goal.cells]] = True
-        # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]).
-        self.delta = (self.shift * self.stride - self.step).astype(self.key.dtype)
+        # key[k] + delta[d] is the key of (cell + shift[d], f1[k] - step[d]);
+        # key[k] + miss is below 0 and fits the key's dtype, as n * stride does.
+        delta = (self.shift * self.stride - self.step).astype(self.key.dtype)
+        miss = self.key.dtype.type(-self.terrain.size * self.stride)
+        self.moves = np.where(self.allowed, delta, miss)
 
     def match(self, rows: np.ndarray, delta):
         """(at, equal): the row of the largest key at or below key[rows] +
         delta (-1 below the first) and whether it equals that sum, which
         stays in the key's dtype: an allowed move's candidate lies in its
-        cell's keys or their headroom."""
-        q = self.key[rows]
-        q += delta
+        cell's keys or their headroom. `rows` and `delta` broadcast."""
+        q = np.add(self.key[rows], delta, dtype=self.key.dtype)
         at = self.key.searchsorted(q, side="right")
         at -= 1
         return at, self.key[at] == q
 
     def __call__(self, ids: np.ndarray, cells: np.ndarray):
         f1, f2 = self.f1, self.f2
-        src, d = np.nonzero(self.allowed[cells])
-        at, hit = self.match(ids[src], self.delta[d])
-        hit &= f2[at] == (f2[ids] - self.terrain[cells])[src]
-        degree = np.bincount(src[hit], minlength=ids.size)
-        if not degree.all():
+        # moves is the step's own aligned array: take gathers its rows faster.
+        at, hit = self.match(ids[:, None], self.moves.take(cells, axis=0))
+        hit &= f2[at] == (f2[ids] - self.terrain[cells])[:, None]
+        # A row of hit is 8 one-byte bools, one 8-byte word: its bit count
+        # is the state's degree.
+        degree = np.bitwise_count(hit.view(np.uint64)[:, 0])
+        if np.count_nonzero(degree) < degree.size:
             stuck = np.flatnonzero((degree == 0) & ~self.goal[cells])
             if stuck.size:
                 s = stuck[0]
@@ -694,8 +707,11 @@ def load_database(raw: bytes) -> Database:
     each other is left to verify_database.
 
     The database's arrays are read-only views of the file's bytes in their
-    stored widths (see Database). A `raw` that is not a bytes object, such
-    as a bytearray, is copied into one first, so no caller keeps writeable
+    stored widths (see Database). They start wherever the header and the
+    arrays before them end, so they are usually unaligned: hot paths index
+    them with a[idx], never with ndarray.take, which is many times slower on
+    an unaligned array. A `raw` that is not a bytes object, such as a
+    bytearray, is copied into one first, so no caller keeps writeable
     memory under the database.
     """
     if type(raw) is not bytes:

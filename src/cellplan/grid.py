@@ -85,7 +85,8 @@ class GridMap:
     __slots__ = ("terrain", "obstacle", "allow_corner_cut", "_digest")
 
     def __init__(self, terrain, obstacle, allow_corner_cut: bool = True):
-        terrain, obstacle = np.asarray(terrain), np.array(obstacle, order="C")
+        terrain = _array(terrain, "terrain", _INTEGER_ARRAY)
+        obstacle = np.array(_array(obstacle, "obstacle", "a bool array"), order="C")
         if terrain.ndim != 2 or terrain.size == 0:
             raise ValueError("terrain must be a non-empty 2D array")
         if obstacle.shape != terrain.shape:
@@ -224,18 +225,30 @@ def _density(x, name: str) -> float:
     return float(x)
 
 
+_INTEGER_ARRAY = f"an integer array of non-negative values of at most {MAX_COMPONENT}"
+
+
+def _array(a, name: str, rule: str) -> np.ndarray:
+    """np.asarray(a), or, when numpy makes no array of `a`, as of a ragged
+    list, a ValueError naming `name` and the `rule` it must follow."""
+    try:
+        return np.asarray(a)
+    except ValueError:  # numpy's own message names neither
+        raise ValueError(f"{name} must be {rule}, not {a!r}") from None
+
+
 def _integers(a, name: str) -> np.ndarray:
     """`a` as a new C-ordered int64 array: the number rule for arrays of
     counts and costs. The rule reads the dtype numpy gives `a`, which must
     be a numpy integer one, and every value must be from 0 to MAX_COMPONENT
-    (ValueError naming `name` otherwise). So a bool, float, complex, string
-    or object array is refused whatever its values, [[2.0]] too, while a
-    list mixing bools and ints, which numpy makes int64, passes. An empty
-    array holds no value to refuse: its shape is the caller's to check."""
-    a = np.asarray(a)
+    (ValueError naming `name` otherwise, a ragged list's too). So a bool,
+    float, complex, string or object array is refused whatever its values,
+    [[2.0]] too, while a list mixing bools and ints, which numpy makes
+    int64, passes. An empty array holds no value to refuse: its shape is the
+    caller's to check."""
+    a = _array(a, name, _INTEGER_ARRAY)
     if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > MAX_COMPONENT):
-        raise ValueError(f"{name} must be an integer array of non-negative values "
-                         f"of at most {MAX_COMPONENT}, not {a!r}")
+        raise ValueError(f"{name} must be {_INTEGER_ARRAY}, not {a!r}")
     return np.array(a, dtype=np.int64, order="C")
 
 

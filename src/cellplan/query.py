@@ -9,10 +9,13 @@ length and the terrain of the cell it departs (see cellmap). Path length
 strictly decreases along every edge, so the graph is acyclic, every walked
 path is simple, and counting is a plain DP. One step, cellmap._Step,
 expands a whole hop-frontier of states in numpy, for the graph and for
-`successors` alike; verify_database runs on the same step and its one
-label match over the database's sorted (cell, f1) key. The graph is the
-reached label ids plus CSR successor lists (an offsets array and a flat
-array of successor positions).
+`successors` alike: it reads the move rule from one per-cell table of key
+offsets, so a frontier's eight candidates per state are matched as one
+block. verify_database runs on the same step and its one label match over
+the database's sorted (cell, f1) key. The graph is the reached label ids
+plus CSR successor lists (an offsets array and a flat array of successor
+positions); a build marks the ids it reaches in one array of its own and
+numbers them once, after its last hop-frontier.
 enumerate_paths walks that graph depth-first one single-successor run at a
 time (most states have exactly one successor): each run is made once, as a
 tuple of cells, and a path is its branch prefix joined with a run that ends
@@ -165,35 +168,33 @@ def _memo_graph(db: Database, start: Cell) -> _Graph:
 def _successor_graph(db: Database, step: _Step, start: Cell) -> _Graph:
     """The successor graph of every state reachable from (start, F), F in
     the front at `start`, found breadth-first one hop-frontier at a time.
-    States are numbered as they are found and expanded in that order, so
-    the edges come out grouped by state. `pos` is this build's own: a
-    zeroed array, mapped page by page as the build writes it."""
+    `seen` is this build's own: a zeroed array, mapped page by page as the
+    build writes it, that marks each label id once it is reached. The states
+    are numbered once, after the last hop-frontier, in the order they were
+    found and so expanded: the edges come out grouped by state."""
     i = start[0] * step.n_cols + start[1]
     ids = np.arange(*db.offsets[i:i + 2].tolist())
     cells = np.full(ids.size, i)
-    pos = np.zeros(step.key.size, dtype=step.key.dtype)  # 1 + position of each reached id
-    pos[ids] = np.arange(1, ids.size + 1)
-    reached = ids.size
-    id_parts, cell_parts, degree_parts, succ_parts = [ids], [cells], [], []
+    seen = np.zeros(step.key.size, dtype=step.key.dtype)
+    seen[ids] = 1
+    id_parts, cell_parts, degree_parts, dst_parts = [ids], [cells], [], []
     while ids.size:
         degree, dst = step(ids, cells)
         # The next frontier: each new label id once, where its last scatter won.
-        fresh = dst[pos[dst] == 0]
-        mark = np.arange(reached + 1, reached + 1 + fresh.size)
-        pos[fresh] = mark
-        ids = fresh[pos[fresh] == mark]
+        fresh = dst[seen[dst] == 0]
+        mark = np.arange(1, fresh.size + 1)
+        seen[fresh] = mark
+        ids = fresh[seen[fresh] == mark]
         cells = step.cells(ids)
-        pos[ids] = np.arange(reached + 1, reached + 1 + ids.size)
-        reached += ids.size
         degree_parts.append(degree)
-        succ_parts.append(pos[dst])
+        dst_parts.append(dst)
         id_parts.append(ids)
         cell_parts.append(cells)
-    succ = np.concatenate(succ_parts)
-    succ -= 1
-    offsets = np.zeros(reached + 1, dtype=np.int64)
+    ids = np.concatenate(id_parts)
+    seen[ids] = np.arange(ids.size)  # each reached id's mark becomes its position
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(np.concatenate(degree_parts), out=offsets[1:])
-    return _Graph(np.concatenate(id_parts), np.concatenate(cell_parts), offsets, succ)
+    return _Graph(ids, np.concatenate(cell_parts), offsets, seen[np.concatenate(dst_parts)])
 
 
 def count_paths(db: Database, grid: GridMap, start: Cell) -> QueryResult:

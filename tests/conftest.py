@@ -10,6 +10,7 @@ import pytest
 
 from cellplan.grid import DIAGONAL_STEP, STRAIGHT_STEP
 
+import cellplan.cellmap as cellmap
 import cellplan.moastar as moastar
 import cellplan.query as query
 from cellplan import (
@@ -264,6 +265,21 @@ def graph_builds(monkeypatch):
         return build_graph(*args)
 
     monkeypatch.setattr(query, "_successor_graph", counted)
+    return calls
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The frontier size of every call of a query step (cellmap._Step), in
+    call order: a graph build makes one call per hop-frontier."""
+    calls = []
+    call = cellmap._Step.__call__
+
+    def counted(self, ids, cells):
+        calls.append(ids.size)
+        return call(self, ids, cells)
+
+    monkeypatch.setattr(cellmap._Step, "__call__", counted)
     return calls
 
 

@@ -36,6 +36,7 @@ from cellplan import (
     free_cells,
     heuristic,
     load_database,
+    map_digest,
     moa_star,
     neighbors,
     parse_map,
@@ -469,8 +470,8 @@ def _with_first(value, array: np.ndarray) -> np.ndarray:
 def test_every_array_entry_follows_the_number_rule(map_2x3, db_2x3, entry):
     # The number rule for arrays (grid._integers) reads the dtype: a numpy
     # integer array of any width is read as the plain int list it equals,
-    # and a bool, float, string or object array, a negative value or one
-    # past MAX_COMPONENT is a ValueError that names the argument.
+    # and a bool, float, string or object array, a negative value, one past
+    # MAX_COMPONENT or a ragged list is a ValueError that names the argument.
     call, good = _ARRAY_ENTRIES[entry]
     name = entry.split("-")[1]
     expected = call(db_2x3, map_2x3, good)
@@ -483,8 +484,9 @@ def test_every_array_entry_follows_the_number_rule(map_2x3, db_2x3, entry):
     for bad in refused:
         with pytest.raises(ValueError, match=rf"\b{name} must be an integer array"):
             call(db_2x3, map_2x3, bad)
-    with pytest.raises(ValueError, match=rf"\b{name} must be an integer array"):
-        call(db_2x3, map_2x3, _with_first(-1, ints).tolist())
+    for bad in (_with_first(-1, ints).tolist(), good[:-1] + [[good[-1]]]):
+        with pytest.raises(ValueError, match=rf"\b{name} must be an integer array"):
+            call(db_2x3, map_2x3, bad)
 
 
 def test_obstacle_mask_must_be_a_bool_array(map_2x3):
@@ -493,7 +495,8 @@ def test_obstacle_mask_must_be_a_bool_array(map_2x3):
     assert GridMap(map_2x3.terrain, np.array(free)) == expected
     bools = np.array(free)
     for bad in (bools.astype(np.uint8), bools.astype(int), bools.astype(float),
-                bools.astype(str), bools.astype(object), bools.astype(int).tolist()):
+                bools.astype(str), bools.astype(object), bools.astype(int).tolist(),
+                [free[0], free[1][:-1]]):
         with pytest.raises(ValueError, match=r"\bobstacle must be a bool array"):
             GridMap(map_2x3.terrain, bad)
 
@@ -670,6 +673,79 @@ def test_successors_reuse_the_step(map_2x3, db_2x3, monkeypatch):
     assert len(steps) == 1
     successors(db_2x3, parse_map(TEXT_2X3), (0, 0), (20, 5))
     assert len(steps) == 2
+
+
+def test_reference_graph_shape_is_pinned(step_calls):
+    """The successor graph of the criterion-6 reference map, by counts that
+    repeat on any machine: states, edges and step calls (one per
+    hop-frontier). Every state is expanded once, so the frontiers sum to
+    the states."""
+    g = random_map(9, 117, 117, 0.15, 9)
+    db = build_database(g, [free_cells(g)[-1]])
+    for start, shape in (((0, 0), (6_444, 6_647, 167)), ((58, 58), (1_664, 1_704, 75))):
+        step_calls.clear()
+        count_paths(db, g, start)
+        graph = query_module._memo_graph(db, start)
+        assert (graph.ids.size, graph.succ.size, len(step_calls)) == shape
+        assert sum(step_calls) == graph.ids.size
+
+
+def test_a_disallowed_move_never_matches():
+    """A move the map forbids is never matched, even onto the very label it
+    would decompose into. Built with corner cuts, the only optimal route
+    from (0,0) cuts two corners; stamped with the digest of the same map
+    without corner cuts, its labels at (0,0) and (1,0) keep no allowed
+    decomposition, while (1,2) keeps its straight one."""
+    text = "2 3\n0 # 0\n0 0 0\n"
+    cut, no_cut = parse_map(text), parse_map(text, allow_corner_cut=False)
+    built = build_database(cut, [(0, 2)])
+    assert built.front((0, 0)) == ((28, 0),)
+    assert built.front((1, 1)) == ((14, 0),)  # what (0,0)'s cut move would match
+    db = replace(built, map_digest=map_digest(no_cut))
+
+    def all_refused():
+        for start in ((0, 0), (1, 0)):
+            for query in (count_paths, coverage, enumerate_paths):
+                with pytest.raises(ValueError, match="has no decomposition"):
+                    query(db, no_cut, start)
+
+    all_refused()
+    assert count_paths(db, no_cut, (1, 2)).counts == {(10, 0): 1}
+    assert db._query_memo[0].start == (1, 2)  # a good query filled the memo
+    all_refused()
+
+
+def test_a_missed_move_matches_no_label_of_the_cell_before():
+    """Every move a cell may not make takes the miss offset, which sends its
+    candidate below every key. Here (0,0) holds (10, 0), the label that
+    (0,1)'s (10, 5) less its terrain 5 would match in the cell before it: an
+    offset that only reached that cell would give (0,1) a false successor
+    for each of its five moves off the map."""
+    g = parse_map("2 2\n0 5\n0 0\n")
+    db = build_database(g, [(1, 0), (1, 1)])
+    assert db.front((0, 0)) == ((10, 0),)
+    assert count_paths(db, g, (0, 1)).counts == {(10, 5): 1}
+    assert successors(db, g, (0, 1), (10, 5)) == [((1, 1), (0, 0))]
+
+
+@pytest.mark.parametrize("text", ["1 5\n3 0 7 1 2\n", "5 1\n3\n0\n7\n1\n2\n"],
+                         ids=["1x5", "5x1"])
+def test_a_one_cell_wide_map_has_one_path_from_each_cell(text):
+    """On a one-cell-wide map six of a cell's eight moves leave the map and
+    take the miss offset, the first cell's and the goal's too (the goal
+    holds the last key): from each cell the one path runs straight to the
+    goal."""
+    g = parse_map(text)
+    cells = free_cells(g)
+    db = build_database(g, [cells[-1]])
+    for k, start in enumerate(cells):
+        run = tuple(cells[k:])
+        vector = (10 * (len(run) - 1), int(g.terrain.ravel()[k:-1].sum()))
+        assert count_paths(db, g, start).counts == {vector: 1}
+        assert coverage(db, g, start) == frozenset(run)
+        assert enumerate_paths(db, g, start) == ([(run, vector)], False)
+        assert successors(db, g, start, vector) == ([] if k == len(cells) - 1 else
+                                                    [(run[1], db.front(run[1])[0])])
 
 
 def test_a_graph_build_that_raises_leaves_later_starts_right():
